@@ -33,16 +33,15 @@ def main():
     args = parser.parse_args()
 
     root = Path(args.root)
-    act_root = root / "activations"
-    sources = {p.name: str(p) for p in sorted(act_root.glob("*")) if p.is_dir()} if act_root.is_dir() else {}
-    layout = ingest.DatasetLayout(activation_dirs=sources)
+    layout = ingest.root_layout(root)
+    sources = sorted(layout.activation_dirs)
     dataset = ingest.load_dataset(root, layout)
-    print(f"{len(dataset)} tracks, activation sources: {sorted(sources) or 'none'}")
+    print(f"{len(dataset)} tracks, activation sources: {sources or 'none'}")
     if dataset.residue_tags:
         n = sum(len(v) for v in dataset.residue_tags.values())
         print(f"warning: {n} unrecognized tag(s) across {len(dataset.residue_tags)} track(s)")
 
-    source = args.source or (sorted(sources)[0] if sources else experiments.GT_SOURCE)
+    source = args.source or (sources[0] if sources else experiments.GT_SOURCE)
     out = Path(args.output)
     t0 = time.monotonic()
 

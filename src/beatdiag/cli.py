@@ -378,10 +378,7 @@ def _dataset_from_args(args, root=None) -> ingest.Dataset:
     axis_map = ingest.load_axis_map(args.axis_map) if args.axis_map else None
     sources = dict(_parse_labeled(args.activations, "--activations"))
     if root is not None:
-        layout = ingest.DatasetLayout(
-            activation_dirs={p.name: str(p) for p in sorted((Path(root) / "activations").glob("*")) if p.is_dir()},
-        )
-        return ingest.load_dataset(root, layout, axis_map)
+        return ingest.load_dataset(root, ingest.root_layout(root), axis_map)
     if not args.beats_dir:
         raise ToolkitError("provide --beats-dir (or --dataset NAME=ROOT)")
     layout = ingest.DatasetLayout(
@@ -433,7 +430,7 @@ def cmd_experiment(args) -> int:
         elif args.name == "threshold-sweep":
             report = experiments.run_threshold_sweep(
                 dataset, source, sweep, eval_cfg,
-                settings.get("min_separation", 0.1), settings.get("threshold", 0.5), jobs,
+                settings.get("min_separation", 0.1), settings.get("threshold", 0.5), jobs, synth_cfg,
             )
         elif args.name == "tempo-curve":
             tempo_sources = [
@@ -447,7 +444,7 @@ def cmd_experiment(args) -> int:
             )
         elif args.name == "peak-vs-dbn":
             report = experiments.run_peak_vs_dbn(
-                dataset, source, settings.dbn_config(), settings.peak_config(), eval_cfg, jobs,
+                dataset, source, settings.dbn_config(), settings.peak_config(), eval_cfg, jobs, synth_cfg,
             )
         elif args.name == "taxonomy":
             report = experiments.run_taxonomy(

@@ -97,9 +97,6 @@ class StateSpace:
         self.beat_region_sizes = np.maximum(1, np.round(self.intervals / self.observation_lambda)).astype(np.int64)
         self.is_beat_state = self.state_phase < np.repeat(self.beat_region_sizes, self.intervals)
 
-    def bpm_of_tempo(self, k: int) -> float:
-        return 60.0 * self.fps / self.intervals[k]
-
 
 def build_state_space(cfg: DbnConfig, fps: float) -> StateSpace:
     """All integer beat periods representable inside the configured BPM range."""

@@ -1,19 +1,27 @@
 """Experiment drivers: GT-activation synthesis, sweeps, tempo-constrained
 decoding, bottleneck quantification, taxonomy runs, and figure-data export.
 
-Each driver maps a function over the annotated tracks of a dataset (with
-optional process-level parallelism), produces a RunReport of per-track rows
-plus corpus-level summaries, and leaves all file emission to
-:mod:`beatdiag.reports`. Tracks missing a required input are skipped,
-counted, and listed in the report notes, never imputed.
+Every experiment runs the same three steps:
+
+1. Spec. It declares, per track, the decoders to run as DecoderSpec values:
+   peak picking, the DBN, or the DBN held to a tempo window. A lambda or
+   threshold sweep is just one spec per grid value.
+2. Worker. ``score_track`` decodes one track's activation once per distinct
+   spec and scores every decode. ``_map_tracks`` runs it over the tracks of
+   one activation source, optionally in a process pool; the gt-synth source
+   is synthesized inside the worker.
+3. Fold. The experiment turns the per-track {spec: EvalResult} maps into a
+   RunReport of per-track rows plus corpus-level summaries and tables.
+
+File emission is left to :mod:`beatdiag.reports`. Tracks missing a required
+input are skipped, counted, and listed in the report notes, never imputed.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -21,8 +29,8 @@ import numpy as np
 
 from . import dbn, diagnostics, metrics, peaks
 from .errors import DegenerateInput
-from .ingest import ActivationCurve, BeatAnnotation, Dataset
-from .reports import ReportRow, RunReport
+from .ingest import AXES, ActivationCurve, BeatAnnotation, Dataset
+from .reports import ReportRow, RunReport, csv_text
 
 
 @dataclass(frozen=True)
@@ -31,7 +39,6 @@ class SynthConfig:
 
     sigma_frames: float = 2.0
     fps: float = 43.07
-    peak_amplitude: float = 1.0
     tail_seconds: float = 1.0
 
     def __post_init__(self):
@@ -72,14 +79,46 @@ def synthesize_gt_activation(ref: BeatAnnotation, cfg: SynthConfig = SynthConfig
         lo = max(int(math.floor(center)) - support, 0)
         hi = min(int(math.ceil(center)) + support + 1, n_frames)
         frames = np.arange(lo, hi)
-        bump = cfg.peak_amplitude * np.exp(-((frames - center) ** 2) / (2 * cfg.sigma_frames**2))
+        bump = np.exp(-((frames - center) ** 2) / (2 * cfg.sigma_frames**2))
         np.maximum(values[lo:hi], bump, out=values[lo:hi])
     return ActivationCurve(values=values, fps=cfg.fps, source_label=GT_SOURCE)
 
 
 # ---------------------------------------------------------------------------
-# Track mapping
+# Decoder specs and the track worker
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DecoderSpec:
+    """One way to turn an activation into beats.
+
+    A PeakConfig means peak picking; a DbnConfig means DBN decoding, held to
+    ``constraint`` when one is given. Specs are hashable, and equal specs
+    are decoded once per track.
+    """
+
+    config: peaks.PeakConfig | dbn.DbnConfig
+    constraint: dbn.TempoConstraint | None = None
+
+    def decode(self, act: ActivationCurve) -> np.ndarray:
+        if isinstance(self.config, peaks.PeakConfig):
+            return peaks.pick_peaks(act, self.config)
+        if self.constraint is None:
+            return dbn.decode(act, self.config)
+        return dbn.decode_constrained(act, self.config, self.constraint)
+
+
+def score_track(payload) -> dict:
+    """{spec: EvalResult} for one track, each distinct spec decoded once.
+
+    ``payload`` is (annotation, activation or None, synth_cfg, specs,
+    eval_cfg); without an activation the GT activation is synthesized.
+    """
+    ref, act, synth_cfg, specs, eval_cfg = payload
+    if act is None:
+        act = synthesize_gt_activation(ref, synth_cfg)
+    return {spec: metrics.evaluate(spec.decode(act), ref.beats, eval_cfg) for spec in dict.fromkeys(specs)}
 
 
 def _map_tracks(fn, items, jobs: int = 1) -> dict:
@@ -94,25 +133,70 @@ def _map_tracks(fn, items, jobs: int = 1) -> dict:
     return dict(sorted(results.items()))
 
 
-def _tracks_with_source(dataset: Dataset, source: str):
-    """(record, activation) pairs for annotated tracks carrying ``source``."""
-    found, missing = [], []
+def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, jobs: int):
+    """Score the annotated tracks that carry ``source``, in one track mapping.
+
+    ``specs_of(record)`` lists the track's DecoderSpecs. Returns
+    [(record, {spec: EvalResult})] in track order and the ids of the tracks
+    without ``source``.
+    """
+    found, items, missing = [], [], []
     for record in dataset.annotated():
         if source == GT_SOURCE:
-            found.append((record, None))
+            act = None
         elif source in record.activations:
-            found.append((record, record.activations[source]))
+            act = record.activations[source]
         else:
             missing.append(record.track_id)
-    return found, missing
+            continue
+        found.append(record)
+        items.append((record.track_id, (record.annotation, act, synth_cfg, specs_of(record), eval_cfg)))
+    results = _map_tracks(score_track, items, jobs)
+    return [(record, results[record.track_id]) for record in found], missing
 
 
-def _base_row(record, system: str, config: str) -> ReportRow:
+def _note_missing(report: RunReport, source: str, missing):
+    if missing:
+        report.notes.append(f"{len(missing)} track(s) missing '{source}' skipped")
+
+
+def _activation_of(record, source: str, synth_cfg: SynthConfig) -> ActivationCurve:
+    if source == GT_SOURCE:
+        return synthesize_gt_activation(record.annotation, synth_cfg)
+    return record.activations[source]
+
+
+def _lambda_grid(spec: SweepSpec, base: dbn.DbnConfig, constraint=None) -> list:
+    return [
+        DecoderSpec(dataclasses.replace(base, transition_lambda=float(lam)), constraint)
+        for lam in spec.lambdas
+    ]
+
+
+def _gt_tempo_window(record, window: float) -> dbn.TempoConstraint:
+    bpm = diagnostics.tempo_stats(record.annotation).gt_bpm
+    return dbn.TempoConstraint(center_bpm=bpm, window_fraction=window)
+
+
+def _sweep(grid, scores):
+    """Results in grid order and the index of the F-optimal one.
+
+    The first maximum wins, so ties go to the smaller grid value.
+    """
+    results = [scores[s] for s in grid]
+    return results, max(range(len(results)), key=lambda i: results[i].f_measure)
+
+
+def _row(record, system: str, config: str, result: metrics.EvalResult | None = None, **fields) -> ReportRow:
+    """A track's report row; with ``result``, its scores and failure category.
+
+    ``fields`` sets further ReportRow fields, such as ``best_lambda``.
+    """
     meta = record.metadata
     tempo = None
     if record.annotation is not None and len(record.annotation.beats) >= 3:
         tempo = diagnostics.tempo_stats(record.annotation)
-    return ReportRow(
+    row = ReportRow(
         track_id=record.track_id,
         system=system,
         config=config,
@@ -120,13 +204,21 @@ def _base_row(record, system: str, config: str) -> ReportRow:
         axes=meta.axes,
         confidence=meta.annotator_confidence,
         tag_count=len(meta.canonical_tags) if meta.canonical_tags else 0,
+        **fields,
     )
+    if result is not None:
+        row.eval = result
+        row.category = diagnostics.classify_failure(result)
+    return row
 
 
-def _resolve_activation(record, act, synth_cfg: SynthConfig):
-    if act is not None:
-        return act
-    return synthesize_gt_activation(record.annotation, synth_cfg)
+def _with_tempo(dataset: Dataset) -> list:
+    """Annotated records with the three beats that tempo statistics need."""
+    return [record for record in dataset.annotated() if len(record.annotation.beats) >= 3]
+
+
+def _mean_cells(results, fields=("f_measure", "cmlt", "amlt")) -> tuple:
+    return tuple(f"{np.mean([getattr(r, name) for r in results]):.3f}" for name in fields)
 
 
 # ---------------------------------------------------------------------------
@@ -136,27 +228,17 @@ def _resolve_activation(record, act, synth_cfg: SynthConfig):
 
 def dataset_stats(dataset: Dataset) -> RunReport:
     """Tempo distribution and IBI-variability statistics from annotations."""
-    rows = []
-    bpms = []
-    cvs = []
-    skipped = []
-    for record in dataset.annotated():
-        if len(record.annotation.beats) < 3:
-            skipped.append(record.track_id)
-            continue
-        row = _base_row(record, system="annotation", config="stats")
-        rows.append(row)
-        bpms.append(row.tempo.gt_bpm)
-        cvs.append(row.tempo.ibi_cv)
+    rows = [_row(record, "annotation", "stats") for record in _with_tempo(dataset)]
+    skipped = [record.track_id for record in dataset.annotated() if len(record.annotation.beats) < 3]
     report = RunReport(experiment="dataset-stats", rows=rows)
-    if bpms:
-        bpms_arr = np.asarray(bpms)
+    if rows:
+        bpms = np.asarray([row.tempo.gt_bpm for row in rows])
         report.summary = {
-            "n_tracks": len(bpms),
-            "median_gt_bpm": float(np.median(bpms_arr)),
-            "n_below_55_bpm": int((bpms_arr < 55).sum()),
-            "n_below_60_bpm": int((bpms_arr < 60).sum()),
-            "median_ibi_cv": float(np.median(cvs)),
+            "n_tracks": len(rows),
+            "median_gt_bpm": float(np.median(bpms)),
+            "n_below_55_bpm": int((bpms < 55).sum()),
+            "n_below_60_bpm": int((bpms < 60).sum()),
+            "median_ibi_cv": float(np.median([row.tempo.ibi_cv for row in rows])),
         }
     if skipped:
         report.notes.append(f"{len(skipped)} track(s) with <3 beats skipped: {sorted(skipped)}")
@@ -174,12 +256,6 @@ def dataset_stats(dataset: Dataset) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _decode_and_score(payload):
-    ref_beats, act, cfg, eval_cfg = payload
-    est = dbn.decode(act, cfg)
-    return metrics.evaluate(est, ref_beats, eval_cfg)
-
-
 def run_gt_bottleneck(
     dataset: Dataset,
     synth_cfg: SynthConfig = SynthConfig(),
@@ -188,17 +264,9 @@ def run_gt_bottleneck(
     jobs: int = 1,
 ) -> RunReport:
     """Decode synthetic GT activations for every annotated track."""
-    items = []
-    for record in dataset.annotated():
-        act = synthesize_gt_activation(record.annotation, synth_cfg)
-        items.append((record.track_id, (record.annotation.beats, act, cfg, eval_cfg)))
-    results = _map_tracks(_decode_and_score, items, jobs)
-    rows = []
-    for record in dataset.annotated():
-        row = _base_row(record, system=GT_SOURCE, config=_dbn_label(cfg))
-        row.eval = results[record.track_id]
-        row.category = diagnostics.classify_failure(row.eval)
-        rows.append(row)
+    spec = DecoderSpec(cfg)
+    scored, _ = _score_source(dataset, GT_SOURCE, lambda rec: (spec,), eval_cfg, synth_cfg, jobs)
+    rows = [_row(rec, GT_SOURCE, _dbn_label(cfg), scores[spec]) for rec, scores in scored]
     fs = [r.eval.f_measure for r in rows]
     report = RunReport(experiment="gt-bottleneck", rows=rows)
     report.summary = {
@@ -238,26 +306,18 @@ def run_bottleneck_table(
     report = RunReport(experiment="bottleneck")
     if source == GT_SOURCE:
         source = None  # the GT columns are always computed; nothing "real" to add
+    peak_spec, dbn_spec = DecoderSpec(peak_cfg), DecoderSpec(dbn_cfg)
     for name, dataset in datasets:
         stats = dataset_stats(dataset)
         gt = run_gt_bottleneck(dataset, synth_cfg, dbn_cfg, eval_cfg, jobs)
         report.rows.extend(gt.rows)
         real_peak_f = real_dbn_f = None
         if source is not None:
-            found, missing = _tracks_with_source(dataset, source)
-            if found:
-                peak_fs, dbn_fs = [], []
-                items = [
-                    (rec.track_id, (rec.annotation.beats, act, dbn_cfg, eval_cfg))
-                    for rec, act in found
-                ]
-                dbn_results = _map_tracks(_decode_and_score, items, jobs)
-                for rec, act in found:
-                    est = peaks.pick_peaks(act, peak_cfg)
-                    peak_fs.append(metrics.f_measure(est, rec.annotation.beats, eval_cfg))
-                    dbn_fs.append(dbn_results[rec.track_id].f_measure)
-                real_peak_f = float(np.mean(peak_fs))
-                real_dbn_f = float(np.mean(dbn_fs))
+            scored, missing = _score_source(dataset, source, lambda rec: (peak_spec, dbn_spec),
+                                            eval_cfg, synth_cfg, jobs)
+            if scored:
+                real_peak_f = float(np.mean([scores[peak_spec].f_measure for _, scores in scored]))
+                real_dbn_f = float(np.mean([scores[dbn_spec].f_measure for _, scores in scored]))
             if missing:
                 report.notes.append(f"{name}: {len(missing)} track(s) missing '{source}'")
         gt_f = gt.summary["mean_f"]
@@ -302,27 +362,14 @@ def sweep_lambda(
     eval_cfg: metrics.EvalConfig = metrics.DEFAULT_EVAL,
 ) -> LambdaSweep:
     """Decode at every lambda; the F-optimal one wins, ties to the smaller."""
-    results = []
-    for lam in spec.lambdas:
-        est = dbn.decode(act, dataclasses.replace(base, transition_lambda=float(lam)))
-        results.append(metrics.evaluate(est, ref.beats, eval_cfg))
-    best_i = 0
-    for i, res in enumerate(results):
-        if res.f_measure > results[best_i].f_measure:
-            best_i = i
+    grid = _lambda_grid(spec, base)
+    results, best = _sweep(grid, score_track((ref, act, None, grid, eval_cfg)))
     return LambdaSweep(
         lambdas=tuple(float(x) for x in spec.lambdas),
         results=tuple(results),
-        best_lambda=float(spec.lambdas[best_i]),
-        best_result=results[best_i],
+        best_lambda=float(spec.lambdas[best]),
+        best_result=results[best],
     )
-
-
-def _sweep_lambda_worker(payload):
-    ref, act, spec, base, eval_cfg, synth_cfg = payload
-    if act is None:
-        act = synthesize_gt_activation(ref, synth_cfg)
-    return sweep_lambda(act, ref, spec, base, eval_cfg)
 
 
 def run_lambda_sweep(
@@ -335,30 +382,22 @@ def run_lambda_sweep(
     jobs: int = 1,
 ) -> RunReport:
     """Per-track lambda sweep over a corpus, plus the best fixed lambda."""
-    found, missing = _tracks_with_source(dataset, source)
-    items = [
-        (rec.track_id, (rec.annotation, act, spec, base, eval_cfg, synth_cfg))
-        for rec, act in found
-    ]
-    sweeps = _map_tracks(_sweep_lambda_worker, items, jobs)
+    grid = _lambda_grid(spec, base)
+    scored, missing = _score_source(dataset, source, lambda rec: grid, eval_cfg, synth_cfg, jobs)
+    sweeps = [_sweep(grid, scores) for _, scores in scored]
     report = RunReport(experiment="lambda-sweep")
-    for rec, _ in found:
-        sweep = sweeps[rec.track_id]
-        row = _base_row(rec, system=source, config="per-track-optimal-lambda")
-        row.eval = sweep.best_result
-        row.category = diagnostics.classify_failure(sweep.best_result)
-        row.best_lambda = sweep.best_lambda
-        report.rows.append(row)
+    for (rec, _), (results, best) in zip(scored, sweeps):
+        report.rows.append(_row(rec, source, "per-track-optimal-lambda", results[best],
+                                best_lambda=float(spec.lambdas[best])))
     if sweeps:
-        per_lambda = []
-        for i, lam in enumerate(spec.lambdas):
-            mean_f = float(np.mean([s.results[i].f_measure for s in sweeps.values()]))
-            mean_cmlt = float(np.mean([s.results[i].cmlt for s in sweeps.values()]))
-            per_lambda.append((f"{lam:g}", f"{mean_f:.3f}", f"{mean_cmlt:.3f}"))
+        per_lambda = [
+            (f"{lam:g}", *_mean_cells([results[i] for results, _ in sweeps], ("f_measure", "cmlt")))
+            for i, lam in enumerate(spec.lambdas)
+        ]
         fixed_means = [float(r[1]) for r in per_lambda]
         best_fixed_i = int(np.argmax(fixed_means))
-        optimal = [s.best_result for s in sweeps.values()]
-        best_lams = [s.best_lambda for s in sweeps.values()]
+        optimal = [row.eval for row in report.rows]
+        best_lams = [row.best_lambda for row in report.rows]
         report.summary = {
             "n_tracks": len(sweeps),
             "optimal_mean_f": float(np.mean([r.f_measure for r in optimal])),
@@ -369,19 +408,13 @@ def run_lambda_sweep(
             "frac_preferring_min_lambda": float(np.mean([b == spec.lambdas[0] for b in best_lams])),
         }
         report.tables["per-lambda"] = (("lambda", "mean_f", "mean_cmlt"), per_lambda)
-    if missing:
-        report.notes.append(f"{len(missing)} track(s) missing '{source}' skipped")
+    _note_missing(report, source, missing)
     return report
 
 
 # ---------------------------------------------------------------------------
 # Threshold sweep
 # ---------------------------------------------------------------------------
-
-
-def _sweep_threshold_worker(payload):
-    ref, act, grid, eval_cfg, min_separation = payload
-    return peaks.sweep_threshold(act, ref, grid, eval_cfg, min_separation)
 
 
 def run_threshold_sweep(
@@ -392,49 +425,32 @@ def run_threshold_sweep(
     min_separation: float = 0.1,
     default_threshold: float = 0.5,
     jobs: int = 1,
+    synth_cfg: SynthConfig = SynthConfig(),
 ) -> RunReport:
     """Per-track peak-picking threshold sweep; the ceiling for any decoder."""
-    found, missing = _tracks_with_source(dataset, source)
-    found = [(rec, _resolve_activation(rec, act, SynthConfig())) for rec, act in found]
-    items = [
-        (rec.track_id, (rec.annotation, act, spec.thresholds, eval_cfg, min_separation))
-        for rec, act in found
-    ]
-    sweeps = _map_tracks(_sweep_threshold_worker, items, jobs)
+    grid = [DecoderSpec(peaks.PeakConfig(thr, min_separation)) for thr in spec.thresholds]
+    default = DecoderSpec(peaks.PeakConfig(default_threshold, min_separation))
+    scored, missing = _score_source(dataset, source, lambda rec: [*grid, default], eval_cfg, synth_cfg, jobs)
     report = RunReport(experiment="threshold-sweep")
-    default_fs = []
-    for rec, act in found:
-        sweep = sweeps[rec.track_id]
-        row = _base_row(rec, system=source, config="per-track-optimal-threshold")
-        row.eval = sweep.best_result
-        row.category = diagnostics.classify_failure(sweep.best_result)
-        row.best_threshold = sweep.best_threshold
-        default_est = peaks.pick_peaks(act, peaks.PeakConfig(default_threshold, min_separation))
-        row.baseline_f = metrics.f_measure(default_est, rec.annotation.beats, eval_cfg)
-        default_fs.append(row.baseline_f)
-        report.rows.append(row)
+    for rec, scores in scored:
+        results, best = _sweep(grid, scores)
+        report.rows.append(_row(rec, source, "per-track-optimal-threshold", results[best],
+                                best_threshold=float(spec.thresholds[best]),
+                                baseline_f=scores[default].f_measure))
     if report.rows:
         report.summary = {
             "n_tracks": len(report.rows),
             "optimal_mean_f": float(np.mean([r.eval.f_measure for r in report.rows])),
             "default_threshold": default_threshold,
-            "default_mean_f": float(np.mean(default_fs)),
+            "default_mean_f": float(np.mean([r.baseline_f for r in report.rows])),
         }
-    if missing:
-        report.notes.append(f"{len(missing)} track(s) missing '{source}' skipped")
+    _note_missing(report, source, missing)
     return report
 
 
 # ---------------------------------------------------------------------------
 # Peak picking vs DBN
 # ---------------------------------------------------------------------------
-
-
-def _peak_vs_dbn_worker(payload):
-    ref, act, dbn_cfg, peak_cfg, eval_cfg = payload
-    dbn_result = metrics.evaluate(dbn.decode(act, dbn_cfg), ref.beats, eval_cfg)
-    peak_result = metrics.evaluate(peaks.pick_peaks(act, peak_cfg), ref.beats, eval_cfg)
-    return dbn_result, peak_result
 
 
 HURT_MARGIN = 0.01  # |delta F| below this counts as unchanged
@@ -447,23 +463,17 @@ def run_peak_vs_dbn(
     peak_cfg: peaks.PeakConfig = peaks.PeakConfig(),
     eval_cfg: metrics.EvalConfig = metrics.DEFAULT_EVAL,
     jobs: int = 1,
+    synth_cfg: SynthConfig = SynthConfig(),
 ) -> RunReport:
     """Effect of routing activations through the DBN instead of peak picking."""
-    found, missing = _tracks_with_source(dataset, source)
-    found = [(rec, _resolve_activation(rec, act, SynthConfig())) for rec, act in found]
-    items = [
-        (rec.track_id, (rec.annotation, act, dbn_cfg, peak_cfg, eval_cfg)) for rec, act in found
-    ]
-    results = _map_tracks(_peak_vs_dbn_worker, items, jobs)
+    dbn_spec, peak_spec = DecoderSpec(dbn_cfg), DecoderSpec(peak_cfg)
+    scored, missing = _score_source(dataset, source, lambda rec: (dbn_spec, peak_spec),
+                                    eval_cfg, synth_cfg, jobs)
     report = RunReport(experiment="peak-vs-dbn")
-    for rec, _ in found:
-        dbn_result, peak_result = results[rec.track_id]
-        row = _base_row(rec, system=source, config=_dbn_label(dbn_cfg))
-        row.eval = dbn_result
-        row.category = diagnostics.classify_failure(dbn_result)
-        row.baseline_f = peak_result.f_measure
-        row.delta_f = dbn_result.f_measure - peak_result.f_measure
-        report.rows.append(row)
+    for rec, scores in scored:
+        dbn_f, peak_f = scores[dbn_spec].f_measure, scores[peak_spec].f_measure
+        report.rows.append(_row(rec, source, _dbn_label(dbn_cfg), scores[dbn_spec],
+                                baseline_f=peak_f, delta_f=dbn_f - peak_f))
     if report.rows:
         deltas = np.asarray([r.delta_f for r in report.rows])
         report.summary = {
@@ -476,29 +486,26 @@ def run_peak_vs_dbn(
             "n_unchanged": int((np.abs(deltas) <= HURT_MARGIN).sum()),
         }
         report.tables["per-axis"] = _axis_delta_table(report.rows)
-    if missing:
-        report.notes.append(f"{len(missing)} track(s) missing '{source}' skipped")
+    _note_missing(report, source, missing)
     return report
 
 
 def _axis_delta_table(rows):
-    from .ingest import AXES
-
     header = ("axis", "n_on", "delta_f_on", "pct_hurt_on", "n_off", "delta_f_off", "pct_hurt_off")
     out = []
     for axis in AXES:
-        on = [r for r in rows if axis in r.axes]
-        off = [r for r in rows if axis not in r.axes]
-
-        def cells(group):
-            if not group:
-                return "0", "", ""
-            deltas = np.asarray([r.delta_f for r in group])
-            hurt = float((deltas < -HURT_MARGIN).mean())
-            return str(len(group)), f"{deltas.mean():+.3f}", f"{100 * hurt:.0f}%"
-
-        out.append((axis,) + cells(on) + cells(off))
+        cells = [axis]
+        for on in (True, False):
+            deltas = [r.delta_f for r in rows if (axis in r.axes) == on]
+            cells += [str(len(deltas)), *_delta_cells(deltas)] if deltas else ["0", "", ""]
+        out.append(tuple(cells))
     return header, out
+
+
+def _delta_cells(deltas) -> tuple:
+    """Mean F change and the share of tracks it hurt, as table cells."""
+    hurt = np.mean([d < -HURT_MARGIN for d in deltas])
+    return f"{np.mean(deltas):+.3f}", f"{100 * hurt:.0f}%"
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +513,8 @@ def _axis_delta_table(rows):
 # ---------------------------------------------------------------------------
 
 
-def _constrained_worker(payload):
-    ref_beats, act, bpm, window, cfg, eval_cfg = payload
-    constraint = dbn.TempoConstraint(center_bpm=bpm, window_fraction=window)
-    est = dbn.decode_constrained(act, cfg, constraint)
-    return metrics.evaluate(est, ref_beats, eval_cfg)
-
-
 GT_TEMPO_SOURCE = "gt-tempo"
+TEMPO_CURVE_HEADER = ("tempo_source", "n", "mean_f", "mean_cmlt", "mean_amlt", "n_skipped")
 
 
 def run_tempo_curve(
@@ -532,98 +533,49 @@ def run_tempo_curve(
     special label ``gt-tempo`` derives per-track BPM from the annotation.
     The unconstrained decode is always included as the baseline series.
     """
-    found, missing = _tracks_with_source(dataset, source)
-    report = RunReport(experiment="tempo-curve")
-    header = ("tempo_source", "n", "mean_f", "mean_cmlt", "mean_amlt", "n_skipped")
-    series = []
+    unconstrained = DecoderSpec(cfg)
+    held = {}  # track id -> {series index: spec}; series 0 is unconstrained
 
-    baseline_items = []
-    for rec, act in found:
-        act = _resolve_activation(rec, act, synth_cfg)
-        baseline_items.append((rec.track_id, (rec.annotation.beats, act, cfg, eval_cfg)))
-    baseline = _map_tracks(_decode_and_score, baseline_items, jobs)
-    if baseline:
-        series.append(
-            (
-                "unconstrained",
-                len(baseline),
-                f"{np.mean([r.f_measure for r in baseline.values()]):.3f}",
-                f"{np.mean([r.cmlt for r in baseline.values()]):.3f}",
-                f"{np.mean([r.amlt for r in baseline.values()]):.3f}",
-                0,
-            )
-        )
-    for rec, _ in found:
-        row = _base_row(rec, system=source, config="unconstrained")
-        row.eval = baseline[rec.track_id]
-        row.category = diagnostics.classify_failure(row.eval)
-        report.rows.append(row)
-
-    for label, bpm_by_track in tempo_sources:
-        items = []
-        skipped = 0
-        used = []
-        for rec, act in found:
+    def specs_of(rec):
+        specs = held[rec.track_id] = {0: unconstrained}
+        for i, (label, bpm_by_track) in enumerate(tempo_sources, start=1):
             if label == GT_TEMPO_SOURCE:
-                bpm = diagnostics.tempo_stats(rec.annotation).gt_bpm
-            else:
-                bpm = bpm_by_track.get(rec.track_id)
-            if bpm is None:
-                skipped += 1
-                continue
-            act = _resolve_activation(rec, act, synth_cfg)
-            items.append((rec.track_id, (rec.annotation.beats, act, bpm, window, cfg, eval_cfg)))
-            used.append(rec)
-        results = _map_tracks(_constrained_worker, items, jobs)
-        for rec in used:
-            row = _base_row(rec, system=source, config=f"constrained[{label}]")
-            row.eval = results[rec.track_id]
-            row.category = diagnostics.classify_failure(row.eval)
-            report.rows.append(row)
+                specs[i] = DecoderSpec(cfg, _gt_tempo_window(rec, window))
+            elif bpm_by_track.get(rec.track_id) is not None:
+                specs[i] = DecoderSpec(cfg, dbn.TempoConstraint(bpm_by_track[rec.track_id], window))
+        return list(specs.values())
+
+    scored, missing = _score_source(dataset, source, specs_of, eval_cfg, synth_cfg, jobs)
+    report = RunReport(experiment="tempo-curve")
+    series = []
+    labels = [("unconstrained", "unconstrained")]
+    labels += [(label, f"constrained[{label}]") for label, _ in tempo_sources]
+    for i, (label, config) in enumerate(labels):
+        results = []
+        for rec, scores in scored:
+            if i in held[rec.track_id]:
+                results.append(scores[held[rec.track_id][i]])
+                report.rows.append(_row(rec, source, config, results[-1]))
+        skipped = len(scored) - len(results)
         if results:
-            series.append(
-                (
-                    label,
-                    len(results),
-                    f"{np.mean([r.f_measure for r in results.values()]):.3f}",
-                    f"{np.mean([r.cmlt for r in results.values()]):.3f}",
-                    f"{np.mean([r.amlt for r in results.values()]):.3f}",
-                    skipped,
-                )
-            )
+            series.append((label, len(results), *_mean_cells(results), skipped))
         if skipped:
             report.notes.append(f"tempo source '{label}': {skipped} track(s) without estimate")
-    report.tables["tempo-curve"] = (header, series)
-    if baseline:
+    report.tables["tempo-curve"] = (TEMPO_CURVE_HEADER, series)
+    if scored:
+        baseline = [scores[unconstrained] for _, scores in scored]
         report.summary = {
             "n_tracks": len(baseline),
-            "unconstrained_mean_f": float(np.mean([r.f_measure for r in baseline.values()])),
-            "unconstrained_mean_cmlt": float(np.mean([r.cmlt for r in baseline.values()])),
+            "unconstrained_mean_f": float(np.mean([r.f_measure for r in baseline])),
+            "unconstrained_mean_cmlt": float(np.mean([r.cmlt for r in baseline])),
         }
-    if missing:
-        report.notes.append(f"{len(missing)} track(s) missing '{source}' skipped")
+    _note_missing(report, source, missing)
     return report
 
 
 # ---------------------------------------------------------------------------
 # Systems table (decoder configurations side by side)
 # ---------------------------------------------------------------------------
-
-
-def _constrained_sweep_worker(payload):
-    ref, act, spec, base, window, eval_cfg = payload
-    bpm = diagnostics.tempo_stats(ref).gt_bpm
-    best = None
-    best_lam = None
-    for lam in spec.lambdas:
-        cfg = dataclasses.replace(base, transition_lambda=float(lam))
-        constraint = dbn.TempoConstraint(center_bpm=bpm, window_fraction=window)
-        est = dbn.decode_constrained(act, cfg, constraint)
-        result = metrics.evaluate(est, ref.beats, eval_cfg)
-        if best is None or result.f_measure > best.f_measure:
-            best = result
-            best_lam = float(lam)
-    return best, best_lam
 
 
 def run_systems_table(
@@ -642,82 +594,43 @@ def run_systems_table(
     lambda, GT-tempo constraint combined with the optimal lambda, and the
     GT-activation upper bound.
     """
-    found, missing = _tracks_with_source(dataset, source)
-    found = [(rec, _resolve_activation(rec, act, synth_cfg)) for rec, act in found]
+    peak, fixed = DecoderSpec(peak_cfg), DecoderSpec(base)
+    grid = _lambda_grid(spec, base)
+
+    def held_grid(rec):  # the lambda grid held to the GT tempo window
+        return _lambda_grid(spec, base, _gt_tempo_window(rec, window))
+
+    scored, missing = _score_source(dataset, source, lambda rec: [peak, fixed, *grid, *held_grid(rec)],
+                                    eval_cfg, synth_cfg, jobs)
+    gt_scored = scored
+    if source != GT_SOURCE:  # the GT upper bound decodes a second activation per track
+        gt_scored, _ = _score_source(Dataset(rec for rec, _ in scored), GT_SOURCE, lambda rec: (fixed,),
+                                     eval_cfg, synth_cfg, jobs)
+    optimal = [_sweep(grid, scores) for _, scores in scored]
+    constrained = [_sweep(held_grid(rec), scores) for rec, scores in scored]
+    configurations = (
+        ("peak-picking", [scores[peak] for _, scores in scored], None),
+        (f"dbn-lambda={base.transition_lambda:g}", [scores[fixed] for _, scores in scored], None),
+        ("dbn-optimal-lambda", [r[i] for r, i in optimal], [i for _, i in optimal]),
+        ("gt-tempo+optimal-lambda", [r[i] for r, i in constrained], [i for _, i in constrained]),
+        ("gt-activations+dbn", [scores[fixed] for _, scores in gt_scored], None),
+    )
     report = RunReport(experiment="systems")
-
-    def add_rows(config_label, results, extra=None):
-        for rec, _ in found:
-            row = _base_row(rec, system=source, config=config_label)
-            row.eval = results[rec.track_id]
-            row.category = diagnostics.classify_failure(row.eval)
-            if extra is not None:
-                row.best_lambda = extra.get(rec.track_id)
-            report.rows.append(row)
-        fs = [r.f_measure for r in results.values()]
-        cmlts = [r.cmlt for r in results.values()]
-        amlts = [r.amlt for r in results.values()]
-        return (config_label, f"{np.mean(fs):.3f}", f"{np.mean(cmlts):.3f}", f"{np.mean(amlts):.3f}")
-
     table = []
-
-    peak_results = {
-        rec.track_id: metrics.evaluate(peaks.pick_peaks(act, peak_cfg), rec.annotation.beats, eval_cfg)
-        for rec, act in found
-    }
-    table.append(add_rows("peak-picking", peak_results))
-
-    items = [(rec.track_id, (rec.annotation.beats, act, base, eval_cfg)) for rec, act in found]
-    table.append(add_rows(f"dbn-lambda={base.transition_lambda:g}",
-                          _map_tracks(_decode_and_score, items, jobs)))
-
-    items = [(rec.track_id, (rec.annotation, act, spec, base, eval_cfg, synth_cfg))
-             for rec, act in found]
-    sweeps = _map_tracks(_sweep_lambda_worker, items, jobs)
-    table.append(add_rows(
-        "dbn-optimal-lambda",
-        {tid: s.best_result for tid, s in sweeps.items()},
-        extra={tid: s.best_lambda for tid, s in sweeps.items()},
-    ))
-
-    items = [(rec.track_id, (rec.annotation, act, spec, base, window, eval_cfg))
-             for rec, act in found]
-    constrained = _map_tracks(_constrained_sweep_worker, items, jobs)
-    table.append(add_rows(
-        "gt-tempo+optimal-lambda",
-        {tid: r for tid, (r, _) in constrained.items()},
-        extra={tid: lam for tid, (_, lam) in constrained.items()},
-    ))
-
-    gt_items = [
-        (rec.track_id,
-         (rec.annotation.beats, synthesize_gt_activation(rec.annotation, synth_cfg), base, eval_cfg))
-        for rec, _ in found
-    ]
-    table.append(add_rows("gt-activations+dbn", _map_tracks(_decode_and_score, gt_items, jobs)))
-
+    for label, results, best in configurations:
+        for j, ((rec, _), result) in enumerate(zip(scored, results)):
+            best_lambda = None if best is None else float(spec.lambdas[best[j]])
+            report.rows.append(_row(rec, source, label, result, best_lambda=best_lambda))
+        table.append((label, *_mean_cells(results)))
     report.tables["systems"] = (("configuration", "mean_f", "mean_cmlt", "mean_amlt"), table)
-    report.summary = {"n_tracks": len(found)}
-    if missing:
-        report.notes.append(f"{len(missing)} track(s) missing '{source}' skipped")
+    report.summary = {"n_tracks": len(scored)}
+    _note_missing(report, source, missing)
     return report
 
 
 # ---------------------------------------------------------------------------
 # Axis table (difficulty axes side by side)
 # ---------------------------------------------------------------------------
-
-
-def _axis_table_worker(payload):
-    ref, act, dbn_cfg, peak_cfg, window, eval_cfg = payload
-    peak_result = metrics.evaluate(peaks.pick_peaks(act, peak_cfg), ref.beats, eval_cfg)
-    dbn_result = metrics.evaluate(dbn.decode(act, dbn_cfg), ref.beats, eval_cfg)
-    bpm = diagnostics.tempo_stats(ref).gt_bpm
-    constraint = dbn.TempoConstraint(center_bpm=bpm, window_fraction=window)
-    constrained = metrics.evaluate(
-        dbn.decode_constrained(act, dbn_cfg, constraint), ref.beats, eval_cfg
-    )
-    return peak_result, dbn_result, constrained, diagnostics.act_at_gt(act, ref)
 
 
 def run_axis_table(
@@ -737,39 +650,31 @@ def run_axis_table(
     the F change from routing through the DBN with the fraction of tracks
     hurt, and the CMLt gain from constraining to the ground-truth tempo.
     """
-    from .ingest import AXES
+    peak, plain = DecoderSpec(peak_cfg), DecoderSpec(dbn_cfg)
 
-    found, missing = _tracks_with_source(dataset, source)
-    found = [(rec, _resolve_activation(rec, act, synth_cfg)) for rec, act in found]
-    items = [
-        (rec.track_id, (rec.annotation, act, dbn_cfg, peak_cfg, window, eval_cfg))
-        for rec, act in found
-    ]
-    results = _map_tracks(_axis_table_worker, items, jobs)
+    def held(rec):  # the DBN held to the GT tempo window
+        return DecoderSpec(dbn_cfg, _gt_tempo_window(rec, window))
+
+    scored, missing = _score_source(dataset, source, lambda rec: (peak, plain, held(rec)),
+                                    eval_cfg, synth_cfg, jobs)
     report = RunReport(experiment="axis-table")
-    for rec, _ in found:
-        peak_result, dbn_result, constrained, at_gt = results[rec.track_id]
-        row = _base_row(rec, system=source, config="peak-picking")
-        row.eval = peak_result
-        row.category = diagnostics.classify_failure(peak_result)
-        row.delta_f = dbn_result.f_measure - peak_result.f_measure
-        report.rows.append(row)
+    tracks = []  # (axes, act at GT, peak F, DBN F change, GT-tempo CMLt gain)
+    for rec, scores in scored:
+        at_gt = diagnostics.act_at_gt(_activation_of(rec, source, synth_cfg), rec.annotation)
+        delta = scores[plain].f_measure - scores[peak].f_measure
+        cmlt_gain = scores[held(rec)].cmlt - scores[plain].cmlt
+        tracks.append((rec.metadata.axes, at_gt, scores[peak].f_measure, delta, cmlt_gain))
+        report.rows.append(_row(rec, source, "peak-picking", scores[peak], delta_f=delta))
 
     header = ("axis", "side", "n", "act_at_gt", "rho_act_f", "delta_f_dbn", "pct_hurt", "delta_cmlt_gt_tempo")
     table = []
     for axis in AXES:
         for side in ("on", "off"):
-            members = [
-                (rec, results[rec.track_id]) for rec, _ in found
-                if (axis in rec.metadata.axes) == (side == "on")
-            ]
+            members = [t[1:] for t in tracks if (axis in t[0]) == (side == "on")]
             if not members:
                 table.append((axis, side, 0, "", "", "", "", ""))
                 continue
-            at_gts = [m[1][3] for m in members]
-            peak_fs = [m[1][0].f_measure for m in members]
-            deltas = [m[1][1].f_measure - m[1][0].f_measure for m in members]
-            cmlt_gains = [m[1][2].cmlt - m[1][1].cmlt for m in members]
+            at_gts, peak_fs, deltas, cmlt_gains = zip(*members)
             try:
                 rho, _ = diagnostics.spearman(at_gts, peak_fs)
                 rho_text = f"{rho:+.3f}"
@@ -778,29 +683,18 @@ def run_axis_table(
             table.append((
                 axis, side, len(members),
                 f"{np.mean(at_gts):.3f}", rho_text,
-                f"{np.mean(deltas):+.3f}",
-                f"{100 * np.mean([d < -HURT_MARGIN for d in deltas]):.0f}%",
+                *_delta_cells(deltas),
                 f"{np.mean(cmlt_gains):+.3f}",
             ))
     report.tables["axis-table"] = (header, table)
-    report.summary = {"n_tracks": len(found)}
-    if missing:
-        report.notes.append(f"{len(missing)} track(s) missing '{source}' skipped")
+    report.summary = {"n_tracks": len(scored)}
+    _note_missing(report, source, missing)
     return report
 
 
 # ---------------------------------------------------------------------------
 # Taxonomy
 # ---------------------------------------------------------------------------
-
-
-def _taxonomy_worker(payload):
-    ref, act, decoder, dbn_cfg, peak_cfg, eval_cfg = payload
-    if decoder == "peaks":
-        est = peaks.pick_peaks(act, peak_cfg)
-    else:
-        est = dbn.decode(act, dbn_cfg)
-    return metrics.evaluate(est, ref.beats, eval_cfg)
 
 
 def run_taxonomy(
@@ -821,42 +715,34 @@ def run_taxonomy(
     keeps its category only when both systems agree (the intersection view);
     disagreements are counted as ``mixed`` and left uncategorized.
     """
-
-    def score_source(src):
-        found, missing = _tracks_with_source(dataset, src)
-        items = []
-        for rec, act in found:
-            act = _resolve_activation(rec, act, synth_cfg)
-            items.append((rec.track_id, (rec.annotation, act, decoder, dbn_cfg, peak_cfg, eval_cfg)))
-        if missing:
-            report.notes.append(f"{len(missing)} track(s) missing '{src}' skipped")
-        return _map_tracks(_taxonomy_worker, items, jobs)
-
+    spec = DecoderSpec(peak_cfg if decoder == "peaks" else dbn_cfg)
     report = RunReport(experiment="taxonomy")
-    primary_results = score_source(source)
-    other_results = score_source(intersect_source) if intersect_source else None
-    counts: dict[str, int] = {}
+
+    def score(src):
+        scored, missing = _score_source(dataset, src, lambda rec: (spec,), eval_cfg, synth_cfg, jobs)
+        _note_missing(report, src, missing)
+        return {rec.track_id: scores[spec] for rec, scores in scored}
+
+    primary_results = score(source)
+    other_results = score(intersect_source) if intersect_source else None
+    config = f"{decoder}+intersect[{intersect_source}]" if other_results is not None else decoder
+    counts = Counter()
     for rec in dataset.annotated():
         result = primary_results.get(rec.track_id)
-        if result is None:
+        if result is None or (other_results is not None and rec.track_id not in other_results):
             continue
-        row = _base_row(rec, system=source, config=decoder)
-        row.eval = result
+        row = _row(rec, source, config, eval=result)
         category = diagnostics.classify_failure(result, taxonomy_cfg)
-        if other_results is not None:
-            other = other_results.get(rec.track_id)
-            if other is None:
-                continue
-            row.config = f"{decoder}+intersect[{intersect_source}]"
-            if diagnostics.classify_failure(other, taxonomy_cfg) != category:
-                report.rows.append(row)
-                counts["mixed"] = counts.get("mixed", 0) + 1
-                continue
-        row.category = category
-        act_curve = _resolve_activation(rec, rec.activations.get(source), synth_cfg)
-        row.diagnostics = diagnostics.compute_diagnostics(act_curve, rec.annotation)
+        if other_results is not None and (
+            diagnostics.classify_failure(other_results[rec.track_id], taxonomy_cfg) != category
+        ):
+            counts["mixed"] += 1
+        else:
+            row.category = category
+            act = _activation_of(rec, source, synth_cfg)
+            row.diagnostics = diagnostics.compute_diagnostics(act, rec.annotation)
+            counts[str(category)] += 1
         report.rows.append(row)
-        counts[str(category)] = counts.get(str(category), 0) + 1
     report.summary = {"n_tracks": len(report.rows)}
     for cat in sorted(counts):
         report.summary[f"n_{cat}"] = counts[cat]
@@ -874,31 +760,21 @@ def emit_figure_data(dataset: Dataset, rows=None, tempo_curve=None, bin_width: f
     (a) GT tempo histogram with a marker at the 55 BPM default minimum;
     (b) activation-vs-F scatter rows; (c) tempo-curve series.
     """
-    bundles = {}
-
-    bpms = []
-    for record in dataset.annotated():
-        if len(record.annotation.beats) >= 3:
-            bpms.append(diagnostics.tempo_stats(record.annotation).gt_bpm)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("bin_lo", "bin_hi", "count", "below_default_min_bpm"))
+    bpms = [diagnostics.tempo_stats(record.annotation).gt_bpm for record in _with_tempo(dataset)]
+    histogram = []
     if bpms:
         lo = math.floor(min(bpms) / bin_width) * bin_width
         hi = math.ceil(max(bpms) / bin_width) * bin_width
         edges = np.arange(lo, hi + bin_width, bin_width)
         counts, _ = np.histogram(bpms, bins=edges)
         for b_lo, b_hi, count in zip(edges[:-1], edges[1:], counts):
-            writer.writerow((f"{b_lo:g}", f"{b_hi:g}", int(count), int(b_hi <= 55.0)))
-    bundles["fig_tempo_histogram.csv"] = buf.getvalue()
+            histogram.append((f"{b_lo:g}", f"{b_hi:g}", int(count), int(b_hi <= 55.0)))
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("track_id", "act_at_gt", "f_measure", "category"))
+    scatter = []
     for row in sorted(rows or [], key=lambda r: r.track_id):
         if row.diagnostics is None or row.eval is None:
             continue
-        writer.writerow(
+        scatter.append(
             (
                 row.track_id,
                 f"{row.diagnostics.act_at_gt:.6f}",
@@ -906,12 +782,9 @@ def emit_figure_data(dataset: Dataset, rows=None, tempo_curve=None, bin_width: f
                 str(row.category) if row.category else "",
             )
         )
-    bundles["fig_act_scatter.csv"] = buf.getvalue()
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("tempo_source", "n", "mean_f", "mean_cmlt", "mean_amlt", "n_skipped"))
-    for series_row in tempo_curve or []:
-        writer.writerow(series_row)
-    bundles["fig_tempo_curve.csv"] = buf.getvalue()
-    return bundles
+    return {
+        "fig_tempo_histogram.csv": csv_text(("bin_lo", "bin_hi", "count", "below_default_min_bpm"),
+                                            histogram),
+        "fig_act_scatter.csv": csv_text(("track_id", "act_at_gt", "f_measure", "category"), scatter),
+        "fig_tempo_curve.csv": csv_text(TEMPO_CURVE_HEADER, tempo_curve or []),
+    }

@@ -102,10 +102,6 @@ class ActivationCurve:
     def __len__(self):
         return len(self.values)
 
-    @property
-    def duration(self) -> float:
-        return len(self.values) / self.fps
-
 
 @dataclass(frozen=True)
 class TempoEstimate:
@@ -490,6 +486,14 @@ def _glob_sorted(directory: Path, patterns) -> list[Path]:
             if p.is_file():
                 seen[p] = None
     return sorted(seen)
+
+
+def root_layout(root) -> DatasetLayout:
+    """The default layout with one activation source per subdirectory of
+    ``root/activations``, named after it. Paths are relative to ``root``."""
+    act_root = Path(root) / "activations"
+    labels = sorted(p.name for p in act_root.iterdir() if p.is_dir()) if act_root.is_dir() else []
+    return DatasetLayout(activation_dirs={label: str(Path("activations", label)) for label in labels})
 
 
 def load_dataset(root, layout: DatasetLayout | None = None, axis_map: AxisMap | None = None) -> Dataset:

@@ -230,24 +230,24 @@ def rows_from_csv(text: str) -> list[ReportRow]:
     return rows
 
 
-def rows_to_csv(rows) -> str:
+def csv_text(header, rows) -> str:
+    """A header line and one line per row, as CSV text."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ROW_FIELDS)
-    for row in rows:
-        writer.writerow([_format(row.value(c)) for c in ROW_FIELDS])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def rows_to_csv(rows) -> str:
+    return csv_text(ROW_FIELDS, ([_format(row.value(c)) for c in ROW_FIELDS] for row in rows))
 
 
 def aggregates_to_csv(stats) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("group_by", "group", "n") + METRIC_FIELDS)
-    for s in stats:
-        writer.writerow(
-            [s.group_by, s.group, s.n] + [_format(s.means.get(c)) for c in METRIC_FIELDS]
-        )
-    return buf.getvalue()
+    return csv_text(
+        ("group_by", "group", "n") + METRIC_FIELDS,
+        ([s.group_by, s.group, s.n] + [_format(s.means.get(c)) for c in METRIC_FIELDS] for s in stats),
+    )
 
 
 def render_text_table(header, rows, title: str = "") -> str:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from beatdiag import cli, ingest
+from beatdiag import cli, ingest, reports
 from beatdiag.experiments import SynthConfig, synthesize_gt_activation
 from beatdiag.ingest import write_activation, write_beats
 from conftest import PSEUDO_DIR, make_grid_annotation
@@ -220,6 +220,48 @@ def test_run_suite_script_on_pseudo_corpus(tmp_path):
                  "tempo-curve", "threshold-sweep", "peak-vs-dbn", "taxonomy"):
         assert (tmp_path / "suite" / name / "rows.csv").exists(), name
     assert (tmp_path / "suite" / "figures" / "fig_act_scatter.csv").exists()
+
+
+def test_run_suite_script_on_relative_root(tmp_path):
+    import subprocess
+    import sys
+
+    repo = PSEUDO_DIR.parent.parent.parent
+    proc = subprocess.run(
+        [sys.executable, "scripts/run_smc_suite.py", str(PSEUDO_DIR.relative_to(repo)),
+         "-o", str(tmp_path / "suite")],
+        capture_output=True, text=True, cwd=str(repo),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "activation directory missing" not in proc.stderr
+    rows = reports.rows_from_csv((tmp_path / "suite" / "taxonomy" / "rows.csv").read_text())
+    assert len(rows) == 3
+
+
+def test_experiment_bottleneck_with_relative_dataset_root(tmp_path, monkeypatch):
+    monkeypatch.chdir(PSEUDO_DIR.parent)
+    out = tmp_path / "run"
+    assert run([
+        "experiment", "bottleneck", "--dataset", f"mini={PSEUDO_DIR.name}", "--source", "pseudo",
+        "-o", str(out),
+    ]) == 0
+    text = (out / "bottleneck" / "report.txt").read_text()
+    assert "missing" not in text
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("dataset "))
+    header, cells = lines[at].split(), lines[at + 2].split()
+    assert len(cells) == len(header)  # an empty cell would drop a column
+    assert 0.0 < float(dict(zip(header, cells))["real_dbn_f"]) <= 1.0
+
+
+@pytest.mark.parametrize("name,fps", [("peak-vs-dbn", "100"), ("threshold-sweep", "6")])
+def test_experiment_gt_synth_honours_fps(tmp_path, name, fps):
+    common = ["experiment", name, "--beats-dir", str(PSEUDO_DIR / "beats")]
+    assert run(common + ["-o", str(tmp_path / "default")]) == 0
+    assert run(common + ["--fps", fps, "-o", str(tmp_path / "flag")]) == 0
+    default = (tmp_path / "default" / name / "rows.csv").read_text()
+    assert (tmp_path / "flag" / name / "rows.csv").read_text() != default
+    assert f"fps={float(fps)}" in (tmp_path / "flag" / name / "manifest.txt").read_text()
 
 
 def test_experiment_empty_dataset_exits_one(tmp_path, capsys):

@@ -387,11 +387,49 @@ def test_write_run_report_files(tmp_path):
     assert "source=pseudo" in manifest
 
 
-def test_report_determinism_across_jobs(tmp_path):
+# One call per CLI experiment; small lambda grids keep the pool runs short.
+EXPERIMENT_CALLS = {
+    "bottleneck": lambda ds, jobs: experiments.run_bottleneck_table([("pseudo", ds)], "pseudo", jobs=jobs),
+    "lambda-sweep": lambda ds, jobs: experiments.run_lambda_sweep(
+        ds, "pseudo", SweepSpec(lambdas=(1, 100)), jobs=jobs),
+    "threshold-sweep": lambda ds, jobs: experiments.run_threshold_sweep(ds, "pseudo", jobs=jobs),
+    "tempo-curve": lambda ds, jobs: experiments.run_tempo_curve(
+        ds, "pseudo", [("partial", {"pseudo01": 96.0}), (experiments.GT_TEMPO_SOURCE, {})], jobs=jobs),
+    "peak-vs-dbn": lambda ds, jobs: experiments.run_peak_vs_dbn(ds, "pseudo", jobs=jobs),
+    "taxonomy": lambda ds, jobs: experiments.run_taxonomy(
+        ds, "pseudo", intersect_source=experiments.GT_SOURCE, jobs=jobs),
+    "dataset-stats": lambda ds, jobs: experiments.dataset_stats(ds),  # runs no pool
+    "systems": lambda ds, jobs: experiments.run_systems_table(
+        ds, "pseudo", SweepSpec(lambdas=(1, 100)), jobs=jobs),
+    "axis-table": lambda ds, jobs: experiments.run_axis_table(ds, "pseudo", jobs=jobs),
+}
+
+
+@pytest.mark.parametrize("name", EXPERIMENT_CALLS)
+def test_report_determinism_across_jobs(name):
     ds = load_pseudo()
-    a = experiments.run_peak_vs_dbn(ds, "pseudo", jobs=1)
-    b = experiments.run_peak_vs_dbn(ds, "pseudo", jobs=2)
+    a, b = (EXPERIMENT_CALLS[name](ds, jobs) for jobs in (1, 2))
     assert reports.rows_to_csv(a.sorted_rows()) == reports.rows_to_csv(b.sorted_rows())
+    assert a.tables == b.tables
+    assert a.summary == b.summary
+    assert a.notes == b.notes
+
+
+def test_gt_synth_experiments_use_synth_cfg():
+    # At 6 fps a frame is 167 ms, so the synthesized peaks miss the +/-70 ms
+    # window on some beats; at 100 fps the DBN decodes a different curve.
+    ds = load_pseudo()
+    coarse, fine = SynthConfig(fps=6.0), SynthConfig(fps=100.0)
+    sweep = experiments.run_threshold_sweep(ds, experiments.GT_SOURCE, synth_cfg=coarse)
+    vs_dbn = experiments.run_peak_vs_dbn(ds, experiments.GT_SOURCE, synth_cfg=fine)
+    for row in sweep.rows:
+        ann = ds[row.track_id].annotation
+        want = peaks.sweep_threshold(synthesize_gt_activation(ann, coarse), ann)
+        assert (row.eval, row.best_threshold) == (want.best_result, want.best_threshold)
+    for row in vs_dbn.rows:
+        ann = ds[row.track_id].annotation
+        assert row.eval == metrics.evaluate(dbn.decode(synthesize_gt_activation(ann, fine)), ann.beats)
+    assert sweep.summary["optimal_mean_f"] < 1.0
 
 
 def test_emit_figure_data_histogram_and_empty():
