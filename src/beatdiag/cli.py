@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -18,19 +19,6 @@ import numpy as np
 from ._version import __version__
 from . import dbn, diagnostics, experiments, ingest, metrics, peaks, reports
 from .errors import ToolkitError
-
-EXPERIMENTS = (
-    "bottleneck",
-    "lambda-sweep",
-    "threshold-sweep",
-    "tempo-curve",
-    "peak-vs-dbn",
-    "taxonomy",
-    "dataset-stats",
-    "systems",
-    "axis-table",
-)
-
 
 def load_config_file(path) -> dict:
     """Flat key=value lines; '#' starts a comment; keys use snake_case."""
@@ -171,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--dataset", action="append", default=[], metavar="NAME=ROOT",
-        help="dataset root with beats/, tags/, activations/ subdirs (repeatable; bottleneck)",
+        help="dataset root with beats/, tags/, activations/ subdirs (repeatable; bottleneck reads them all)",
     )
     p.add_argument("--axis-map", dest="axis_map", help="tag vocabulary / axis file")
     p.add_argument("--source", help="activation source label (default gt-synth)")
@@ -203,21 +191,25 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _activation_paths(inputs) -> list[Path]:
-    paths = []
+def _activation_paths(inputs) -> dict:
+    """{track_id: path} of the files in ``inputs``, and of those in its
+    directories that match DatasetLayout.activation_glob; one file per id."""
+    by_track = {}
     for item in inputs:
         p = Path(item)
         if p.is_dir():
-            paths.extend(sorted(
-                q for q in p.iterdir() if q.is_file() and q.name != "manifest.txt"
-            ))
+            found = ingest.glob_sorted(p, ingest.DatasetLayout.activation_glob)
         elif p.is_file():
-            paths.append(p)
+            found = [p]
         else:
             raise ToolkitError(f"no such file or directory: {p}")
-    if not paths:
+        for path in found:
+            track_id = ingest.track_id_from_path(path)
+            if by_track.setdefault(track_id, path) != path:
+                raise ToolkitError(f"{by_track[track_id]} and {path} are both track {track_id!r}")
+    if not by_track:
         raise ToolkitError("no activation files found")
-    return paths
+    return by_track
 
 
 def _beats_by_track(directory) -> dict:
@@ -266,9 +258,8 @@ def cmd_decode(args) -> int:
             raise ToolkitError("--dbn-constrained requires --tempo-file")
         tempo = _tempo_map(args.tempo_file)
     written = 0
-    for path in _activation_paths(args.inputs):
+    for track_id, path in _activation_paths(args.inputs).items():
         act = ingest.load_activation(path)
-        track_id = ingest.track_id_from_path(path)
         if args.peaks:
             beats = peaks.pick_peaks(act, peak_cfg)
         elif args.dbn_constrained:
@@ -336,8 +327,7 @@ def cmd_diagnose(args) -> int:
         "periodicity_strength,entropy,false_positive_activation"
     )
     lines = [header]
-    for path in _activation_paths([args.activations]):
-        track_id = ingest.track_id_from_path(path)
+    for track_id, path in _activation_paths([args.activations]).items():
         ref = refs.get(track_id)
         if ref is None:
             print(f"warning: no reference beats for {track_id}, skipped", file=sys.stderr)
@@ -374,109 +364,102 @@ def cmd_synth_gt(args) -> int:
     return 0
 
 
-def _dataset_from_args(args, root=None) -> ingest.Dataset:
+def _datasets_from_args(args) -> list:
+    """[(name, Dataset)]: one per --dataset NAME=ROOT, else one from --beats-dir."""
     axis_map = ingest.load_axis_map(args.axis_map) if args.axis_map else None
-    sources = dict(_parse_labeled(args.activations, "--activations"))
-    if root is not None:
-        return ingest.load_dataset(root, ingest.root_layout(root), axis_map)
+    if args.dataset:
+        return [(name, ingest.load_dataset(root, ingest.root_layout(root), axis_map))
+                for name, root in _parse_labeled(args.dataset, "--dataset")]
     if not args.beats_dir:
         raise ToolkitError("provide --beats-dir (or --dataset NAME=ROOT)")
     layout = ingest.DatasetLayout(
         beats_dir=args.beats_dir,
         tags_dir=args.tags_dir,
-        activation_dirs={label: path for label, path in sources.items()},
+        activation_dirs=dict(_parse_labeled(args.activations, "--activations")),
     )
     dataset = ingest.load_dataset(Path.cwd(), layout, axis_map)
     if len(dataset) == 0:
         raise ToolkitError(f"no tracks found under beats dir {args.beats_dir!r}")
-    return dataset
+    return [("dataset", dataset)]
+
+
+def _tempo_sources(args) -> list:
+    """The --tempo-file sources in order, then gt-tempo if asked for or if none is given."""
+    sources = [(label, _tempo_map(path)) for label, path in _parse_labeled(args.tempo_file, "--tempo-file")]
+    if args.gt_tempo or not sources:
+        sources.append((experiments.GT_TEMPO_SOURCE, {}))
+    return sources
+
+
+# Each experiment's call on the run's Settings ``s`` and run values ``r`` (see run_experiment).
+EXPERIMENT_CALLS = {
+    "bottleneck": lambda s, r: experiments.run_bottleneck_table(
+        r.datasets, r.source, r.synth_cfg, s.dbn_config(min_bpm_default=30.0), s.peak_config(),
+        r.eval_cfg, r.jobs),
+    "gt-bottleneck": lambda s, r: experiments.run_gt_bottleneck(
+        r.dataset, r.synth_cfg, s.dbn_config(min_bpm_default=30.0), r.eval_cfg, r.jobs),
+    "lambda-sweep": lambda s, r: experiments.run_lambda_sweep(
+        r.dataset, r.source, r.sweep, s.dbn_config(min_bpm_default=30.0), r.eval_cfg, r.synth_cfg, r.jobs),
+    "threshold-sweep": lambda s, r: experiments.run_threshold_sweep(
+        r.dataset, r.source, r.sweep, r.eval_cfg,
+        s.get("min_separation", 0.1), s.get("threshold", 0.5), r.jobs, r.synth_cfg),
+    "tempo-curve": lambda s, r: experiments.run_tempo_curve(
+        r.dataset, r.source, _tempo_sources(r.args), s.get("tempo_window", 0.20),
+        s.dbn_config(min_bpm_default=30.0), r.eval_cfg, r.synth_cfg, r.jobs),
+    "peak-vs-dbn": lambda s, r: experiments.run_peak_vs_dbn(
+        r.dataset, r.source, s.dbn_config(), s.peak_config(), r.eval_cfg, r.jobs, r.synth_cfg),
+    "taxonomy": lambda s, r: experiments.run_taxonomy(
+        r.dataset, r.source, decoder=r.args.decoder or "peaks", intersect_source=r.args.intersect_source,
+        dbn_cfg=s.dbn_config(), peak_cfg=s.peak_config(), eval_cfg=r.eval_cfg, synth_cfg=r.synth_cfg,
+        jobs=r.jobs),
+    "dataset-stats": lambda s, r: experiments.dataset_stats(r.dataset),
+    "systems": lambda s, r: experiments.run_systems_table(
+        r.dataset, r.source, r.sweep, s.dbn_config(min_bpm_default=30.0), s.peak_config(),
+        r.eval_cfg, r.synth_cfg, s.get("tempo_window", 0.20), r.jobs),
+    "axis-table": lambda s, r: experiments.run_axis_table(
+        r.dataset, r.source, s.dbn_config(), s.peak_config(),
+        r.eval_cfg, r.synth_cfg, s.get("tempo_window", 0.20), r.jobs),
+}
+EXPERIMENTS = tuple(EXPERIMENT_CALLS)
+
+
+def run_experiment(args, datasets) -> reports.RunReport:
+    """Run ``args.name`` (parsed ``experiment`` args) on [(name, Dataset)].
+
+    Only bottleneck reads more than the first dataset. ``report.config``
+    holds the resolved settings for the run's manifest.
+    """
+    settings = Settings(args)
+    carried = sorted({label for _, ds in datasets for record in ds.annotated() for label in record.activations})
+    for source in (args.source, args.intersect_source):
+        if source not in (None, experiments.GT_SOURCE, *carried):
+            raise ToolkitError(f"no annotated track has activation source {source!r}; "
+                               f"sources present: {', '.join(carried) or 'none'}")
+    run = types.SimpleNamespace(
+        args=args, datasets=datasets, dataset=datasets[0][1], source=args.source or experiments.GT_SOURCE,
+        jobs=settings.get("jobs", 1, cast=int), eval_cfg=settings.eval_config(),
+        synth_cfg=settings.synth_config(), sweep=settings.sweep_spec())
+    report = EXPERIMENT_CALLS[args.name](settings, run)
+    report.config = {"experiment": args.name, "source": run.source, **settings.resolved}
+    return report
+
+
+def write_experiment(report: reports.RunReport, datasets, out_dir) -> Path:
+    """Write the run directory under ``out_dir``; taxonomy, dataset-stats and
+    tempo-curve add their figure bundle, drawn from the first dataset."""
+    run_dir = reports.write_run_report(report, out_dir, report.config)
+    if report.experiment in ("taxonomy", "dataset-stats", "tempo-curve"):
+        curve = report.tables.get("tempo-curve", (None, []))[1]
+        bundles = experiments.emit_figure_data(datasets[0][1], rows=report.rows, tempo_curve=curve)
+        for name, text in bundles.items():
+            (run_dir / name).write_text(text)
+    return run_dir
 
 
 def cmd_experiment(args) -> int:
-    settings = Settings(args)
-    jobs = settings.get("jobs", 1, cast=int)
-    eval_cfg = settings.eval_config()
-    synth_cfg = settings.synth_config()
-    sweep = settings.sweep_spec()
-    source = args.source or experiments.GT_SOURCE
-    out_dir = Path(args.output)
-
-    if args.name == "bottleneck":
-        if args.dataset:
-            datasets = [
-                (name, _dataset_from_args(args, root=root))
-                for name, root in _parse_labeled(args.dataset, "--dataset")
-            ]
-        else:
-            datasets = [("dataset", _dataset_from_args(args))]
-        report = experiments.run_bottleneck_table(
-            datasets,
-            source=args.source,
-            synth_cfg=synth_cfg,
-            dbn_cfg=settings.dbn_config(min_bpm_default=30.0),
-            peak_cfg=settings.peak_config(),
-            eval_cfg=eval_cfg,
-            jobs=jobs,
-        )
-    else:
-        dataset = _dataset_from_args(args)
-        if args.name == "dataset-stats":
-            report = experiments.dataset_stats(dataset)
-        elif args.name == "lambda-sweep":
-            report = experiments.run_lambda_sweep(
-                dataset, source, sweep, settings.dbn_config(min_bpm_default=30.0),
-                eval_cfg, synth_cfg, jobs,
-            )
-        elif args.name == "threshold-sweep":
-            report = experiments.run_threshold_sweep(
-                dataset, source, sweep, eval_cfg,
-                settings.get("min_separation", 0.1), settings.get("threshold", 0.5), jobs, synth_cfg,
-            )
-        elif args.name == "tempo-curve":
-            tempo_sources = [
-                (label, _tempo_map(path)) for label, path in _parse_labeled(args.tempo_file, "--tempo-file")
-            ]
-            if args.gt_tempo or not tempo_sources:
-                tempo_sources.append((experiments.GT_TEMPO_SOURCE, {}))
-            report = experiments.run_tempo_curve(
-                dataset, source, tempo_sources, settings.get("tempo_window", 0.20),
-                settings.dbn_config(min_bpm_default=30.0), eval_cfg, synth_cfg, jobs,
-            )
-        elif args.name == "peak-vs-dbn":
-            report = experiments.run_peak_vs_dbn(
-                dataset, source, settings.dbn_config(), settings.peak_config(), eval_cfg, jobs, synth_cfg,
-            )
-        elif args.name == "taxonomy":
-            report = experiments.run_taxonomy(
-                dataset, source,
-                decoder=args.decoder or "peaks",
-                intersect_source=args.intersect_source,
-                dbn_cfg=settings.dbn_config(),
-                peak_cfg=settings.peak_config(),
-                eval_cfg=eval_cfg,
-                synth_cfg=synth_cfg,
-                jobs=jobs,
-            )
-        elif args.name == "systems":
-            report = experiments.run_systems_table(
-                dataset, source, sweep, settings.dbn_config(min_bpm_default=30.0),
-                settings.peak_config(), eval_cfg, synth_cfg,
-                settings.get("tempo_window", 0.20), jobs,
-            )
-        elif args.name == "axis-table":
-            report = experiments.run_axis_table(
-                dataset, source, settings.dbn_config(), settings.peak_config(),
-                eval_cfg, synth_cfg, settings.get("tempo_window", 0.20), jobs,
-            )
-        else:  # unreachable; argparse enforces choices
-            raise ToolkitError(f"unknown experiment {args.name}")
-
-    run_dir = reports.write_run_report(report, out_dir, {"experiment": args.name, **settings.resolved})
-    if args.name in ("taxonomy", "dataset-stats", "tempo-curve"):
-        curve = report.tables.get("tempo-curve", (None, []))[1]
-        bundles = experiments.emit_figure_data(dataset, rows=report.rows, tempo_curve=curve)
-        for name, text in bundles.items():
-            (run_dir / name).write_text(text)
+    datasets = _datasets_from_args(args)
+    report = run_experiment(args, datasets)
+    run_dir = write_experiment(report, datasets, args.output)
     print(reports.render_report_text(report))
     print(f"report written to {run_dir}")
     return 0

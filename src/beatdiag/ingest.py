@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import re
 import struct
 from dataclasses import dataclass, field
@@ -89,11 +90,11 @@ class ActivationCurve:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if self.fps <= 0:
-            raise CorruptActivation(f"fps must be positive, got {self.fps}")
+        if not 0 < self.fps < math.inf:
+            raise CorruptActivation(f"fps must be positive and finite, got {self.fps}")
         if values.ndim != 1 or values.size < 1:
             raise CorruptActivation("activation must be a non-empty 1-d sequence")
-        if values.min() < -VALUE_TOLERANCE or values.max() > 1 + VALUE_TOLERANCE:
+        if not (values.min() >= -VALUE_TOLERANCE and values.max() <= 1 + VALUE_TOLERANCE):  # NaN fails too
             raise CorruptActivation(
                 f"activation values outside [0,1]: min={values.min()}, max={values.max()}"
             )
@@ -318,7 +319,7 @@ def load_tags(path, axis_map: AxisMap | None = None):
     annotator = None
     confidence = None
     is_easy = None
-    for line in path.read_text().splitlines():
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -328,7 +329,10 @@ def load_tags(path, axis_map: AxisMap | None = None):
             if key == "annotator":
                 annotator = value
             elif key == "confidence":
-                confidence = int(value)
+                try:
+                    confidence = int(value)
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: confidence {value!r} is not an integer") from None
             elif key == "easy":
                 is_easy = value.lower() in ("1", "true", "yes")
             continue
@@ -392,17 +396,20 @@ def _parse_activation_text(blob: bytes, path, label: str) -> ActivationCurve:
         fps = float(lines[0][len("#fps="):])
     except ValueError:
         raise MissingFps(f"{path}: bad fps value {lines[0]!r}") from None
-    if fps <= 0:
-        raise MissingFps(f"{path}: fps must be positive, got {fps}")
+    if not 0 < fps < math.inf:
+        raise MissingFps(f"{path}: fps must be positive and finite, got {fps}")
     values = []
     for lineno, line in enumerate(lines[1:], start=2):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            values.append(float(stripped))
+            value = float(stripped)
         except ValueError:
-            raise CorruptActivation(f"{path}:{lineno}: bad value {stripped!r}") from None
+            value = math.nan  # rejected below, with the non-finite values
+        if not math.isfinite(value):
+            raise CorruptActivation(f"{path}:{lineno}: bad value {stripped!r}")
+        values.append(value)
     if not values:
         raise CorruptActivation(f"{path}: no activation values")
     try:
@@ -479,7 +486,8 @@ def load_tempo_estimates(path) -> list[TempoEstimate]:
 # ---------------------------------------------------------------------------
 
 
-def _glob_sorted(directory: Path, patterns) -> list[Path]:
+def glob_sorted(directory: Path, patterns) -> list[Path]:
+    """Files in ``directory`` matching any of ``patterns``, sorted, each once."""
     seen = {}
     for pattern in patterns:
         for p in directory.glob(pattern):
@@ -517,7 +525,7 @@ def load_dataset(root, layout: DatasetLayout | None = None, axis_map: AxisMap | 
 
     beats_dir = resolve(layout.beats_dir)
     if beats_dir.is_dir():
-        for path in _glob_sorted(beats_dir, layout.beats_glob):
+        for path in glob_sorted(beats_dir, layout.beats_glob):
             ann = load_beats(path)
             records[ann.track_id] = TrackRecord(
                 track_id=ann.track_id,
@@ -528,7 +536,7 @@ def load_dataset(root, layout: DatasetLayout | None = None, axis_map: AxisMap | 
     if layout.tags_dir is not None:
         tags_dir = resolve(layout.tags_dir)
         if tags_dir.is_dir():
-            for path in _glob_sorted(tags_dir, layout.tags_glob):
+            for path in glob_sorted(tags_dir, layout.tags_glob):
                 meta, unknown = load_tags(path, axis_map)
                 if unknown:
                     residue[meta.track_id] = unknown
@@ -546,7 +554,7 @@ def load_dataset(root, layout: DatasetLayout | None = None, axis_map: AxisMap | 
         if not act_dir.is_dir():
             log.warning("activation directory missing: %s", act_dir)
             continue
-        for path in _glob_sorted(act_dir, layout.activation_glob):
+        for path in glob_sorted(act_dir, layout.activation_glob):
             curve = load_activation(path, source_label=label)
             track_id = track_id_from_path(path)
             record = records.get(track_id)

@@ -67,31 +67,22 @@ def match_beats(est, ref, window: float) -> list[tuple[int, int]]:
     """Maximum-cardinality one-to-one matching of beats within ``window``.
 
     Both inputs must be sorted. Returns (est_index, ref_index) pairs sorted
-    by est index. Implemented with augmenting paths over the interval
-    adjacency, so the result size is the true optimum.
+    by est index. Each estimate in turn takes the earliest unmatched
+    reference inside its inclusive window; as all windows have one width,
+    this greedy pass finds a matching of maximum size.
     """
     est = np.asarray(est, dtype=float)
     ref = np.asarray(ref, dtype=float)
-    if est.size == 0 or ref.size == 0:
-        return []
     lo = np.searchsorted(ref, est - window, side="left")
     hi = np.searchsorted(ref, est + window, side="right")
-    owner = np.full(ref.size, -1)  # ref index -> matched est index
-
-    def augment(i, banned):
-        for j in range(lo[i], hi[i]):
-            if j in banned:
-                continue
-            banned.add(j)
-            if owner[j] < 0 or augment(owner[j], banned):
-                owner[j] = i
-                return True
-        return False
-
+    pairs = []
+    j = 0  # every reference below j is matched or left of all later windows
     for i in range(est.size):
-        if lo[i] < hi[i]:
-            augment(i, set())
-    return sorted((int(i), j) for j, i in enumerate(owner) if i >= 0)
+        j = max(j, lo[i])
+        if j < hi[i]:
+            pairs.append((i, int(j)))
+            j += 1
+    return pairs
 
 
 def f_measure(est, ref, cfg: EvalConfig = DEFAULT_EVAL) -> float:

@@ -136,6 +136,7 @@ class RunReport:
     summary: dict = field(default_factory=dict)
     tables: dict = field(default_factory=dict)  # name -> (header tuple, row tuples)
     notes: list[str] = field(default_factory=list)
+    config: dict = field(default_factory=dict)  # resolved settings, for manifest.txt
 
     def sorted_rows(self) -> list[ReportRow]:
         return sorted(self.rows, key=lambda r: (r.track_id, r.system, r.config))

@@ -219,7 +219,31 @@ def test_run_suite_script_on_pseudo_corpus(tmp_path):
     for name in ("dataset-stats", "gt-bottleneck", "bottleneck", "lambda-sweep",
                  "tempo-curve", "threshold-sweep", "peak-vs-dbn", "taxonomy"):
         assert (tmp_path / "suite" / name / "rows.csv").exists(), name
-    assert (tmp_path / "suite" / "figures" / "fig_act_scatter.csv").exists()
+    assert (tmp_path / "suite" / "taxonomy" / "fig_act_scatter.csv").exists()
+
+
+def test_suite_stages_match_experiment_runs(tmp_path):
+    """Each suite stage writes what ``beatdiag experiment`` writes on the same root."""
+    import subprocess
+    import sys
+
+    suite = tmp_path / "suite"
+    proc = subprocess.run(
+        [sys.executable, "scripts/run_smc_suite.py", str(PSEUDO_DIR), "-o", str(suite)],
+        capture_output=True, text=True, cwd=str(PSEUDO_DIR.parent.parent.parent),
+    )
+    assert proc.returncode == 0, proc.stderr
+    stages = sorted(p.name for p in suite.iterdir())
+    assert len(stages) == 8
+    for name in stages:
+        assert run(["experiment", name, "--dataset", f"pseudo={PSEUDO_DIR}", "--source", "pseudo",
+                    "-o", str(tmp_path / "cli")]) == 0
+        files = sorted(p.name for p in (suite / name).iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "cli" / name).iterdir())
+        for file in files:
+            expected = (tmp_path / "cli" / name / file).read_text()
+            assert (suite / name / file).read_text() == expected, (name, file)
+        assert "source=pseudo" in (suite / name / "manifest.txt").read_text().splitlines()
 
 
 def test_run_suite_script_on_relative_root(tmp_path):
@@ -236,6 +260,34 @@ def test_run_suite_script_on_relative_root(tmp_path):
     assert "activation directory missing" not in proc.stderr
     rows = reports.rows_from_csv((tmp_path / "suite" / "taxonomy" / "rows.csv").read_text())
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("flags", [
+    ["lambda-sweep", "--source", "nosuch"],
+    ["taxonomy", "--source", "pseudo", "--intersect-source", "nosuch"],
+])
+def test_experiment_source_no_track_carries_exits_one(tmp_path, capsys, flags):
+    assert run(["experiment", *flags, "--beats-dir", str(PSEUDO_DIR / "beats"),
+                "--activations", f"pseudo={PSEUDO_DIR / 'activations' / 'pseudo'}",
+                "-o", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "'nosuch'" in err and "sources present: pseudo" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_suite_script_source_no_track_carries_exits_one(tmp_path):
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "scripts/run_smc_suite.py", str(PSEUDO_DIR), "--source", "nosuch",
+         "-o", str(tmp_path / "suite")],
+        capture_output=True, text=True, cwd=str(PSEUDO_DIR.parent.parent.parent),
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "'nosuch'" in proc.stderr and "sources present: pseudo" in proc.stderr
+    assert not (tmp_path / "suite").exists()
 
 
 def test_experiment_bottleneck_with_relative_dataset_root(tmp_path, monkeypatch):
@@ -298,6 +350,23 @@ def test_decode_binary_activations(tmp_path):
     assert run(["decode", "--dbn", "--min-bpm", "30", str(acts_dir), "-o", str(out)]) == 0
     decoded = ingest.load_beats(out / "bin0.beats")
     assert len(decoded.beats) >= len(ref.beats) - 1
+
+
+def test_decode_dir_reads_only_activation_files(tmp_path):
+    _, acts_dir = _write_mini_inputs(tmp_path)
+    (acts_dir / "README").write_text("not an activation\n")
+    (acts_dir / "notes.csv").write_text("a,b\n")
+    out = tmp_path / "out"
+    assert run(["decode", "--peaks", str(acts_dir), "-o", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("*.beats")) == ["trk0.beats", "trk1.beats"]
+
+
+def test_decode_rejects_two_files_for_one_track(tmp_path, capsys):
+    _, acts_dir = _write_mini_inputs(tmp_path, bpms=(72,))
+    write_activation(ingest.load_activation(acts_dir / "trk0.act"), acts_dir / "trk0.bin", binary=True)
+    assert run(["decode", "--peaks", str(acts_dir), "-o", str(tmp_path / "out")]) == 1
+    assert "both track 'trk0'" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.beats"))
 
 
 def test_experiment_with_jobs_two(tmp_path):

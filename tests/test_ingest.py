@@ -148,6 +148,13 @@ def test_load_tags_with_metadata_and_residue(tmp_path):
     assert residue == ["odd thing"]
 
 
+def test_load_tags_bad_confidence_names_path(tmp_path):
+    path = tmp_path / "trk.tags"
+    path.write_text("Expressive Timing\nconfidence: high\n")
+    with pytest.raises(ParseError, match=f"{path}:2"):
+        ingest.load_tags(path)
+
+
 # ---------------------------------------------------------------------------
 # activations
 # ---------------------------------------------------------------------------
@@ -174,6 +181,32 @@ def test_load_activation_out_of_range(tmp_path):
     path = tmp_path / "a.act"
     path.write_text("#fps=50\n1.7\n")
     with pytest.raises(CorruptActivation):
+        ingest.load_activation(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_activation_text_rejects_non_finite_value(tmp_path, value):
+    path = tmp_path / "a.act"
+    path.write_text(f"#fps=50\n0.1\n{value}\n0.2\n")
+    with pytest.raises(CorruptActivation, match=f"{path}:3"):
+        ingest.load_activation(path)
+
+
+@pytest.mark.parametrize("fps", ["inf", "nan"])
+def test_non_finite_fps_rejected(tmp_path, fps):
+    path = tmp_path / "a.act"
+    path.write_text(f"#fps={fps}\n0.5\n")
+    with pytest.raises(MissingFps, match=str(path)):
+        ingest.load_activation(path)
+    with pytest.raises(CorruptActivation):
+        ingest.ActivationCurve(values=np.array([0.5]), fps=float(fps))
+
+
+def test_binary_activation_nan_value_rejected(tmp_path):
+    path = tmp_path / "a.bin"
+    values = np.array([0.1, np.nan, 0.2], dtype="<f4")
+    path.write_bytes(b"ACT1" + struct.pack("<d", 50.0) + struct.pack("<Q", 3) + values.tobytes())
+    with pytest.raises(CorruptActivation, match=str(path)):
         ingest.load_activation(path)
 
 

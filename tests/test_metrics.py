@@ -57,6 +57,13 @@ def test_match_beats_is_one_to_one_and_windowed():
         assert abs(est[i] - ref[j]) <= 0.07
 
 
+def test_match_beats_long_chain_of_overlapping_windows():
+    # Estimates 30 ms before references 50 ms apart: every window holds
+    # three references, so the windows chain across the whole track.
+    ref = 1.0 + 0.05 * np.arange(4000)
+    assert len(metrics.match_beats(ref - 0.03, ref, 0.07)) == 4000
+
+
 @given(est=beat_lists, ref=beat_lists)
 @settings(max_examples=300)
 def test_f_measure_matches_exhaustive_oracle(est, ref):
