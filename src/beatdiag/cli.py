@@ -194,19 +194,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _activation_paths(inputs) -> dict:
     """{track_id: path} of the files in ``inputs``, and of those in its
     directories that match DatasetLayout.activation_glob; one file per id."""
-    by_track = {}
+    found = []
     for item in inputs:
         p = Path(item)
         if p.is_dir():
-            found = ingest.glob_sorted(p, ingest.DatasetLayout.activation_glob)
+            found += ingest.glob_sorted(p, ingest.DatasetLayout.activation_glob)
         elif p.is_file():
-            found = [p]
+            found.append(p)
         else:
             raise ToolkitError(f"no such file or directory: {p}")
-        for path in found:
-            track_id = ingest.track_id_from_path(path)
-            if by_track.setdefault(track_id, path) != path:
-                raise ToolkitError(f"{by_track[track_id]} and {path} are both track {track_id!r}")
+    by_track = ingest.files_by_track(found)
     if not by_track:
         raise ToolkitError("no activation files found")
     return by_track

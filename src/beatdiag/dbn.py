@@ -13,6 +13,15 @@ remainder:
 Decoding is exact Viterbi in log space with a uniform initial distribution.
 Ties are broken toward the lower flat state id, which makes the decoder
 fully deterministic.
+
+The forward pass keeps each tempo's scores in a ring of tau_k slots indexed
+by the frame its current beat started, modulo tau_k. Advancing the phase then
+moves nothing: a frame reads the last-phase scores and writes the new-beat
+scores in the same slot, first_k + t mod tau_k, adds the non-beat density to
+every slot and swaps in the beat density on the beat-region slots. The
+backtrack fills one beat per step. The arithmetic is the per-frame recursion's,
+operation for operation, so paths, scores and the tie rule (lowest source
+tempo at a wrap, lowest flat state id at the end) are unchanged.
 """
 
 from __future__ import annotations
@@ -91,7 +100,6 @@ class StateSpace:
         self.num_tempi = len(self.intervals)
         self.num_states = int(self.intervals.sum())
         self.first_states = np.concatenate(([0], np.cumsum(self.intervals)[:-1]))
-        self.last_states = self.first_states + self.intervals - 1
         self.state_interval = np.repeat(self.intervals, self.intervals)
         self.state_phase = np.arange(self.num_states) - np.repeat(self.first_states, self.intervals)
         self.beat_region_sizes = np.maximum(1, np.round(self.intervals / self.observation_lambda)).astype(np.int64)
@@ -139,48 +147,65 @@ def observation_log_probs(act: ActivationCurve, space: StateSpace) -> np.ndarray
 def _viterbi_in_space(
     act: ActivationCurve, space: StateSpace, transition_lambda: float
 ) -> tuple[np.ndarray, float]:
-    wrap_log = transition_log_probs(space, transition_lambda)
+    # wrap_into[k', k] = log p(k -> k'): row k' holds the candidates of target tempo k'
+    wrap_into = np.ascontiguousarray(transition_log_probs(space, transition_lambda).T)
     obs = observation_log_probs(act, space)
     n_frames = len(act.values)
-    n_states = space.num_states
+    n_tempi = space.num_tempi
     first = space.first_states
-    last = space.last_states
+    ring_base = np.repeat(first, space.intervals)
     is_beat = space.is_beat_state
-    is_first = np.zeros(n_states, dtype=bool)
-    is_first[first] = True
-    shifted_idx = np.flatnonzero(~is_first)
 
-    def frame_obs(t):
-        return np.where(is_beat, obs[t, 1], obs[t, 0])
+    def ring_slots(t):
+        # ring slot of each flat state (tempo k, phase p) at frame t:
+        # first_k + (t - p) mod tau_k, i.e. keyed by the frame its beat started
+        return ring_base + (t - space.state_phase) % space.state_interval
 
-    delta = frame_obs(0) - np.log(n_states)
+    # Beat-region states phase-major, so the first K are the phase-0 states in
+    # tempo order: their slots double as the slots of the wrap.
+    beat_states = np.flatnonzero(is_beat)
+    beat_states = beat_states[np.argsort(space.state_phase[beat_states], kind="stable")]
+    slots = ring_slots(0)[beat_states]
+    beat_base = ring_base[beat_states]
+    beat_end = beat_base + space.state_interval[beat_states]
+
+    delta = np.empty(space.num_states)
+    delta[ring_slots(0)] = np.where(is_beat, obs[0, 1], obs[0, 0]) - np.log(space.num_states)
     # Back pointers are only needed at phase wraps: wrap_from[t, k] is the
     # tempo index active at t-1 when tempo k starts a new beat at frame t.
-    wrap_from = np.empty((n_frames, space.num_tempi), dtype=np.int32)
-    scratch = np.empty(n_states)
-    tempo_range = np.arange(space.num_tempi)
+    wrap_from = np.empty((n_frames, n_tempi), dtype=np.min_scalar_type(n_tempi - 1))
+    candidates = np.empty((n_tempi, n_tempi))
+    src = np.empty(n_tempi, dtype=np.intp)
+    tempo_range = np.arange(n_tempi)
+    wrap_slots = slots[:n_tempi]
     for t in range(1, n_frames):
-        candidates = delta[last][:, np.newaxis] + wrap_log
-        src = candidates.argmax(axis=0)  # first max -> lowest flat state id
+        slots += 1  # one frame on: every slot moves one step round its ring
+        np.copyto(slots, beat_base, where=slots == beat_end)
+        # last phase at t-1 and phase 0 at t share a slot: read, then overwrite
+        np.add(delta[wrap_slots], wrap_into, out=candidates)
+        candidates.argmax(axis=1, out=src)  # first max -> lowest source tempo
         wrap_from[t] = src
-        scratch[shifted_idx] = delta[shifted_idx - 1]
-        scratch[first] = candidates[src, tempo_range]
-        scratch += frame_obs(t)
-        delta, scratch = scratch, delta  # every state was rewritten, swap buffers
-    end = int(delta.argmax())
-    log_prob = float(delta[end])
+        delta[wrap_slots] = candidates[tempo_range, src]
+        in_beat = delta[slots]
+        delta += obs[t, 0]
+        in_beat += obs[t, 1]
+        delta[slots] = in_beat
+    final = delta[ring_slots(n_frames - 1)]  # back to flat state order
+    end = int(final.argmax())
+    log_prob = float(final[end])
 
+    # one slice per beat, walking back through the wrap pointers
     path = np.empty(n_frames, dtype=np.int64)
-    state = end
-    for t in range(n_frames - 1, 0, -1):
-        path[t] = state
-        if is_first[state]:
-            k = int(np.searchsorted(first, state))
-            state = int(last[wrap_from[t, k]])
-        else:
-            state -= 1
-    path[0] = state
-    return path, log_prob
+    k = int(np.searchsorted(first, end, side="right")) - 1
+    t, phase = n_frames - 1, end - int(first[k])
+    while True:
+        beat_start = t - phase  # negative when the first beat began before frame 0
+        lo = max(beat_start, 0)
+        path[lo:t + 1] = np.arange(first[k] + lo - beat_start, first[k] + phase + 1)
+        if beat_start <= 0:
+            return path, log_prob
+        k = int(wrap_from[beat_start, k])
+        t, phase = beat_start - 1, int(space.intervals[k]) - 1
 
 
 def viterbi(act: ActivationCurve, cfg: DbnConfig = DbnConfig()) -> tuple[np.ndarray, float]:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .errors import DegenerateInput, InsufficientReference, NoOverlap
 from .ingest import ActivationCurve, BeatAnnotation
@@ -202,6 +201,9 @@ def spearman(x, y) -> tuple[float, float]:
     n = x.size
     if abs(rho) == 1.0:
         return rho, 0.0
+    # imported here: scipy.stats is most of the package's import time
+    from scipy import stats as scipy_stats
+
     t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
     p = 2.0 * float(scipy_stats.t.sf(abs(t), df=n - 2))
     return rho, p

@@ -31,6 +31,7 @@ from .errors import (
     MalformedAnnotation,
     MissingFps,
     ParseError,
+    ToolkitError,
 )
 
 log = logging.getLogger(__name__)
@@ -57,6 +58,8 @@ class BeatAnnotation:
     def __post_init__(self):
         beats = np.asarray(self.beats, dtype=float)
         object.__setattr__(self, "beats", beats)
+        if not np.all(np.isfinite(beats)):
+            raise MalformedAnnotation(f"{self.track_id}: non-finite timestamp")
         if beats.size and beats[0] < 0:
             raise MalformedAnnotation(f"{self.track_id}: negative timestamp {beats[0]}")
         if beats.size > 1 and not np.all(np.diff(beats) > 0):
@@ -198,9 +201,9 @@ def track_id_from_path(path) -> str:
 def load_beats(path) -> BeatAnnotation:
     """Parse a beat annotation file: one timestamp per line, seconds.
 
-    Raises ParseError (with line number) on unparseable lines and
-    MalformedAnnotation when timestamps are negative or not strictly
-    increasing.
+    Raises ParseError (with line number) on unparseable or non-finite
+    lines and MalformedAnnotation when timestamps are negative or not
+    strictly increasing.
     """
     path = Path(path)
     beats = []
@@ -213,6 +216,8 @@ def load_beats(path) -> BeatAnnotation:
             beats.append(float(token))
         except ValueError:
             raise ParseError(f"{path}:{lineno}: expected a timestamp, got {token!r}") from None
+        if not math.isfinite(beats[-1]):
+            raise ParseError(f"{path}:{lineno}: timestamp must be finite, got {token!r}")
     arr = np.asarray(beats, dtype=float)
     if arr.size and arr.min() < 0:
         raise MalformedAnnotation(f"{path}: negative timestamp")
@@ -496,6 +501,17 @@ def glob_sorted(directory: Path, patterns) -> list[Path]:
     return sorted(seen)
 
 
+def files_by_track(paths) -> dict:
+    """{track_id: path} in the order of ``paths``; two different files for
+    one track id are an error."""
+    by_track = {}
+    for path in paths:
+        track_id = track_id_from_path(path)
+        if by_track.setdefault(track_id, path) != path:
+            raise ToolkitError(f"{by_track[track_id]} and {path} are both track {track_id!r}")
+    return by_track
+
+
 def root_layout(root) -> DatasetLayout:
     """The default layout with one activation source per subdirectory of
     ``root/activations``, named after it. Paths are relative to ``root``."""
@@ -509,7 +525,8 @@ def load_dataset(root, layout: DatasetLayout | None = None, axis_map: AxisMap | 
 
     One TrackRecord per annotation file; tags and activations join on
     track_id. An activation without an annotation is kept for decode-only
-    use (with a warning). Iteration order is sorted by track_id regardless
+    use (with a warning); two activation files for one track in one source
+    directory are an error. Iteration order is sorted by track_id regardless
     of filesystem enumeration order.
     """
     root = Path(root)
@@ -554,9 +571,8 @@ def load_dataset(root, layout: DatasetLayout | None = None, axis_map: AxisMap | 
         if not act_dir.is_dir():
             log.warning("activation directory missing: %s", act_dir)
             continue
-        for path in glob_sorted(act_dir, layout.activation_glob):
+        for track_id, path in files_by_track(glob_sorted(act_dir, layout.activation_glob)).items():
             curve = load_activation(path, source_label=label)
-            track_id = track_id_from_path(path)
             record = records.get(track_id)
             if record is None:
                 log.warning("activation without annotation: %s (%s)", track_id, label)

@@ -4,7 +4,7 @@ import pytest
 from beatdiag import cli, ingest, reports
 from beatdiag.experiments import SynthConfig, synthesize_gt_activation
 from beatdiag.ingest import write_activation, write_beats
-from conftest import PSEUDO_DIR, make_grid_annotation
+from conftest import PSEUDO_DIR, TESTS_DIR, make_grid_annotation
 
 
 def run(argv):
@@ -340,6 +340,29 @@ def test_public_import_surface():
         assert getattr(beatdiag, name) is not None
 
 
+def test_import_cli_leaves_scipy_stats_unloaded():
+    import subprocess
+    import sys
+
+    code = "import sys, beatdiag.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_traced_functions_exist():
+    """Every function the benchmark tracer wraps exists under that name."""
+    import ast
+    import importlib
+
+    source = (TESTS_DIR.parent / "perfbench" / "tracing.py").read_text()
+    traced = next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                  if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TRACED")
+    missing = [f"{layer}.{name}" for layer, names in traced.items()
+               for name in names if not callable(getattr(importlib.import_module(f"beatdiag.{layer}"), name, None))]
+    assert missing == []
+
+
 def test_decode_binary_activations(tmp_path):
     ref = make_grid_annotation(bpm=75, start=0.5, duration=15.0, track_id="bin0")
     act = synthesize_gt_activation(ref, SynthConfig(fps=50.0))
@@ -367,6 +390,22 @@ def test_decode_rejects_two_files_for_one_track(tmp_path, capsys):
     assert run(["decode", "--peaks", str(acts_dir), "-o", str(tmp_path / "out")]) == 1
     assert "both track 'trk0'" in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*.beats"))
+
+
+def test_experiment_rejects_two_activation_files_for_one_track(tmp_path, capsys):
+    root = tmp_path / "root"
+    root.mkdir()
+    _, acts_dir = _write_mini_inputs(root, bpms=(72,))
+    source_dir = root / "activations" / "m"
+    source_dir.mkdir(parents=True)
+    acts_dir.joinpath("trk0.act").rename(source_dir / "trk0.act")
+    write_activation(ingest.load_activation(source_dir / "trk0.act"), source_dir / "trk0.bin", binary=True)
+    code = run(["experiment", "bottleneck", "--dataset", f"mini={root}", "--source", "m",
+                "-o", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert str(source_dir / "trk0.act") in err and str(source_dir / "trk0.bin") in err
 
 
 def test_experiment_with_jobs_two(tmp_path):

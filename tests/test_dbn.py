@@ -1,11 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from beatdiag import dbn, metrics
+from beatdiag import dbn, ingest, metrics
 from beatdiag.errors import ConstraintError, StateSpaceError
 from beatdiag.experiments import SynthConfig, synthesize_gt_activation
 from beatdiag.ingest import ActivationCurve
-from conftest import make_grid_annotation, make_pulse_activation
+from conftest import PSEUDO_DIR, make_grid_annotation, make_pulse_activation
 from oracles import dense_model, dense_viterbi_score, enumerate_paths_score, score_path
 
 
@@ -174,6 +176,73 @@ def test_viterbi_impulse_train_locks_to_period():
     est = dbn.decode(act, dbn.DbnConfig())
     frames = np.round(est * 50).astype(int)
     assert set(np.diff(frames)[2:].tolist()) == {25}
+
+
+# sha256 of path.tobytes() and float.hex(log score), recorded with the per-frame
+# decoder that preceded the ring-buffer recursion. Any change to the arithmetic
+# or to the tie rule changes these.
+GOLDEN_VITERBI = {
+    "pseudo:pseudo01,30,1": ("a7cc8250b734e21d58d84d287b7e85795f4a95b67f7c6ed970ac1889b8233502", "-0x1.3188119c7a6b8p+12"),
+    "pseudo:pseudo01,30,100": ("b2ee12e21b0eb62d07c0360a63b878b51c3f4c4111d5775faffb667b82fb71ea", "-0x1.2656bba38604ep+12"),
+    "pseudo:pseudo01,55,1": ("5fd585e88d9780d33fe8e7c08b40b3fde22b53c64a8496a6b6e38e429b2a47a5", "-0x1.30835876f3563p+12"),
+    "pseudo:pseudo01,55,100": ("b2ee12e21b0eb62d07c0360a63b878b51c3f4c4111d5775faffb667b82fb71ea", "-0x1.2642dede1b0bep+12"),
+    "pseudo:pseudo02,30,1": ("6fbddbf6386c87d28119a4d8553bf38e094a0901b045fa63dd9de2543e418d0a", "-0x1.185c14e48c19fp+12"),
+    "pseudo:pseudo02,30,100": ("eab59d4a7a34e12531f974e73c8349eee035f51e229184cc835ff39bb1c099c0", "-0x1.1318a0d5a3779p+12"),
+    "pseudo:pseudo02,55,1": ("3fdf8ee70710f5ca84384f81e7b6312503b6df804cf4b8b7ac0cc0beec921fae", "-0x1.279fd672bf06ap+12"),
+    "pseudo:pseudo02,55,100": ("39b93221460abe501fcf6495ed65e2d0fd61a9e32e50b2376bcb5554d39b694f", "-0x1.270186a841caap+12"),
+    "pseudo:pseudo03,30,1": ("385a1ecdcc38d3ba8e9e0e126fe90d3e41d013e5d59a71a7441fe570d0db979c", "-0x1.39b8035b2ab76p+12"),
+    "pseudo:pseudo03,30,100": ("e063b0ae4c56e8046df10305270a2ca2ddc4c1871f60940eeae7f975ed4dd118", "-0x1.3dc082c21f2f6p+12"),
+    "pseudo:pseudo03,55,1": ("07b8bfe3e87afbf1c3623e21dfd8f67e8cd3d9e494897622e9c71c5cc13bc70c", "-0x1.3e3392ac939c9p+12"),
+    "pseudo:pseudo03,55,100": ("e4bb260316ce9641ae50271e6380ddabb2a24ff1998322ef3f5c421933498213", "-0x1.418d5b36e3aa5p+12"),
+    "gt-synth:42,40,55": ("7e79c0c2bbb1a01e0e1ecf7683d1eb28e5b70e81ca1f2cbc425dac0d5ecd892f", "-0x1.7eb516d0bdfcfp+12"),
+    "gt-synth:42,40,30": ("f8f3f8c65816fa949580b6dc8d2f40ef784daebced791f2dcbffc3c3891a5052", "-0x1.19c741c6bf028p+12"),
+    # a tie between source tempi at a wrap lies on the decoded path
+    "gt-synth:36,20,55": ("94bc14acbdcbbdc717af133b8cd730954bb85e8804d0c5e986aea7c329434cf3", "-0x1.6c453e38f99e4p+11"),
+    "one-frame": ("af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc", "-0x1.d893488501b18p+2"),
+    "short": ("f00190c88bd4ad3152a407d93a243f022e9e8b675b06ec7e498b99e198b3f8a1", "-0x1.0d011b5529a35p+5"),
+    "single-tempo": ("7beddae6b79f2a980e0b39d276924d62cb439a306cb4e3aa0c240862f12dd064", "-0x1.0660b1eb928d9p+10"),
+    "pre-start": ("ae8e437a90407bcd024e922c84dc05c62c5c5e46ccb9d7cfed1be4d3a01c7464", "-0x1.69462e18b7939p+9"),
+}
+
+
+def golden_case(name):
+    kind, _, arg = name.partition(":")
+    if kind == "pseudo":
+        track, min_bpm, lam = arg.split(",")
+        act = ingest.load_activation(PSEUDO_DIR / "activations" / "pseudo" / f"{track}.act")
+        return act, dbn.DbnConfig(min_bpm=float(min_bpm), transition_lambda=float(lam))
+    if kind == "gt-synth":  # Gaussian bumps: long exact-zero stretches, many ties
+        bpm, duration, min_bpm = map(float, arg.split(","))
+        ref = make_grid_annotation(bpm=bpm, start=0.7, duration=duration)
+        return synthesize_gt_activation(ref, SynthConfig()), dbn.DbnConfig(min_bpm=min_bpm)
+    if kind == "one-frame":
+        return curve([0.9]), dbn.DbnConfig()
+    if kind == "short":  # 10 frames, below tau_min = 14 at 50 fps
+        return curve(np.random.default_rng(11).uniform(0, 1, 10)), dbn.DbnConfig()
+    if kind == "single-tempo":
+        return curve(np.random.default_rng(12).uniform(0, 1, 300)), dbn.DbnConfig(min_bpm=120, max_bpm=120)
+    if kind == "pre-start":  # pulses at frames 10, 35, ...: frame 0 sits mid-beat
+        values = np.zeros(200)
+        values[10::25] = 1.0
+        return curve(values), dbn.DbnConfig(min_bpm=120, max_bpm=120)
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VITERBI))
+def test_viterbi_bit_identical_to_golden(name):
+    act, cfg = golden_case(name)
+    path, logp = dbn.viterbi(act, cfg)
+    assert (hashlib.sha256(path.tobytes()).hexdigest(), float.hex(logp)) == GOLDEN_VITERBI[name]
+
+
+def test_golden_cases_cover_their_edge():
+    space = dbn.build_state_space(dbn.DbnConfig(), 50.0)
+    assert len(golden_case("short")[0].values) < space.intervals.min()
+    act, cfg = golden_case("gt-synth:42,40,55")
+    assert (act.values == 0).sum() > len(act.values) // 2
+    act, cfg = golden_case("pre-start")
+    path, _ = dbn.viterbi(act, cfg)
+    assert dbn.build_state_space(cfg, act.fps).state_phase[path[0]] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from beatdiag.errors import (
     MalformedAnnotation,
     MissingFps,
     ParseError,
+    ToolkitError,
 )
 
 
@@ -52,6 +53,20 @@ def test_load_beats_unparseable_line_has_line_number(tmp_path):
     path.write_text("0.5\nnot-a-number\n")
     with pytest.raises(ParseError, match=r":2:"):
         ingest.load_beats(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_beats_rejects_non_finite_timestamp(tmp_path, value):
+    path = tmp_path / "x.beats"
+    path.write_text(f"0.5\n{value}\n1.5\n")
+    with pytest.raises(ParseError, match=f"{path}:2: timestamp must be finite"):
+        ingest.load_beats(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_beat_annotation_rejects_non_finite_timestamp(value):
+    with pytest.raises(MalformedAnnotation, match="non-finite"):
+        ingest.BeatAnnotation(track_id="x", beats=np.array([0.5, value]))
 
 
 def test_load_beats_negative(tmp_path):
@@ -336,3 +351,16 @@ def test_pseudo_corpus_loads(pseudo_root):
     assert ds.residue_tags == {"pseudo03": ["mystery descriptor"]}
     assert ds["pseudo02"].metadata.axes == {"tempo_instability", "weak_beat_cues"}
     assert ds["pseudo03"].metadata.annotator_confidence == 4
+
+
+def test_load_dataset_rejects_two_activation_files_for_one_track(tmp_path):
+    (tmp_path / "beats").mkdir()
+    (tmp_path / "beats" / "x.beats").write_text("0.5\n1.0\n")
+    act_dir = tmp_path / "activations" / "m"
+    act_dir.mkdir(parents=True)
+    curve = ingest.ActivationCurve(values=np.zeros(100), fps=50.0)
+    ingest.write_activation(curve, act_dir / "x.act")
+    ingest.write_activation(curve, act_dir / "x.bin", binary=True)
+    with pytest.raises(ToolkitError) as err:
+        ingest.load_dataset(tmp_path, ingest.root_layout(tmp_path))
+    assert str(act_dir / "x.act") in str(err.value) and str(act_dir / "x.bin") in str(err.value)
