@@ -114,8 +114,8 @@ class TempoEstimate:
     source_label: str
 
     def __post_init__(self):
-        if self.bpm <= 0:
-            raise ParseError(f"{self.track_id}: bpm must be positive, got {self.bpm}")
+        if not 0 < self.bpm < math.inf:  # NaN fails too
+            raise ParseError(f"{self.track_id}: bpm must be positive and finite, got {self.bpm}")
 
 
 @dataclass(frozen=True)
@@ -308,6 +308,7 @@ def assign_axes(tags, axis_map: AxisMap) -> frozenset:
 
 
 _META_LINE = re.compile(r"^(annotator|confidence|easy)\s*[:=]\s*(.+)$", re.IGNORECASE)
+_EASY_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def load_tags(path, axis_map: AxisMap | None = None):
@@ -339,7 +340,9 @@ def load_tags(path, axis_map: AxisMap | None = None):
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: confidence {value!r} is not an integer") from None
             elif key == "easy":
-                is_easy = value.lower() in ("1", "true", "yes")
+                is_easy = _EASY_VALUES.get(value.lower())
+                if is_easy is None:
+                    raise ParseError(f"{path}:{lineno}: easy {value!r} is not {'/'.join(_EASY_VALUES)}")
             continue
         raw_tags.extend(t.strip() for t in re.split(r"[,;]", stripped) if t.strip())
     canonical = []
@@ -467,22 +470,29 @@ def load_tempo_estimates(path) -> list[TempoEstimate]:
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"track_id", "bpm", "source_label"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ParseError(f"{path}: header must contain {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                bpm = float(row["bpm"])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad bpm {row['bpm']!r}") from None
-            if bpm <= 0:
-                raise ParseError(f"{path}:{lineno}: bpm must be positive")
-            estimates.append(
-                TempoEstimate(
-                    track_id=row["track_id"].strip().lower(),
-                    bpm=bpm,
-                    source_label=row["source_label"].strip(),
-                )
+        try:
+            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+                raise ParseError(f"{path}: header must contain {sorted(required)}")
+            rows = [(reader.line_num, row) for row in reader]
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    for lineno, row in rows:
+        missing = sorted(key for key in required if row[key] is None)
+        if missing:
+            raise ParseError(f"{path}:{lineno}: short row, no {missing}")
+        try:
+            bpm = float(row["bpm"])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad bpm {row['bpm']!r}") from None
+        if not 0 < bpm < math.inf:
+            raise ParseError(f"{path}:{lineno}: bpm must be positive and finite, got {row['bpm']!r}")
+        estimates.append(
+            TempoEstimate(
+                track_id=row["track_id"].strip().lower(),
+                bpm=bpm,
+                source_label=row["source_label"].strip(),
             )
+        )
     return estimates
 
 

@@ -121,51 +121,53 @@ def metrical_variations(ref) -> list[np.ndarray]:
     return [ref, double[1::2], double, ref[::2], ref[1::2]]
 
 
-def _local_intervals(est, ref, m, j):
-    # Sequence starts look forward; elsewhere the previous interval is used.
-    if m == 0 or j == 0:
-        if j + 1 < ref.size:
-            ref_int = ref[j + 1] - ref[j]
-        else:
-            ref_int = ref[j] - ref[j - 1]
-        if m + 1 < est.size:
-            est_int = est[m + 1] - est[m]
-        else:
-            est_int = est[m] - est[m - 1]
-    else:
-        ref_int = ref[j] - ref[j - 1]
-        est_int = est[m] - est[m - 1]
-    return ref_int, est_int
+_BLOCK_ELEMENTS = 1 << 14  # caps the estimate x reference gap matrix held at once (128 KiB)
 
 
-def _variation_scores(est, ref, phase_tol, period_tol):
-    n = max(ref.size, est.size)
-    correct = np.zeros(est.size, dtype=bool)
-    used = np.zeros(ref.size, dtype=bool)
-    for m in range(est.size):
-        gaps = np.abs(ref - est[m])
-        j = int(np.argmin(gaps))
-        if used[j]:
-            continue
-        ref_int, est_int = _local_intervals(est, ref, m, j)
-        if ref_int == 0:
-            # Degenerate duplicate reference beats; mirrors the reference
-            # library, where such a beat can never satisfy the phase test.
-            phase = 1.0 if gaps[j] == 0 else np.inf
-            period = 0.0 if est_int == 0 else np.inf
-        else:
-            phase = abs(gaps[j] / ref_int)
-            period = abs(1.0 - est_int / ref_int)
-        if phase < phase_tol and period < period_tol:
-            used[j] = True
-            correct[m] = True
-    total = int(correct.sum())
-    longest = 0
-    run = 0
-    for hit in correct:
-        run = run + 1 if hit else 0
-        longest = max(longest, run)
-    return longest / n, total / n
+def _variation_scores(est, refs, phase_tol, period_tol) -> list[tuple[float, float]]:
+    """(longest correct run, correct count) / max(#ref, #est) per reference.
+
+    All references are scored in one pass over their concatenation; ``g``
+    indexes it, ``j`` indexes each reference.
+    """
+    sizes = np.array([r.size for r in refs])[:, None]
+    first = np.cumsum(sizes, axis=0) - sizes
+    last = first + sizes - 1
+    ref = np.concatenate(refs)
+    # Nearest reference beat per estimate; argmin keeps the first minimum.
+    j = np.empty((len(refs), est.size), dtype=np.intp)
+    rows = max(1, _BLOCK_ELEMENTS // ref.size)
+    for lo in range(0, est.size, rows):
+        gaps = ref - est[lo : lo + rows, None]
+        np.abs(gaps, out=gaps)
+        for v, (a, b) in enumerate(zip(first[:, 0], last[:, 0] + 1)):
+            j[v, lo : lo + rows] = np.argmin(gaps[:, a:b], axis=1)
+    g = first + j
+    gap = np.abs(ref[g] - est)
+    # Local intervals: sequence starts look forward if there is a next beat;
+    # elsewhere (and in a 1-beat reference, via its wrap) the previous one.
+    m = np.arange(est.size)
+    start = (m == 0) | (j == 0)
+    ref_next = ref[np.minimum(g + 1, last)] - ref[g]
+    ref_int = np.where(start & (j + 1 < sizes), ref_next, ref[g] - ref[np.where(j == 0, last, g - 1)])
+    est_next = est[np.minimum(m + 1, est.size - 1)] - est
+    est_int = np.where(start & (m + 1 < est.size), est_next, est - est[m - 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Degenerate duplicate reference beats (ref_int == 0) mirror the
+        # reference library, where such a beat can never satisfy the phase test.
+        degenerate = ref_int == 0
+        phase = np.where(degenerate, np.where(gap == 0, 1.0, np.inf), np.abs(gap / ref_int))
+        period = np.where(degenerate, np.where(est_int == 0, 0.0, np.inf), np.abs(1.0 - est_int / ref_int))
+    # Each reference beat is claimed by the first estimate that passes on it.
+    passing = np.flatnonzero((phase < phase_tol) & (period < period_tol))
+    claims = passing[np.unique(g.ravel()[passing], return_index=True)[1]]
+    correct = np.zeros((len(refs), est.size + 2), dtype=bool)  # a miss at each end of each row
+    correct[:, 1:-1].flat[claims] = True
+    edges = np.flatnonzero(correct.ravel()[1:] != correct.ravel()[:-1])
+    longest = np.zeros(len(refs), dtype=int)
+    np.maximum.at(longest, edges[::2] // (est.size + 2), edges[1::2] - edges[::2])
+    n = np.maximum(sizes[:, 0], est.size).tolist()
+    return [(c / k, t / k) for c, t, k in zip(longest.tolist(), correct.sum(axis=1).tolist(), n)]
 
 
 def continuity(est, ref, cfg: EvalConfig = DEFAULT_EVAL) -> tuple[float, float, float, float]:
@@ -181,12 +183,8 @@ def continuity(est, ref, cfg: EvalConfig = DEFAULT_EVAL) -> tuple[float, float, 
         raise InsufficientReference(f"continuity needs >= 2 reference beats, got {ref.size}")
     if est.size <= 1:
         return 0.0, 0.0, 0.0, 0.0
-    continuous = []
-    total = []
-    for variation in metrical_variations(ref):
-        c, t = _variation_scores(est, variation, cfg.continuity_phase_tol, cfg.continuity_tempo_tol)
-        continuous.append(c)
-        total.append(t)
+    tols = (cfg.continuity_phase_tol, cfg.continuity_tempo_tol)
+    continuous, total = zip(*_variation_scores(est, metrical_variations(ref), *tols))
     return continuous[0], total[0], max(continuous), max(total)
 
 

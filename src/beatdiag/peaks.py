@@ -31,29 +31,22 @@ class PeakConfig:
 DEFAULT_THRESHOLD_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20)) + (0.98,)
 
 
-def _candidate_peaks(values: np.ndarray) -> list[int]:
+def _candidate_peaks(values: np.ndarray) -> np.ndarray:
     """Frames of local maxima; a plateau yields its first frame.
 
     A run of equal values is a peak when no neighboring run is higher and at
-    least one existing neighboring run is strictly lower.
+    least one existing neighboring run is strictly lower. ``values`` is
+    non-empty, as in an ActivationCurve.
     """
-    n = len(values)
-    peaks = []
-    start = 0
-    while start < n:
-        end = start
-        while end + 1 < n and values[end + 1] == values[start]:
-            end += 1
-        left = values[start - 1] if start > 0 else None
-        right = values[end + 1] if end + 1 < n else None
-        not_below = (left is None or left < values[start]) and (right is None or right < values[start])
-        strictly_above_one = (left is not None and left < values[start]) or (
-            right is not None and right < values[start]
-        )
-        if not_below and strictly_above_one:
-            peaks.append(start)
-        start = end + 1
-    return peaks
+    run_start = np.ones(len(values), dtype=bool)
+    run_start[1:] = values[1:] != values[:-1]
+    starts = np.flatnonzero(run_start)
+    level = values[starts]
+    rise = level[:-1] < level[1:]  # run i + 1 is above run i
+    fall = level[1:] < level[:-1]  # run i is above run i + 1
+    no_higher = np.r_[True, rise] & np.r_[fall, True]
+    peak = no_higher & (np.r_[False, rise] | np.r_[fall, False])
+    return starts[peak]
 
 
 def pick_peaks(act: ActivationCurve, cfg: PeakConfig = PeakConfig()) -> np.ndarray:
@@ -63,11 +56,13 @@ def pick_peaks(act: ActivationCurve, cfg: PeakConfig = PeakConfig()) -> np.ndarr
     heights keep the earlier frame.
     """
     values = act.values
-    candidates = [f for f in _candidate_peaks(values) if values[f] >= cfg.threshold]
+    candidates = _candidate_peaks(values)
+    candidates = candidates[values[candidates] >= cfg.threshold]
     min_gap = cfg.min_separation * act.fps
     if min_gap > 0 and len(candidates) > 1:
         kept: list[int] = []
-        for frame in sorted(candidates, key=lambda f: (-values[f], f)):
+        # Highest first, ties by earlier frame.
+        for frame in candidates[np.lexsort((candidates, -values[candidates]))].tolist():
             pos = bisect.bisect_left(kept, frame)
             before = kept[pos - 1] if pos > 0 else None
             after = kept[pos] if pos < len(kept) else None

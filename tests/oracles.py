@@ -7,6 +7,7 @@ compare two independent routes.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 
 import numpy as np
@@ -158,3 +159,98 @@ def spearman_rho_oracle(x, y) -> float:
     rx = rx - rx.mean()
     ry = ry - ry.mean()
     return float((rx * ry).sum() / np.sqrt((rx**2).sum() * (ry**2).sum()))
+
+
+# ---------------------------------------------------------------------------
+# Scalar-loop peak picking and continuity (the vectorised kernels' oracles)
+# ---------------------------------------------------------------------------
+
+
+def candidate_peaks_oracle(values) -> list[int]:
+    """Frames of local maxima by a walk over runs of equal values."""
+    n = len(values)
+    peaks = []
+    start = 0
+    while start < n:
+        end = start
+        while end + 1 < n and values[end + 1] == values[start]:
+            end += 1
+        left = values[start - 1] if start > 0 else None
+        right = values[end + 1] if end + 1 < n else None
+        not_below = (left is None or left < values[start]) and (right is None or right < values[start])
+        strictly_above_one = (left is not None and left < values[start]) or (
+            right is not None and right < values[start]
+        )
+        if not_below and strictly_above_one:
+            peaks.append(start)
+        start = end + 1
+    return peaks
+
+
+def pick_peaks_oracle(values, fps: float, threshold: float, min_separation: float) -> list[float]:
+    """Peak times: candidates above ``threshold``, then greedy suppression in
+    (height descending, frame ascending) order."""
+    candidates = [f for f in candidate_peaks_oracle(values) if values[f] >= threshold]
+    min_gap = min_separation * fps
+    if min_gap > 0 and len(candidates) > 1:
+        kept: list[int] = []
+        for frame in sorted(candidates, key=lambda f: (-values[f], f)):
+            pos = bisect.bisect_left(kept, frame)
+            before = kept[pos - 1] if pos > 0 else None
+            after = kept[pos] if pos < len(kept) else None
+            if before is not None and frame - before < min_gap:
+                continue
+            if after is not None and after - frame < min_gap:
+                continue
+            kept.insert(pos, frame)
+        candidates = kept
+    return (np.sort(np.asarray(candidates, dtype=float)) / fps).tolist()
+
+
+def _local_intervals(est, ref, m, j):
+    # Sequence starts look forward; elsewhere the previous interval is used.
+    if m == 0 or j == 0:
+        if j + 1 < ref.size:
+            ref_int = ref[j + 1] - ref[j]
+        else:
+            ref_int = ref[j] - ref[j - 1]
+        if m + 1 < est.size:
+            est_int = est[m + 1] - est[m]
+        else:
+            est_int = est[m] - est[m - 1]
+    else:
+        ref_int = ref[j] - ref[j - 1]
+        est_int = est[m] - est[m - 1]
+    return ref_int, est_int
+
+
+def variation_scores_oracle(est, ref, phase_tol, period_tol):
+    """(longest correct run, correct count) / max(#ref, #est), one estimate
+    at a time."""
+    n = max(ref.size, est.size)
+    correct = np.zeros(est.size, dtype=bool)
+    used = np.zeros(ref.size, dtype=bool)
+    for m in range(est.size):
+        gaps = np.abs(ref - est[m])
+        j = int(np.argmin(gaps))
+        if used[j]:
+            continue
+        ref_int, est_int = _local_intervals(est, ref, m, j)
+        if ref_int == 0:
+            # Degenerate duplicate reference beats; mirrors the reference
+            # library, where such a beat can never satisfy the phase test.
+            phase = 1.0 if gaps[j] == 0 else np.inf
+            period = 0.0 if est_int == 0 else np.inf
+        else:
+            phase = abs(gaps[j] / ref_int)
+            period = abs(1.0 - est_int / ref_int)
+        if phase < phase_tol and period < period_tol:
+            used[j] = True
+            correct[m] = True
+    total = int(correct.sum())
+    longest = 0
+    run = 0
+    for hit in correct:
+        run = run + 1 if hit else 0
+        longest = max(longest, run)
+    return longest / n, total / n

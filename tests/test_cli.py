@@ -207,6 +207,23 @@ def test_experiment_tempo_curve_cli_with_tempo_file(tmp_path, capsys):
     assert labels == ["unconstrained", "est", "gt-tempo"]
 
 
+@pytest.mark.parametrize("row", ["pseudo01,nan,est", "pseudo01,inf,est", "pseudo01"])
+def test_experiment_tempo_curve_bad_tempo_file_exits_one(tmp_path, capsys, row):
+    tempo = tmp_path / "bad.csv"
+    tempo.write_text(f"track_id,bpm,source_label\npseudo02,90,est\n{row}\n")
+    assert run([
+        "experiment", "tempo-curve",
+        "--beats-dir", str(PSEUDO_DIR / "beats"),
+        "--activations", f"pseudo={PSEUDO_DIR / 'activations' / 'pseudo'}",
+        "--source", "pseudo",
+        "--tempo-file", f"L={tempo}",
+        "-o", str(tmp_path / "run"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tempo}:3: ")
+    assert "Traceback" not in err
+
+
 def test_run_suite_script_on_pseudo_corpus(tmp_path):
     import subprocess
     import sys

@@ -170,6 +170,24 @@ def test_load_tags_bad_confidence_names_path(tmp_path):
         ingest.load_tags(path)
 
 
+@pytest.mark.parametrize(
+    "value, expected",
+    [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False)],
+)
+def test_load_tags_easy_values(tmp_path, value, expected):
+    path = tmp_path / "trk.tags"
+    path.write_text(f"slow tempo\neasy: {value}\n")
+    assert ingest.load_tags(path)[0].is_easy is expected
+
+
+@pytest.mark.parametrize("value", ["maybe", "ture", "2", "y"])
+def test_load_tags_bad_easy_value_names_path(tmp_path, value):
+    path = tmp_path / "trk.tags"
+    path.write_text(f"slow tempo\neasy: {value}\n")
+    with pytest.raises(ParseError, match=f"{path}:2"):
+        ingest.load_tags(path)
+
+
 # ---------------------------------------------------------------------------
 # activations
 # ---------------------------------------------------------------------------
@@ -289,6 +307,27 @@ def test_load_tempo_estimates_rejects_nonpositive(tmp_path):
         ingest.load_tempo_estimates(path)
 
 
+@pytest.mark.parametrize("row", ["a,nan,x", "b,inf,x", "c,-inf,x", "a"])
+def test_load_tempo_estimates_rejects_non_finite_and_short_rows(tmp_path, row):
+    path = tmp_path / "tempo.csv"
+    path.write_text(f"track_id,bpm,source_label\nz,90,x\n{row}\n")
+    with pytest.raises(ParseError, match=f"{path}:3: "):
+        ingest.load_tempo_estimates(path)
+
+
+def test_load_tempo_estimates_line_numbers_count_blank_lines(tmp_path):
+    path = tmp_path / "tempo.csv"
+    path.write_text("track_id,bpm,source_label\n\nz,90,x\n\na,fast,x\n")
+    with pytest.raises(ParseError, match=f"{path}:5: "):
+        ingest.load_tempo_estimates(path)
+
+
+@pytest.mark.parametrize("bpm", [float("nan"), float("inf"), 0.0])
+def test_tempo_estimate_rejects_non_finite_bpm(bpm):
+    with pytest.raises(ParseError):
+        ingest.TempoEstimate(track_id="a", bpm=bpm, source_label="x")
+
+
 # ---------------------------------------------------------------------------
 # dataset assembly
 # ---------------------------------------------------------------------------
@@ -364,3 +403,128 @@ def test_load_dataset_rejects_two_activation_files_for_one_track(tmp_path):
     with pytest.raises(ToolkitError) as err:
         ingest.load_dataset(tmp_path, ingest.root_layout(tmp_path))
     assert str(act_dir / "x.act") in str(err.value) and str(act_dir / "x.bin") in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# any input gives a valid object or a ToolkitError
+# ---------------------------------------------------------------------------
+
+
+def _act1(fps, count, payload):
+    return b"ACT1" + struct.pack("<d", fps) + struct.pack("<Q", count) + payload
+
+
+def _mutate(blob, edits):
+    blob = bytearray(blob)
+    for pos, byte in edits:
+        if blob:
+            blob[pos % len(blob)] = byte
+    return bytes(blob)
+
+
+finite_or_not = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([0.0, -1.0, 50.0, 1e308])
+)
+act1_blobs = st.one_of(
+    st.builds(
+        _act1,
+        finite_or_not,
+        st.one_of(st.integers(0, 40), st.integers(0, 2**64 - 1)),
+        st.binary(max_size=160),
+    ),
+    st.builds(
+        _mutate,
+        st.lists(st.floats(0.0, 1.0, width=32), min_size=1, max_size=20).map(
+            lambda xs: _act1(50.0, len(xs), np.asarray(xs, dtype="<f4").tobytes())
+        ),
+        st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=4),
+    ),
+)
+value_lines = st.lists(
+    st.one_of(
+        st.sampled_from(["0.5", "1", "0", "-0", "nan", "inf", "1e309", "1.0000001", "", "# c", " 0.3 ", "x"]),
+        st.text(max_size=8),
+    ),
+    max_size=12,
+)
+fps_lines = st.one_of(
+    st.sampled_from([
+        "#fps=50", "#fps=", "#fps=0", "#fps=-5", "#fps=nan", "#fps=1e400", "#fps= 43.07 ", "#fps=1_0",
+        "# fps=50", "#FPS=50", "#fps=50=50",
+    ]),
+    st.text(max_size=12).map(lambda t: "#fps=" + t),
+)
+text_activations = st.builds(
+    lambda head, lines: "\n".join([head] + lines).encode("utf-8"), fps_lines, value_lines
+)
+
+
+def _load_or_none(load, path):
+    try:
+        return load(path)
+    except ToolkitError:
+        return None
+
+
+@given(blob=st.one_of(st.binary(max_size=200), act1_blobs, text_activations))
+@settings(max_examples=400)
+def test_load_activation_any_bytes(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "any_x.act"
+    path.write_bytes(blob)
+    act = _load_or_none(ingest.load_activation, path)
+    if act is not None:
+        assert isinstance(act, ingest.ActivationCurve)
+        assert 0 < act.fps < np.inf
+        assert act.values.size >= 1 and act.values.min() >= 0.0 and act.values.max() <= 1.0
+
+
+beat_texts = st.one_of(
+    st.text(max_size=120),
+    st.lists(
+        st.one_of(
+            st.sampled_from(["0.5", "1.0 x", "nan", "-1", "inf", "", "2.0", "1e-400", "\u0661"]),
+            st.text(max_size=6),
+        ),
+        max_size=10,
+    ).map("\n".join),
+)
+
+
+@given(text=beat_texts)
+@settings(max_examples=300)
+def test_load_beats_any_text(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "any_x.beats"
+    path.write_text(text, encoding="utf-8")
+    ann = _load_or_none(ingest.load_beats, path)
+    if ann is not None:
+        assert isinstance(ann, ingest.BeatAnnotation)
+        assert np.all(np.isfinite(ann.beats)) and np.all(np.diff(ann.beats) > 0)
+
+
+tempo_rows = st.lists(
+    st.one_of(
+        st.sampled_from(["a,90,x", "a,nan,x", "b,inf,x", "a", "a,", ",,", "a,-1,x", "a,1e999,x", 'a,"9\n0",x',
+                         "a,90,x,extra", ""]),
+        st.text(max_size=12),
+    ),
+    max_size=8,
+)
+tempo_texts = st.one_of(
+    st.text(max_size=120),
+    st.builds(
+        lambda head, rows: "\n".join([head] + rows),
+        st.sampled_from(["track_id,bpm,source_label", "bpm,source_label,track_id", "track_id,bpm"]),
+        tempo_rows,
+    ),
+)
+
+
+@given(text=tempo_texts)
+@settings(max_examples=300)
+def test_load_tempo_estimates_any_text(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "any_x.csv"
+    path.write_text(text, encoding="utf-8")
+    estimates = _load_or_none(ingest.load_tempo_estimates, path)
+    for est in estimates or ():
+        assert isinstance(est, ingest.TempoEstimate)
+        assert 0 < est.bpm < np.inf

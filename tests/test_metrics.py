@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from beatdiag import metrics
 from beatdiag.errors import InsufficientReference
 from conftest import DATA_DIR
-from oracles import f_measure_oracle
+from oracles import f_measure_oracle, variation_scores_oracle
 
 beat_lists = st.lists(
     st.floats(min_value=0.0, max_value=30.0, allow_nan=False, allow_infinity=False),
@@ -118,6 +119,60 @@ def test_golden_continuity_fixtures_exact():
         for got, key in ((cmlc, "cmlc"), (cmlt, "cmlt"), (amlc, "amlc"), (amlt, "amlt")):
             assert got == pytest.approx(fx[key], abs=1e-9), fx["name"]
         assert metrics.f_measure(est, ref) == pytest.approx(fx["f_measure"], abs=1e-9), fx["name"]
+
+
+# Reference beats on a coarse grid repeat (ref_int == 0); a size-1 reference
+# is the half-tempo variation of a 2-beat annotation; estimates are unsorted.
+grid_ref = st.lists(st.integers(0, 40), min_size=1, max_size=20).map(lambda xs: np.sort(xs) / 4.0)
+real_ref = st.lists(st.floats(0.05, 2.0), min_size=1, max_size=20).map(lambda g: np.cumsum(g))
+grid_est = st.lists(st.integers(0, 44), min_size=0, max_size=25).map(lambda xs: np.asarray(xs) / 4.0)
+real_est = st.lists(st.floats(0.0, 40.0), min_size=0, max_size=25).map(lambda xs: np.asarray(xs, dtype=float))
+tolerances = st.one_of(st.sampled_from([0.175, 0.25, 0.5, 1.0]), st.floats(0.01, 1.5))
+
+
+def _oracle_scores(est, refs, phase_tol=0.175, period_tol=0.175):
+    return [variation_scores_oracle(est, ref, phase_tol, period_tol) for ref in refs]
+
+
+@given(
+    est=st.one_of(grid_est, real_est),
+    refs=st.lists(st.one_of(grid_ref, real_ref), min_size=1, max_size=5),
+    phase_tol=tolerances,
+    period_tol=tolerances,
+)
+@settings(max_examples=500)
+def test_variation_scores_match_oracle(est, refs, phase_tol, period_tol):
+    got = metrics._variation_scores(est, refs, phase_tol, period_tol)
+    assert got == _oracle_scores(est, refs, phase_tol, period_tol)
+
+
+@given(
+    est=st.one_of(grid_est, real_est),
+    ref=st.one_of(grid_ref, real_ref).filter(lambda ref: ref.size >= 2),
+    block=st.integers(1, 40),
+)
+@settings(max_examples=200)
+def test_variation_scores_independent_of_block_size(est, ref, block):
+    refs = metrics.metrical_variations(ref)
+    with mock.patch.object(metrics, "_BLOCK_ELEMENTS", block):
+        assert metrics._variation_scores(est, refs, 0.175, 0.175) == _oracle_scores(est, refs)
+
+
+@pytest.mark.parametrize(
+    "est, ref",
+    [
+        ([1.0, 2.0], [1.0, 2.0]),  # 2-beat reference: 1-beat half-tempo variations
+        ([2.0, 1.0], [1.0, 2.0]),  # unsorted length-2 estimate
+        ([1.0, 1.5], [1.0, 1.0, 2.0]),  # duplicate reference beats
+        ([1.0, 1.0, 1.0], [1.0, 1.0]),
+        ([0.5, 2.5, 1.5, 1.0], [1.0, 2.0, 3.0]),
+        ([], [1.0, 2.0, 3.0]),
+    ],
+)
+def test_continuity_variations_match_oracle(est, ref):
+    est = np.asarray(est, dtype=float)
+    refs = metrics.metrical_variations(np.asarray(ref, dtype=float))
+    assert metrics._variation_scores(est, refs, 0.175, 0.175) == _oracle_scores(est, refs)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from beatdiag import metrics, peaks
 from beatdiag.ingest import ActivationCurve
 from conftest import make_grid_annotation, make_pulse_activation
+from oracles import candidate_peaks_oracle, pick_peaks_oracle
 
 
 def curve(values, fps=50.0):
@@ -79,6 +80,67 @@ def test_output_sorted_with_min_gaps(values, min_sep):
     assert np.all(np.diff(est) > 0)
     if len(est) > 1:
         assert np.min(np.diff(est)) >= min_sep - 1 / act.fps
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity with the scalar-loop oracles
+# ---------------------------------------------------------------------------
+
+# Few levels give plateaus (at the edges too), equal heights and constant
+# curves; raw floats give the usual case.
+quantised_arrays = st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=1, max_size=120)
+three_level_arrays = st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=1, max_size=120)
+constant_arrays = st.tuples(st.floats(0.0, 1.0), st.integers(1, 60)).map(lambda vn: [vn[0]] * vn[1])
+any_activation = st.one_of(
+    activation_arrays.map(list), quantised_arrays, three_level_arrays, constant_arrays
+).map(lambda xs: np.asarray(xs, dtype=float))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.7],
+        [0.7, 0.7, 0.2],  # plateau at the left edge
+        [0.2, 0.7, 0.7],  # plateau at the right edge
+        [0.7, 0.7, 0.2, 0.7, 0.7],
+        [0.2, 0.2, 0.2],
+        [0.9, 0.1],
+        [0.1, 0.9],
+        [0.3, 0.5, 0.5, 0.4, 0.5, 0.5],
+    ],
+)
+def test_candidate_peaks_edge_plateaus_match_oracle(values):
+    values = np.asarray(values, dtype=float)
+    assert peaks._candidate_peaks(values).tolist() == candidate_peaks_oracle(values)
+
+
+@given(values=any_activation)
+@settings(max_examples=400)
+def test_candidate_peaks_match_oracle(values):
+    assert peaks._candidate_peaks(values).tolist() == candidate_peaks_oracle(values)
+
+
+@given(
+    values=any_activation,
+    threshold=st.one_of(st.sampled_from([0.05, 0.25, 0.5, 0.75, 0.98]), st.floats(0.01, 0.99)),
+    min_sep=st.one_of(st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3]), st.floats(0.0, 0.5)),
+    fps=st.sampled_from([10.0, 43.07, 50.0, 100.0]),
+)
+@settings(max_examples=400)
+def test_pick_peaks_matches_oracle(values, threshold, min_sep, fps):
+    act = curve(values, fps=fps)
+    got = peaks.pick_peaks(act, peaks.PeakConfig(threshold=threshold, min_separation=min_sep))
+    assert got.tolist() == pick_peaks_oracle(act.values, fps, threshold, min_sep)
+
+
+def test_pick_peaks_equal_heights_inside_min_separation_match_oracle():
+    # Equal peaks 2 and 3 frames apart, within a 4-frame minimum gap.
+    values = np.zeros(40)
+    values[[5, 7, 10, 20, 23, 26, 30]] = [0.9, 0.9, 0.9, 0.8, 0.9, 0.9, 0.8]
+    act = curve(values)
+    got = peaks.pick_peaks(act, peaks.PeakConfig(min_separation=0.08))
+    assert got.tolist() == pick_peaks_oracle(act.values, act.fps, 0.5, 0.08)
+    assert np.round(got * act.fps).astype(int).tolist() == [5, 10, 23, 30]
 
 
 def test_sweep_clean_pulse_perfect_at_all_thresholds_below_peak():
