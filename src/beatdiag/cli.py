@@ -23,7 +23,7 @@ from .errors import ToolkitError
 def load_config_file(path) -> dict:
     """Flat key=value lines; '#' starts a comment; keys use snake_case."""
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(ingest.read_text(Path(path)).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -9,7 +9,11 @@ Every experiment runs the same three steps:
 2. Worker. ``score_track`` decodes one track's activation once per distinct
    spec and scores every decode. ``_map_tracks`` runs it over the tracks of
    one activation source, optionally in a process pool; the gt-synth source
-   is synthesized inside the worker.
+   is synthesized inside the worker. DBN decodes are cached per loaded
+   Dataset, by track, source, synth config and spec, so every stage of a run
+   on one dataset decodes each of them once; only the specs the cache lacks
+   reach the worker. The parent process owns the cache and scores its hits,
+   so results are the same at any ``jobs``.
 3. Fold. The experiment turns the per-track {spec: EvalResult} maps into a
    RunReport of per-track rows plus corpus-level summaries and tables.
 
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -110,15 +115,23 @@ class DecoderSpec:
 
 
 def score_track(payload) -> dict:
-    """{spec: EvalResult} for one track, each distinct spec decoded once.
+    """{spec: (beats or None, EvalResult)} for one track, each distinct spec decoded once.
 
     ``payload`` is (annotation, activation or None, synth_cfg, specs,
     eval_cfg); without an activation the GT activation is synthesized.
+    Beats come back for DBN decodes only, which the caller caches; a peak
+    pick is cheap to repeat, and a threshold sweep's picks for every track
+    would otherwise be held at once.
     """
     ref, act, synth_cfg, specs, eval_cfg = payload
     if act is None:
         act = synthesize_gt_activation(ref, synth_cfg)
-    return {spec: metrics.evaluate(spec.decode(act), ref.beats, eval_cfg) for spec in dict.fromkeys(specs)}
+    out = {}
+    for spec in dict.fromkeys(specs):
+        beats = spec.decode(act)
+        out[spec] = (beats if isinstance(spec.config, dbn.DbnConfig) else None,
+                     metrics.evaluate(beats, ref.beats, eval_cfg))
+    return out
 
 
 def _map_tracks(fn, items, jobs: int = 1) -> dict:
@@ -133,15 +146,27 @@ def _map_tracks(fn, items, jobs: int = 1) -> dict:
     return dict(sorted(results.items()))
 
 
-def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, jobs: int):
+# Loaded Dataset -> {(track_id, source, synth_cfg or None, DBN spec): beats}.
+_DECODES = weakref.WeakKeyDictionary()
+
+
+def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, jobs: int,
+                  min_beats: int = 2):
     """Score the annotated tracks that carry ``source``, in one track mapping.
 
-    ``specs_of(record)`` lists the track's DecoderSpecs. Returns
-    [(record, {spec: EvalResult})] in track order and the ids of the tracks
-    without ``source``.
+    ``specs_of(record)`` lists the track's DecoderSpecs; DBN decodes already
+    in the dataset's cache are scored here and not decoded again. Returns
+    [(record, {spec: EvalResult})] in track order, the ids of the tracks
+    without ``source``, and the ids of those with fewer than ``min_beats``
+    annotated beats, which are skipped too.
     """
-    found, items, missing = [], [], []
+    cache = _DECODES.setdefault(dataset, {})
+    synth_key = synth_cfg if source == GT_SOURCE else None
+    found, items, missing, short = [], [], [], []
     for record in dataset.annotated():
+        if len(record.annotation) < min_beats:
+            short.append(record.track_id)
+            continue
         if source == GT_SOURCE:
             act = None
         elif source in record.activations:
@@ -149,15 +174,32 @@ def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, 
         else:
             missing.append(record.track_id)
             continue
-        found.append(record)
-        items.append((record.track_id, (record.annotation, act, synth_cfg, specs_of(record), eval_cfg)))
-    results = _map_tracks(score_track, items, jobs)
-    return [(record, results[record.track_id]) for record in found], missing
+        specs = list(dict.fromkeys(specs_of(record)))
+        found.append((record, specs))
+        todo = [spec for spec in specs if (record.track_id, source, synth_key, spec) not in cache]
+        if todo:
+            items.append((record.track_id, (record.annotation, act, synth_cfg, todo, eval_cfg)))
+    decoded = _map_tracks(score_track, items, jobs) if items else {}
+    scored = []
+    for record, specs in found:
+        scores = {}
+        for spec in specs:
+            key = (record.track_id, source, synth_key, spec)
+            if key in cache:
+                scores[spec] = metrics.evaluate(cache[key], record.annotation.beats, eval_cfg)
+            else:
+                beats, scores[spec] = decoded[record.track_id][spec]
+                if beats is not None:
+                    cache[key] = beats
+        scored.append((record, scores))
+    return scored, missing, short
 
 
-def _note_missing(report: RunReport, source: str, missing):
+def _note_skipped(report: RunReport, source: str, missing, short=(), min_beats: int = 2):
     if missing:
         report.notes.append(f"{len(missing)} track(s) missing '{source}' skipped")
+    if short:
+        report.notes.append(f"{len(short)} track(s) with <{min_beats} beats skipped: {short}")
 
 
 def _activation_of(record, source: str, synth_cfg: SynthConfig) -> ActivationCurve:
@@ -265,7 +307,7 @@ def run_gt_bottleneck(
 ) -> RunReport:
     """Decode synthetic GT activations for every annotated track."""
     spec = DecoderSpec(cfg)
-    scored, _ = _score_source(dataset, GT_SOURCE, lambda rec: (spec,), eval_cfg, synth_cfg, jobs)
+    scored, _, short = _score_source(dataset, GT_SOURCE, lambda rec: (spec,), eval_cfg, synth_cfg, jobs)
     rows = [_row(rec, GT_SOURCE, _dbn_label(cfg), scores[spec]) for rec, scores in scored]
     fs = [r.eval.f_measure for r in rows]
     report = RunReport(experiment="gt-bottleneck", rows=rows)
@@ -276,6 +318,7 @@ def run_gt_bottleneck(
         "mean_amlt": float(np.mean([r.eval.amlt for r in rows])) if rows else float("nan"),
         "n_below_f_0.5": int(sum(f < 0.5 for f in fs)),
     }
+    _note_skipped(report, GT_SOURCE, (), short)
     return report
 
 
@@ -311,10 +354,11 @@ def run_bottleneck_table(
         stats = dataset_stats(dataset)
         gt = run_gt_bottleneck(dataset, synth_cfg, dbn_cfg, eval_cfg, jobs)
         report.rows.extend(gt.rows)
+        report.notes.extend(f"{name}: {note}" for note in gt.notes)
         real_peak_f = real_dbn_f = None
         if source is not None:
-            scored, missing = _score_source(dataset, source, lambda rec: (peak_spec, dbn_spec),
-                                            eval_cfg, synth_cfg, jobs)
+            scored, missing, _ = _score_source(dataset, source, lambda rec: (peak_spec, dbn_spec),
+                                               eval_cfg, synth_cfg, jobs)
             if scored:
                 real_peak_f = float(np.mean([scores[peak_spec].f_measure for _, scores in scored]))
                 real_dbn_f = float(np.mean([scores[dbn_spec].f_measure for _, scores in scored]))
@@ -363,7 +407,8 @@ def sweep_lambda(
 ) -> LambdaSweep:
     """Decode at every lambda; the F-optimal one wins, ties to the smaller."""
     grid = _lambda_grid(spec, base)
-    results, best = _sweep(grid, score_track((ref, act, None, grid, eval_cfg)))
+    scores = {spec: result for spec, (_, result) in score_track((ref, act, None, grid, eval_cfg)).items()}
+    results, best = _sweep(grid, scores)
     return LambdaSweep(
         lambdas=tuple(float(x) for x in spec.lambdas),
         results=tuple(results),
@@ -383,7 +428,7 @@ def run_lambda_sweep(
 ) -> RunReport:
     """Per-track lambda sweep over a corpus, plus the best fixed lambda."""
     grid = _lambda_grid(spec, base)
-    scored, missing = _score_source(dataset, source, lambda rec: grid, eval_cfg, synth_cfg, jobs)
+    scored, missing, short = _score_source(dataset, source, lambda rec: grid, eval_cfg, synth_cfg, jobs)
     sweeps = [_sweep(grid, scores) for _, scores in scored]
     report = RunReport(experiment="lambda-sweep")
     for (rec, _), (results, best) in zip(scored, sweeps):
@@ -408,7 +453,7 @@ def run_lambda_sweep(
             "frac_preferring_min_lambda": float(np.mean([b == spec.lambdas[0] for b in best_lams])),
         }
         report.tables["per-lambda"] = (("lambda", "mean_f", "mean_cmlt"), per_lambda)
-    _note_missing(report, source, missing)
+    _note_skipped(report, source, missing, short)
     return report
 
 
@@ -430,7 +475,8 @@ def run_threshold_sweep(
     """Per-track peak-picking threshold sweep; the ceiling for any decoder."""
     grid = [DecoderSpec(peaks.PeakConfig(thr, min_separation)) for thr in spec.thresholds]
     default = DecoderSpec(peaks.PeakConfig(default_threshold, min_separation))
-    scored, missing = _score_source(dataset, source, lambda rec: [*grid, default], eval_cfg, synth_cfg, jobs)
+    scored, missing, short = _score_source(dataset, source, lambda rec: [*grid, default],
+                                           eval_cfg, synth_cfg, jobs)
     report = RunReport(experiment="threshold-sweep")
     for rec, scores in scored:
         results, best = _sweep(grid, scores)
@@ -444,7 +490,7 @@ def run_threshold_sweep(
             "default_threshold": default_threshold,
             "default_mean_f": float(np.mean([r.baseline_f for r in report.rows])),
         }
-    _note_missing(report, source, missing)
+    _note_skipped(report, source, missing, short)
     return report
 
 
@@ -467,8 +513,8 @@ def run_peak_vs_dbn(
 ) -> RunReport:
     """Effect of routing activations through the DBN instead of peak picking."""
     dbn_spec, peak_spec = DecoderSpec(dbn_cfg), DecoderSpec(peak_cfg)
-    scored, missing = _score_source(dataset, source, lambda rec: (dbn_spec, peak_spec),
-                                    eval_cfg, synth_cfg, jobs)
+    scored, missing, short = _score_source(dataset, source, lambda rec: (dbn_spec, peak_spec),
+                                           eval_cfg, synth_cfg, jobs)
     report = RunReport(experiment="peak-vs-dbn")
     for rec, scores in scored:
         dbn_f, peak_f = scores[dbn_spec].f_measure, scores[peak_spec].f_measure
@@ -486,7 +532,7 @@ def run_peak_vs_dbn(
             "n_unchanged": int((np.abs(deltas) <= HURT_MARGIN).sum()),
         }
         report.tables["per-axis"] = _axis_delta_table(report.rows)
-    _note_missing(report, source, missing)
+    _note_skipped(report, source, missing, short)
     return report
 
 
@@ -540,12 +586,13 @@ def run_tempo_curve(
         specs = held[rec.track_id] = {0: unconstrained}
         for i, (label, bpm_by_track) in enumerate(tempo_sources, start=1):
             if label == GT_TEMPO_SOURCE:
-                specs[i] = DecoderSpec(cfg, _gt_tempo_window(rec, window))
+                if len(rec.annotation) >= 3:  # tempo statistics need three beats
+                    specs[i] = DecoderSpec(cfg, _gt_tempo_window(rec, window))
             elif bpm_by_track.get(rec.track_id) is not None:
                 specs[i] = DecoderSpec(cfg, dbn.TempoConstraint(bpm_by_track[rec.track_id], window))
         return list(specs.values())
 
-    scored, missing = _score_source(dataset, source, specs_of, eval_cfg, synth_cfg, jobs)
+    scored, missing, short = _score_source(dataset, source, specs_of, eval_cfg, synth_cfg, jobs)
     report = RunReport(experiment="tempo-curve")
     series = []
     labels = [("unconstrained", "unconstrained")]
@@ -569,7 +616,7 @@ def run_tempo_curve(
             "unconstrained_mean_f": float(np.mean([r.f_measure for r in baseline])),
             "unconstrained_mean_cmlt": float(np.mean([r.cmlt for r in baseline])),
         }
-    _note_missing(report, source, missing)
+    _note_skipped(report, source, missing, short)
     return report
 
 
@@ -600,12 +647,12 @@ def run_systems_table(
     def held_grid(rec):  # the lambda grid held to the GT tempo window
         return _lambda_grid(spec, base, _gt_tempo_window(rec, window))
 
-    scored, missing = _score_source(dataset, source, lambda rec: [peak, fixed, *grid, *held_grid(rec)],
-                                    eval_cfg, synth_cfg, jobs)
+    scored, missing, short = _score_source(dataset, source, lambda rec: [peak, fixed, *grid, *held_grid(rec)],
+                                           eval_cfg, synth_cfg, jobs, min_beats=3)
     gt_scored = scored
     if source != GT_SOURCE:  # the GT upper bound decodes a second activation per track
-        gt_scored, _ = _score_source(Dataset(rec for rec, _ in scored), GT_SOURCE, lambda rec: (fixed,),
-                                     eval_cfg, synth_cfg, jobs)
+        gt_scored, _, _ = _score_source(Dataset(rec for rec, _ in scored), GT_SOURCE, lambda rec: (fixed,),
+                                        eval_cfg, synth_cfg, jobs)
     optimal = [_sweep(grid, scores) for _, scores in scored]
     constrained = [_sweep(held_grid(rec), scores) for rec, scores in scored]
     configurations = (
@@ -624,7 +671,7 @@ def run_systems_table(
         table.append((label, *_mean_cells(results)))
     report.tables["systems"] = (("configuration", "mean_f", "mean_cmlt", "mean_amlt"), table)
     report.summary = {"n_tracks": len(scored)}
-    _note_missing(report, source, missing)
+    _note_skipped(report, source, missing, short, 3)
     return report
 
 
@@ -655,8 +702,8 @@ def run_axis_table(
     def held(rec):  # the DBN held to the GT tempo window
         return DecoderSpec(dbn_cfg, _gt_tempo_window(rec, window))
 
-    scored, missing = _score_source(dataset, source, lambda rec: (peak, plain, held(rec)),
-                                    eval_cfg, synth_cfg, jobs)
+    scored, missing, short = _score_source(dataset, source, lambda rec: (peak, plain, held(rec)),
+                                           eval_cfg, synth_cfg, jobs, min_beats=3)
     report = RunReport(experiment="axis-table")
     tracks = []  # (axes, act at GT, peak F, DBN F change, GT-tempo CMLt gain)
     for rec, scores in scored:
@@ -688,7 +735,7 @@ def run_axis_table(
             ))
     report.tables["axis-table"] = (header, table)
     report.summary = {"n_tracks": len(scored)}
-    _note_missing(report, source, missing)
+    _note_skipped(report, source, missing, short, 3)
     return report
 
 
@@ -719,8 +766,8 @@ def run_taxonomy(
     report = RunReport(experiment="taxonomy")
 
     def score(src):
-        scored, missing = _score_source(dataset, src, lambda rec: (spec,), eval_cfg, synth_cfg, jobs)
-        _note_missing(report, src, missing)
+        scored, missing, short = _score_source(dataset, src, lambda rec: (spec,), eval_cfg, synth_cfg, jobs)
+        _note_skipped(report, src, missing, short if src == source else ())
         return {rec.track_id: scores[spec] for rec, scores in scored}
 
     primary_results = score(source)

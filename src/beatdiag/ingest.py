@@ -16,6 +16,7 @@ File conventions
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 import re
@@ -185,6 +186,14 @@ class DatasetLayout:
     activation_glob: tuple[str, ...] = ("*.act", "*.act.txt", "*.bin")
 
 
+def read_text(path: Path) -> str:
+    """The file decoded as UTF-8; a ParseError names the path if it is not."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 # ---------------------------------------------------------------------------
 # Beat annotations
 # ---------------------------------------------------------------------------
@@ -207,7 +216,7 @@ def load_beats(path) -> BeatAnnotation:
     """
     path = Path(path)
     beats = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -244,7 +253,7 @@ def load_axis_map(path=None) -> AxisMap:
         text = resources.files("beatdiag").joinpath("data/axis_map.tsv").read_text()
         origin = "<bundled axis_map.tsv>"
     else:
-        text = Path(path).read_text()
+        text = read_text(Path(path))
         origin = str(path)
     entries = {}
     vocabulary = set()
@@ -325,7 +334,7 @@ def load_tags(path, axis_map: AxisMap | None = None):
     annotator = None
     confidence = None
     is_easy = None
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -467,15 +476,14 @@ def load_tempo_estimates(path) -> list[TempoEstimate]:
     """Read a ``track_id,bpm,source_label`` CSV (header row required)."""
     path = Path(path)
     estimates = []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"track_id", "bpm", "source_label"}
-        try:
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise ParseError(f"{path}: header must contain {sorted(required)}")
-            rows = [(reader.line_num, row) for row in reader]
-        except csv.Error as exc:
-            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    required = {"track_id", "bpm", "source_label"}
+    try:
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            raise ParseError(f"{path}: header must contain {sorted(required)}")
+        rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
     for lineno, row in rows:
         missing = sorted(key for key in required if row[key] is None)
         if missing:

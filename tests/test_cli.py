@@ -1,3 +1,6 @@
+import shutil
+import struct
+
 import numpy as np
 import pytest
 
@@ -463,3 +466,57 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(with_flag.beats) > 1.5 * len(with_file.beats)
     assert "min_bpm=55" in (out_flag / "manifest.txt").read_text()
     assert "min_bpm=30" in (out_file_cfg / "manifest.txt").read_text()
+
+
+def _run_cli_process(argv):
+    """``python -m beatdiag.cli ARGV`` in a fresh interpreter, from the repository root."""
+    import subprocess
+    import sys
+
+    return subprocess.run([sys.executable, "-m", "beatdiag.cli", *argv], capture_output=True, text=True,
+                          cwd=str(TESTS_DIR.parent))
+
+
+def _break_input(root, kind):
+    """Make one input file of the given kind under ``root`` malformed; returns its path."""
+    if kind == "beats":  # a UTF-16 byte order mark is not UTF-8
+        path = root / "beats" / "pseudo01.beats"
+        path.write_bytes(b"\xff\xfe" + path.read_bytes())
+    elif kind == "tags":
+        path = root / "tags" / "pseudo01.tags"
+        path.write_text(path.read_text() + "easy: maybe\n")
+    elif kind == "tempo":
+        path = root / "tempo.csv"
+        path.write_text("track_id,bpm,source_label\npseudo01,90\n")
+    else:  # an ACT1 header for 100 frames followed by 10
+        (root / "activations" / "pseudo" / "pseudo01.act").unlink()
+        path = root / "activations" / "pseudo" / "pseudo01.bin"
+        path.write_bytes(b"ACT1" + struct.pack("<dQ", 50.0, 100) + bytes(40))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["beats", "tags", "tempo", "act1"])
+def test_cli_process_rejects_malformed_input_with_its_path(tmp_path, kind):
+    root = tmp_path / "pseudo"
+    shutil.copytree(PSEUDO_DIR, root)
+    tempo = root / "tempo.csv"
+    tempo.write_text("track_id,bpm,source_label\npseudo01,90,est\n")
+    bad = _break_input(root, kind)
+    proc = _run_cli_process(["experiment", "tempo-curve", "--dataset", f"p={root}", "--source", "pseudo",
+                             "--tempo-file", f"est={tempo}", "-o", str(tmp_path / "out")])
+    assert proc.returncode == 1
+    assert "error: " in proc.stderr and str(bad) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_process_skips_and_lists_track_with_empty_annotation(tmp_path):
+    root = tmp_path / "pseudo"
+    shutil.copytree(PSEUDO_DIR, root)
+    (root / "beats" / "pseudo01.beats").write_text("")
+    proc = _run_cli_process(["experiment", "peak-vs-dbn", "--dataset", f"p={root}", "--source", "pseudo",
+                             "-o", str(tmp_path / "out")])
+    assert proc.returncode == 0, proc.stderr
+    note = "1 track(s) with <2 beats skipped: ['pseudo01']"
+    assert note in proc.stdout and note in (tmp_path / "out" / "peak-vs-dbn" / "report.txt").read_text()
+    rows = reports.rows_from_csv((tmp_path / "out" / "peak-vs-dbn" / "rows.csv").read_text())
+    assert sorted(row.track_id for row in rows) == ["pseudo02", "pseudo03"]

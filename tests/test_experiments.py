@@ -1,15 +1,17 @@
+import importlib.util
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beatdiag import dbn, experiments, ingest, metrics, peaks, reports
+from beatdiag import cli, dbn, experiments, ingest, metrics, peaks, reports
 from beatdiag.experiments import SweepSpec, SynthConfig, synthesize_gt_activation
 from beatdiag.ingest import BeatAnnotation, DatasetLayout
-from conftest import PSEUDO_DIR, make_grid_annotation
+from conftest import PSEUDO_DIR, TESTS_DIR, make_grid_annotation
 
 
 def load_pseudo():
@@ -405,14 +407,19 @@ EXPERIMENT_CALLS = {
 }
 
 
-@pytest.mark.parametrize("name", EXPERIMENT_CALLS)
-def test_report_determinism_across_jobs(name):
-    ds = load_pseudo()
-    a, b = (EXPERIMENT_CALLS[name](ds, jobs) for jobs in (1, 2))
+def assert_same_report(a, b):
     assert reports.rows_to_csv(a.sorted_rows()) == reports.rows_to_csv(b.sorted_rows())
     assert a.tables == b.tables
     assert a.summary == b.summary
     assert a.notes == b.notes
+
+
+@pytest.mark.parametrize("name", EXPERIMENT_CALLS)
+def test_report_determinism_across_jobs(name):
+    # A fresh dataset per run: on one dataset the second run would find every
+    # DBN decode in the dataset's cache and never reach the pool.
+    a, b = (EXPERIMENT_CALLS[name](load_pseudo(), jobs) for jobs in (1, 2))
+    assert_same_report(a, b)
 
 
 def test_gt_synth_experiments_use_synth_cfg():
@@ -442,3 +449,103 @@ def test_emit_figure_data_histogram_and_empty():
     empty = experiments.emit_figure_data(ingest.Dataset([]))
     assert empty["fig_act_scatter.csv"] == "track_id,act_at_gt,f_measure,category\n"
     assert empty["fig_tempo_curve.csv"].startswith("tempo_source,")
+
+
+# ---------------------------------------------------------------------------
+# the per-dataset decode cache
+# ---------------------------------------------------------------------------
+
+
+def _suite_stages(source):
+    """scripts/run_smc_suite.py's stages for ``source``, in run order."""
+    path = TESTS_DIR.parent / "scripts" / "run_smc_suite.py"
+    spec = importlib.util.spec_from_file_location("run_smc_suite", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.STAGES[:-3] if source == experiments.GT_SOURCE else module.STAGES
+
+
+def run_suite_stages(dataset, source, names=None):
+    """{stage: RunReport} of the suite's stages, run as the suite runs them."""
+    out = {}
+    for name in names or _suite_stages(source):
+        args = cli.build_parser().parse_args(["experiment", name, "--source", source, "-o", "unused"])
+        out[name] = cli.run_experiment(args, [("pseudo", dataset)])
+    return out
+
+
+def count_decodes(monkeypatch) -> Counter:
+    """Count dbn.decode calls, keyed by activation and config, from now on."""
+    calls = Counter()
+    decode = dbn.decode
+
+    def counting_decode(act, cfg=dbn.DbnConfig()):
+        calls[act.values.tobytes(), act.fps, cfg] += 1
+        return decode(act, cfg)
+
+    monkeypatch.setattr(dbn, "decode", counting_decode)
+    return calls
+
+
+def test_suite_decodes_each_activation_and_config_once(monkeypatch):
+    calls = count_decodes(monkeypatch)
+    run_suite_stages(load_pseudo(), "pseudo")
+    # per track: one GT decode, 13 lambdas (the bottleneck's real decode is
+    # lambda 100), the GT-tempo window, and peak-vs-dbn's 55 BPM floor
+    assert sum(calls.values()) == 3 * (1 + 13 + 1 + 1)
+    assert set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("source", ["pseudo", experiments.GT_SOURCE])
+def test_suite_stages_same_on_warm_and_fresh_dataset(source):
+    warm = load_pseudo()
+    first, second = run_suite_stages(warm, source), run_suite_stages(warm, source)
+    for name in first:
+        fresh = run_suite_stages(load_pseudo(), source, [name])[name]
+        assert_same_report(first[name], fresh)
+        assert_same_report(second[name], fresh)
+
+
+def test_decode_cache_keeps_synth_configs_and_sources_apart(monkeypatch):
+    ds = load_pseudo()
+    experiments.run_gt_bottleneck(ds)
+    calls = count_decodes(monkeypatch)
+    coarse = SynthConfig(fps=50.0)
+    warm = experiments.run_gt_bottleneck(ds, coarse)
+    assert sum(calls.values()) == 3  # none of the default-config decodes served
+    assert_same_report(warm, experiments.run_gt_bottleneck(load_pseudo(), coarse))
+    # gt-bottleneck's spec on the real activations: same spec, other source
+    calls.clear()
+    grid = SweepSpec(lambdas=(100,))
+    real = experiments.run_lambda_sweep(ds, "pseudo", grid)
+    assert sum(calls.values()) == 3
+    assert_same_report(real, experiments.run_lambda_sweep(load_pseudo(), "pseudo", grid))
+
+
+# ---------------------------------------------------------------------------
+# tracks with too few annotated beats
+# ---------------------------------------------------------------------------
+
+
+def short_annotation_dataset():
+    """The pseudo corpus with pseudo01's annotation emptied and pseudo02's cut to two beats."""
+    records = []
+    for rec, keep in zip(load_pseudo(), (0, 2, None)):
+        ann = BeatAnnotation(rec.track_id, rec.annotation.beats[:keep])
+        records.append(ingest.TrackRecord(rec.track_id, ann, rec.metadata, rec.activations))
+    return ingest.Dataset(records)
+
+
+@pytest.mark.parametrize("name", EXPERIMENT_CALLS)
+def test_tracks_with_short_annotations_are_skipped_and_listed(name):
+    report = EXPERIMENT_CALLS[name](short_annotation_dataset(), 1)
+    scored = {row.track_id for row in report.rows}
+    if name in ("systems", "axis-table", "dataset-stats"):  # these need tempo statistics
+        assert scored == {"pseudo03"}
+        assert "2 track(s) with <3 beats skipped: ['pseudo01', 'pseudo02']" in report.notes
+    else:
+        assert "pseudo01" not in scored and {"pseudo02", "pseudo03"} <= scored
+        prefix = "pseudo: " if name == "bottleneck" else ""
+        assert prefix + "1 track(s) with <2 beats skipped: ['pseudo01']" in report.notes
+    if name == "tempo-curve":  # pseudo02 has no GT tempo to hold the decoder to
+        assert "tempo source 'gt-tempo': 1 track(s) without estimate" in report.notes

@@ -528,3 +528,39 @@ def test_load_tempo_estimates_any_text(tmp_path_factory, text):
     for est in estimates or ():
         assert isinstance(est, ingest.TempoEstimate)
         assert 0 < est.bpm < np.inf
+
+
+def _as_bytes(texts):
+    """Arbitrary bytes, and ``texts`` encoded as UTF-8 or as UTF-16 (with its BOM)."""
+    return st.one_of(
+        st.binary(max_size=160),
+        texts.map(lambda t: t.encode("utf-8")),
+        texts.map(lambda t: t.encode("utf-16")),
+    )
+
+
+@pytest.mark.parametrize("load, texts", [
+    (ingest.load_beats, beat_texts),
+    (ingest.load_tags, st.text(max_size=120)),
+    (ingest.load_tempo_estimates, tempo_texts),
+    (ingest.load_axis_map, st.text(max_size=120)),
+], ids=["beats", "tags", "tempo", "axis-map"])
+@given(data=st.data())
+@settings(max_examples=150)
+def test_text_loaders_any_bytes(tmp_path_factory, load, texts, data):
+    blob = data.draw(_as_bytes(texts))
+    path = tmp_path_factory.getbasetemp() / "any_bytes.txt"
+    path.write_bytes(blob)
+    try:
+        load(path)
+    except ToolkitError as exc:
+        assert str(path) in str(exc)
+    else:
+        blob.decode("utf-8")  # only UTF-8 text loads
+
+
+def test_non_utf8_beats_file_names_path(tmp_path):
+    path = tmp_path / "trk.beats"
+    path.write_bytes(b"\xff\xfe1.0\n")
+    with pytest.raises(ParseError, match=f"{path}: not UTF-8 text"):
+        ingest.load_beats(path)
