@@ -24,6 +24,7 @@ log = logging.getLogger(__name__)
 GT_NEIGHBORHOOD_FRAMES = 2  # +/- window around each annotated beat
 SHARPNESS_OFFSET_FRAMES = 3
 PERIODICITY_BPM_RANGE = (30.0, 215.0)
+MIN_TEMPO_BEATS = 3  # annotated beats that tempo statistics need
 
 
 @dataclass(frozen=True)
@@ -211,8 +212,8 @@ def spearman(x, y) -> tuple[float, float]:
 
 def tempo_stats(ref: BeatAnnotation) -> TempoStats:
     """Median-IBI tempo and the coefficient of variation of the IBIs."""
-    if len(ref.beats) < 3:
-        raise InsufficientReference(f"{ref.track_id}: tempo stats need >= 3 beats")
+    if len(ref.beats) < MIN_TEMPO_BEATS:
+        raise InsufficientReference(f"{ref.track_id}: tempo stats need >= {MIN_TEMPO_BEATS} beats")
     ibis = np.diff(ref.beats)
     return TempoStats(
         gt_bpm=float(60.0 / np.median(ibis)),
@@ -272,7 +273,7 @@ def tempo_accuracy(estimates, refs, tol: float = 0.08) -> TempoAccuracyReport:
     skipped = []
     for est in estimates:
         ref = refs.get(est.track_id)
-        if ref is None or len(ref.beats) < 3:
+        if ref is None or len(ref.beats) < MIN_TEMPO_BEATS:
             log.warning("tempo estimate for unmatched track %s skipped", est.track_id)
             skipped.append(est.track_id)
             continue

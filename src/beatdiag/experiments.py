@@ -9,11 +9,11 @@ Every experiment runs the same three steps:
 2. Worker. ``score_track`` decodes one track's activation once per distinct
    spec and scores every decode. ``_map_tracks`` runs it over the tracks of
    one activation source, optionally in a process pool; the gt-synth source
-   is synthesized inside the worker. DBN decodes are cached per loaded
-   Dataset, by track, source, synth config and spec, so every stage of a run
-   on one dataset decodes each of them once; only the specs the cache lacks
-   reach the worker. The parent process owns the cache and scores its hits,
-   so results are the same at any ``jobs``.
+   is synthesized inside the worker. The scores of DBN decodes are cached
+   per loaded Dataset, by track, source, synth config, spec and eval config,
+   so every stage of a run on one dataset decodes each of them once; only
+   the specs the cache lacks reach the worker. The parent process owns the
+   cache, so results are the same at any ``jobs``.
 3. Fold. The experiment turns the per-track {spec: EvalResult} maps into a
    RunReport of per-track rows plus corpus-level summaries and tables.
 
@@ -115,23 +115,15 @@ class DecoderSpec:
 
 
 def score_track(payload) -> dict:
-    """{spec: (beats or None, EvalResult)} for one track, each distinct spec decoded once.
+    """{spec: EvalResult} for one track, each distinct spec decoded once.
 
     ``payload`` is (annotation, activation or None, synth_cfg, specs,
     eval_cfg); without an activation the GT activation is synthesized.
-    Beats come back for DBN decodes only, which the caller caches; a peak
-    pick is cheap to repeat, and a threshold sweep's picks for every track
-    would otherwise be held at once.
     """
     ref, act, synth_cfg, specs, eval_cfg = payload
     if act is None:
         act = synthesize_gt_activation(ref, synth_cfg)
-    out = {}
-    for spec in dict.fromkeys(specs):
-        beats = spec.decode(act)
-        out[spec] = (beats if isinstance(spec.config, dbn.DbnConfig) else None,
-                     metrics.evaluate(beats, ref.beats, eval_cfg))
-    return out
+    return {spec: metrics.evaluate(spec.decode(act), ref.beats, eval_cfg) for spec in dict.fromkeys(specs)}
 
 
 def _map_tracks(fn, items, jobs: int = 1) -> dict:
@@ -146,7 +138,8 @@ def _map_tracks(fn, items, jobs: int = 1) -> dict:
     return dict(sorted(results.items()))
 
 
-# Loaded Dataset -> {(track_id, source, synth_cfg or None, DBN spec): beats}.
+# Loaded Dataset -> {(track_id, source, synth_cfg or None, DBN spec, eval_cfg): EvalResult}.
+# Peak picks are cheap to repeat, and a threshold sweep's would fill it.
 _DECODES = weakref.WeakKeyDictionary()
 
 
@@ -154,11 +147,11 @@ def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, 
                   min_beats: int = 2):
     """Score the annotated tracks that carry ``source``, in one track mapping.
 
-    ``specs_of(record)`` lists the track's DecoderSpecs; DBN decodes already
-    in the dataset's cache are scored here and not decoded again. Returns
+    ``specs_of(record)`` lists the track's DecoderSpecs; DBN scores already
+    in the dataset's cache are not decoded again. Returns
     [(record, {spec: EvalResult})] in track order, the ids of the tracks
-    without ``source``, and the ids of those with fewer than ``min_beats``
-    annotated beats, which are skipped too.
+    without ``source``, and a note listing the tracks with fewer than
+    ``min_beats`` annotated beats, which are skipped too (None if none are).
     """
     cache = _DECODES.setdefault(dataset, {})
     synth_key = synth_cfg if source == GT_SOURCE else None
@@ -174,9 +167,9 @@ def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, 
         else:
             missing.append(record.track_id)
             continue
-        specs = list(dict.fromkeys(specs_of(record)))
+        specs = specs_of(record)
         found.append((record, specs))
-        todo = [spec for spec in specs if (record.track_id, source, synth_key, spec) not in cache]
+        todo = [spec for spec in specs if (record.track_id, source, synth_key, spec, eval_cfg) not in cache]
         if todo:
             items.append((record.track_id, (record.annotation, act, synth_cfg, todo, eval_cfg)))
     decoded = _map_tracks(score_track, items, jobs) if items else {}
@@ -184,22 +177,20 @@ def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, 
     for record, specs in found:
         scores = {}
         for spec in specs:
-            key = (record.track_id, source, synth_key, spec)
-            if key in cache:
-                scores[spec] = metrics.evaluate(cache[key], record.annotation.beats, eval_cfg)
-            else:
-                beats, scores[spec] = decoded[record.track_id][spec]
-                if beats is not None:
-                    cache[key] = beats
+            key = (record.track_id, source, synth_key, spec, eval_cfg)
+            scores[spec] = cache[key] if key in cache else decoded[record.track_id][spec]
+            if isinstance(spec.config, dbn.DbnConfig):
+                cache[key] = scores[spec]
         scored.append((record, scores))
-    return scored, missing, short
+    short_note = f"{len(short)} track(s) with <{min_beats} beats skipped: {short}" if short else None
+    return scored, missing, short_note
 
 
-def _note_skipped(report: RunReport, source: str, missing, short=(), min_beats: int = 2):
+def _note_skipped(report: RunReport, source: str, missing, short_note=None):
     if missing:
         report.notes.append(f"{len(missing)} track(s) missing '{source}' skipped")
-    if short:
-        report.notes.append(f"{len(short)} track(s) with <{min_beats} beats skipped: {short}")
+    if short_note:
+        report.notes.append(short_note)
 
 
 def _activation_of(record, source: str, synth_cfg: SynthConfig) -> ActivationCurve:
@@ -236,7 +227,7 @@ def _row(record, system: str, config: str, result: metrics.EvalResult | None = N
     """
     meta = record.metadata
     tempo = None
-    if record.annotation is not None and len(record.annotation.beats) >= 3:
+    if record.annotation is not None and len(record.annotation.beats) >= diagnostics.MIN_TEMPO_BEATS:
         tempo = diagnostics.tempo_stats(record.annotation)
     row = ReportRow(
         track_id=record.track_id,
@@ -256,7 +247,8 @@ def _row(record, system: str, config: str, result: metrics.EvalResult | None = N
 
 def _with_tempo(dataset: Dataset) -> list:
     """Annotated records with the three beats that tempo statistics need."""
-    return [record for record in dataset.annotated() if len(record.annotation.beats) >= 3]
+    return [record for record in dataset.annotated()
+            if len(record.annotation.beats) >= diagnostics.MIN_TEMPO_BEATS]
 
 
 def _mean_cells(results, fields=("f_measure", "cmlt", "amlt")) -> tuple:
@@ -271,7 +263,8 @@ def _mean_cells(results, fields=("f_measure", "cmlt", "amlt")) -> tuple:
 def dataset_stats(dataset: Dataset) -> RunReport:
     """Tempo distribution and IBI-variability statistics from annotations."""
     rows = [_row(record, "annotation", "stats") for record in _with_tempo(dataset)]
-    skipped = [record.track_id for record in dataset.annotated() if len(record.annotation.beats) < 3]
+    skipped = [record.track_id for record in dataset.annotated()
+               if len(record.annotation.beats) < diagnostics.MIN_TEMPO_BEATS]
     report = RunReport(experiment="dataset-stats", rows=rows)
     if rows:
         bpms = np.asarray([row.tempo.gt_bpm for row in rows])
@@ -283,7 +276,9 @@ def dataset_stats(dataset: Dataset) -> RunReport:
             "median_ibi_cv": float(np.median([row.tempo.ibi_cv for row in rows])),
         }
     if skipped:
-        report.notes.append(f"{len(skipped)} track(s) with <3 beats skipped: {sorted(skipped)}")
+        report.notes.append(
+            f"{len(skipped)} track(s) with <{diagnostics.MIN_TEMPO_BEATS} beats skipped: {sorted(skipped)}"
+        )
     if dataset.residue_tags:
         n_residue = sum(len(v) for v in dataset.residue_tags.values())
         report.notes.append(
@@ -407,8 +402,7 @@ def sweep_lambda(
 ) -> LambdaSweep:
     """Decode at every lambda; the F-optimal one wins, ties to the smaller."""
     grid = _lambda_grid(spec, base)
-    scores = {spec: result for spec, (_, result) in score_track((ref, act, None, grid, eval_cfg)).items()}
-    results, best = _sweep(grid, scores)
+    results, best = _sweep(grid, score_track((ref, act, None, grid, eval_cfg)))
     return LambdaSweep(
         lambdas=tuple(float(x) for x in spec.lambdas),
         results=tuple(results),
@@ -586,7 +580,7 @@ def run_tempo_curve(
         specs = held[rec.track_id] = {0: unconstrained}
         for i, (label, bpm_by_track) in enumerate(tempo_sources, start=1):
             if label == GT_TEMPO_SOURCE:
-                if len(rec.annotation) >= 3:  # tempo statistics need three beats
+                if len(rec.annotation) >= diagnostics.MIN_TEMPO_BEATS:
                     specs[i] = DecoderSpec(cfg, _gt_tempo_window(rec, window))
             elif bpm_by_track.get(rec.track_id) is not None:
                 specs[i] = DecoderSpec(cfg, dbn.TempoConstraint(bpm_by_track[rec.track_id], window))
@@ -648,7 +642,7 @@ def run_systems_table(
         return _lambda_grid(spec, base, _gt_tempo_window(rec, window))
 
     scored, missing, short = _score_source(dataset, source, lambda rec: [peak, fixed, *grid, *held_grid(rec)],
-                                           eval_cfg, synth_cfg, jobs, min_beats=3)
+                                           eval_cfg, synth_cfg, jobs, diagnostics.MIN_TEMPO_BEATS)
     gt_scored = scored
     if source != GT_SOURCE:  # the GT upper bound decodes a second activation per track
         gt_scored, _, _ = _score_source(Dataset(rec for rec, _ in scored), GT_SOURCE, lambda rec: (fixed,),
@@ -671,7 +665,7 @@ def run_systems_table(
         table.append((label, *_mean_cells(results)))
     report.tables["systems"] = (("configuration", "mean_f", "mean_cmlt", "mean_amlt"), table)
     report.summary = {"n_tracks": len(scored)}
-    _note_skipped(report, source, missing, short, 3)
+    _note_skipped(report, source, missing, short)
     return report
 
 
@@ -703,7 +697,7 @@ def run_axis_table(
         return DecoderSpec(dbn_cfg, _gt_tempo_window(rec, window))
 
     scored, missing, short = _score_source(dataset, source, lambda rec: (peak, plain, held(rec)),
-                                           eval_cfg, synth_cfg, jobs, min_beats=3)
+                                           eval_cfg, synth_cfg, jobs, diagnostics.MIN_TEMPO_BEATS)
     report = RunReport(experiment="axis-table")
     tracks = []  # (axes, act at GT, peak F, DBN F change, GT-tempo CMLt gain)
     for rec, scores in scored:
@@ -735,7 +729,7 @@ def run_axis_table(
             ))
     report.tables["axis-table"] = (header, table)
     report.summary = {"n_tracks": len(scored)}
-    _note_skipped(report, source, missing, short, 3)
+    _note_skipped(report, source, missing, short)
     return report
 
 
@@ -767,7 +761,7 @@ def run_taxonomy(
 
     def score(src):
         scored, missing, short = _score_source(dataset, src, lambda rec: (spec,), eval_cfg, synth_cfg, jobs)
-        _note_skipped(report, src, missing, short if src == source else ())
+        _note_skipped(report, src, missing, short if src == source else None)
         return {rec.track_id: scores[spec] for rec, scores in scored}
 
     primary_results = score(source)

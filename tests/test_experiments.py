@@ -522,6 +522,19 @@ def test_decode_cache_keeps_synth_configs_and_sources_apart(monkeypatch):
     assert_same_report(real, experiments.run_lambda_sweep(load_pseudo(), "pseudo", grid))
 
 
+def test_decode_cache_keeps_eval_configs_apart(monkeypatch):
+    ds = load_pseudo()
+    experiments.run_peak_vs_dbn(ds, "pseudo")
+    calls = count_decodes(monkeypatch)
+    strict = metrics.EvalConfig(f_window=0.03, trim_seconds=1.0)
+    warm = experiments.run_peak_vs_dbn(ds, "pseudo", eval_cfg=strict)
+    assert sum(calls.values()) == 3  # scores under the default config are not reused
+    assert_same_report(warm, experiments.run_peak_vs_dbn(load_pseudo(), "pseudo", eval_cfg=strict))
+    calls.clear()
+    assert_same_report(experiments.run_peak_vs_dbn(ds, "pseudo", eval_cfg=strict), warm)
+    assert sum(calls.values()) == 0
+
+
 # ---------------------------------------------------------------------------
 # tracks with too few annotated beats
 # ---------------------------------------------------------------------------
