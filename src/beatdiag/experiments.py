@@ -7,7 +7,8 @@ Every experiment runs the same three steps:
    peak picking, the DBN, or the DBN held to a tempo window. A lambda or
    threshold sweep is just one spec per grid value.
 2. Worker. ``score_track`` decodes one track's activation once per distinct
-   spec and scores every decode. ``_map_tracks`` runs it over the tracks of
+   spec, picking a threshold grid's peaks in one pass, and scores each
+   distinct beat sequence once. ``_map_tracks`` runs it over the tracks of
    one activation source, optionally in a process pool; the gt-synth source
    is synthesized inside the worker. The scores of DBN decodes are cached
    per loaded Dataset, by track, source, synth config, spec and eval config,
@@ -117,13 +118,26 @@ class DecoderSpec:
 def score_track(payload) -> dict:
     """{spec: EvalResult} for one track, each distinct spec decoded once.
 
+    Peak specs are picked together, one suppression pass per threshold grid
+    (``peaks.pick_peaks_grid``), and each distinct beat array is scored
+    once: specs that decode to equal beats share one EvalResult.
+
     ``payload`` is (annotation, activation or None, synth_cfg, specs,
     eval_cfg); without an activation the GT activation is synthesized.
     """
     ref, act, synth_cfg, specs, eval_cfg = payload
     if act is None:
         act = synthesize_gt_activation(ref, synth_cfg)
-    return {spec: metrics.evaluate(spec.decode(act), ref.beats, eval_cfg) for spec in dict.fromkeys(specs)}
+    specs = dict.fromkeys(specs)
+    picks = peaks.pick_peaks_grid(act, [s.config for s in specs if isinstance(s.config, peaks.PeakConfig)])
+    results, scores = {}, {}
+    for spec in specs:
+        beats = picks[spec.config] if spec.config in picks else spec.decode(act)
+        key = beats.tobytes()
+        if key not in results:
+            results[key] = metrics.evaluate(beats, ref.beats, eval_cfg)
+        scores[spec] = results[key]
+    return scores
 
 
 def _map_tracks(fn, items, jobs: int = 1) -> dict:
@@ -151,13 +165,14 @@ def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, 
     in the dataset's cache are not decoded again. Returns
     [(record, {spec: EvalResult})] in track order, the ids of the tracks
     without ``source``, and a note listing the tracks with fewer than
-    ``min_beats`` annotated beats, which are skipped too (None if none are).
+    ``min_beats`` annotated beats left after ``eval_cfg``'s trim, which are
+    skipped too (None if none are).
     """
     cache = _DECODES.setdefault(dataset, {})
     synth_key = synth_cfg if source == GT_SOURCE else None
     found, items, missing, short = [], [], [], []
     for record in dataset.annotated():
-        if len(record.annotation) < min_beats:
+        if len(metrics.trim_beats(record.annotation.beats, eval_cfg.trim_seconds)) < min_beats:
             short.append(record.track_id)
             continue
         if source == GT_SOURCE:
@@ -645,8 +660,10 @@ def run_systems_table(
                                            eval_cfg, synth_cfg, jobs, diagnostics.MIN_TEMPO_BEATS)
     gt_scored = scored
     if source != GT_SOURCE:  # the GT upper bound decodes a second activation per track
-        gt_scored, _, _ = _score_source(Dataset(rec for rec, _ in scored), GT_SOURCE, lambda rec: (fixed,),
+        ids = {rec.track_id for rec, _ in scored}
+        gt_scored, _, _ = _score_source(dataset, GT_SOURCE, lambda rec: (fixed,) if rec.track_id in ids else (),
                                         eval_cfg, synth_cfg, jobs)
+        gt_scored = [(rec, scores) for rec, scores in gt_scored if rec.track_id in ids]
     optimal = [_sweep(grid, scores) for _, scores in scored]
     constrained = [_sweep(held_grid(rec), scores) for rec, scores in scored]
     configurations = (

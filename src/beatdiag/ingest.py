@@ -415,6 +415,23 @@ def _parse_activation_text(blob: bytes, path, label: str) -> ActivationCurve:
         raise MissingFps(f"{path}: bad fps value {lines[0]!r}") from None
     if not 0 < fps < math.inf:
         raise MissingFps(f"{path}: fps must be positive and finite, got {fps}")
+    # One numpy call parses a body of plain values, as float() would; any
+    # other body (comments, blank lines, bad values) goes through the loop,
+    # which gives every error its line number.
+    try:
+        values = np.array(lines[1:], dtype=float)
+    except ValueError:
+        values = None
+    if values is None or not values.size or not np.isfinite(values).all():
+        values = _parse_activation_lines(lines, path)
+    try:
+        return ActivationCurve(values=values, fps=fps, source_label=label)
+    except CorruptActivation as exc:
+        raise CorruptActivation(f"{path}: {exc}") from None
+
+
+def _parse_activation_lines(lines, path) -> np.ndarray:
+    """Values of the lines after the fps header, skipping blanks and comments."""
     values = []
     for lineno, line in enumerate(lines[1:], start=2):
         stripped = line.strip()
@@ -429,10 +446,7 @@ def _parse_activation_text(blob: bytes, path, label: str) -> ActivationCurve:
         values.append(value)
     if not values:
         raise CorruptActivation(f"{path}: no activation values")
-    try:
-        return ActivationCurve(values=np.asarray(values), fps=fps, source_label=label)
-    except CorruptActivation as exc:
-        raise CorruptActivation(f"{path}: {exc}") from None
+    return np.asarray(values)
 
 
 def _parse_activation_binary(blob: bytes, path, label: str) -> ActivationCurve:

@@ -75,6 +75,31 @@ def pick_peaks(act: ActivationCurve, cfg: PeakConfig = PeakConfig()) -> np.ndarr
     return np.sort(np.asarray(candidates, dtype=float)) / act.fps
 
 
+def pick_peaks_grid(act: ActivationCurve, configs) -> dict:
+    """{cfg: pick_peaks(act, cfg)} for every PeakConfig in ``configs``.
+
+    One suppression pass per ``min_separation``, at the group's lowest
+    threshold. The pass visits candidates highest first, so those at or
+    above any higher threshold are a prefix of its visit order and get the
+    same decisions: each threshold's picks are the returned beats whose
+    frame reaches it, bit-identical to a pass at that threshold.
+    """
+    # A beat's frame is read back as rint(beat * fps), which is exact while
+    # frame / fps is a normal, finite float; outside this range of fps, pick
+    # each threshold on its own.
+    if not 1e-250 < act.fps < 1e250:
+        return {cfg: pick_peaks(act, cfg) for cfg in configs}
+    groups = {}
+    for cfg in configs:
+        groups.setdefault(cfg.min_separation, []).append(cfg)
+    picks = {}
+    for group in groups.values():
+        beats = pick_peaks(act, min(group, key=lambda cfg: cfg.threshold))
+        heights = act.values[np.rint(beats * act.fps).astype(np.intp)]
+        picks.update((cfg, beats[heights >= cfg.threshold]) for cfg in group)
+    return picks
+
+
 @dataclass(frozen=True)
 class ThresholdSweep:
     """Per-threshold results plus the F-optimal threshold (ties go lower)."""

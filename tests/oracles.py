@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 
 import numpy as np
+
+from beatdiag.errors import CorruptActivation, MissingFps
+from beatdiag.ingest import ActivationCurve
 
 
 # ---------------------------------------------------------------------------
@@ -254,3 +258,47 @@ def variation_scores_oracle(est, ref, phase_tol, period_tol):
         run = run + 1 if hit else 0
         longest = max(longest, run)
     return longest / n, total / n
+
+
+# ---------------------------------------------------------------------------
+# Line-by-line text activation parsing (the one-call parser's oracle)
+# ---------------------------------------------------------------------------
+
+
+def parse_activation_text_oracle(blob: bytes, path, label: str):
+    """The text activation format parsed one line at a time.
+
+    Only the error types and the ActivationCurve container (its range check
+    and clipping) come from the package.
+    """
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError:
+        raise CorruptActivation(f"{path}: neither ACT1 binary nor utf-8 text") from None
+    lines = text.splitlines()
+    if not lines or not lines[0].startswith("#fps="):
+        raise MissingFps(f"{path}: first line must be '#fps=<decimal>'")
+    try:
+        fps = float(lines[0][len("#fps="):])
+    except ValueError:
+        raise MissingFps(f"{path}: bad fps value {lines[0]!r}") from None
+    if not 0 < fps < math.inf:
+        raise MissingFps(f"{path}: fps must be positive and finite, got {fps}")
+    values = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            value = float(stripped)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise CorruptActivation(f"{path}:{lineno}: bad value {stripped!r}")
+        values.append(value)
+    if not values:
+        raise CorruptActivation(f"{path}: no activation values")
+    try:
+        return ActivationCurve(values=np.asarray(values), fps=fps, source_label=label)
+    except CorruptActivation as exc:
+        raise CorruptActivation(f"{path}: {exc}") from None

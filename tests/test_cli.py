@@ -173,6 +173,21 @@ def test_experiment_bottleneck_with_dataset_roots(tmp_path, capsys):
     assert "gt_dbn_f" in report_txt
 
 
+def test_experiment_trim_past_a_tracks_beats_skips_and_lists_it(tmp_path):
+    corpus = tmp_path / "pseudo"
+    shutil.copytree(PSEUDO_DIR, corpus)
+    write_beats(np.array([0.8, 1.2, 1.6, 2.0]), corpus / "beats" / "pseudo02.beats")
+    out = tmp_path / "run"
+    assert run([
+        "experiment", "peak-vs-dbn", "--dataset", f"p={corpus}", "--source", "pseudo", "--trim", "5",
+        "-o", str(out),
+    ]) == 0
+    report_txt = (out / "peak-vs-dbn" / "report.txt").read_text()
+    assert "1 track(s) with <2 beats skipped: ['pseudo02']" in report_txt
+    rows = (out / "peak-vs-dbn" / "rows.csv").read_text()
+    assert "pseudo01" in rows and "pseudo02" not in rows
+
+
 def test_experiment_lambda_sweep_cli(tmp_path, capsys):
     out = tmp_path / "run"
     assert run([

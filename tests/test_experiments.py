@@ -195,6 +195,37 @@ def test_run_threshold_sweep_report():
         assert row.eval.f_measure >= row.baseline_f - 1e-12
 
 
+def test_threshold_sweep_picks_once_per_track_and_scores_each_beat_array_once(monkeypatch):
+    ds = load_pseudo()
+    evaluated, picked = Counter(), Counter()
+    evaluate, pick = metrics.evaluate, peaks.pick_peaks
+
+    def counting_evaluate(est, ref, cfg=metrics.DEFAULT_EVAL):
+        evaluated[ref.tobytes(), est.tobytes()] += 1
+        return evaluate(est, ref, cfg)
+
+    def counting_pick(act, cfg=peaks.PeakConfig()):
+        picked[act.values.tobytes()] += 1
+        return pick(act, cfg)
+
+    monkeypatch.setattr(metrics, "evaluate", counting_evaluate)
+    monkeypatch.setattr(peaks, "pick_peaks", counting_pick)
+    report = experiments.run_threshold_sweep(ds, "pseudo")
+    monkeypatch.undo()
+    assert len(picked) == 3 and set(picked.values()) == {1}
+    assert set(evaluated.values()) == {1}
+    grid = [*SweepSpec().thresholds, 0.5]
+    for row in report.rows:
+        rec = ds[row.track_id]
+        act = rec.activations["pseudo"]
+        distinct = {peaks.pick_peaks(act, peaks.PeakConfig(thr)).tobytes() for thr in grid}
+        assert {est for ref, est in evaluated if ref == rec.annotation.beats.tobytes()} == distinct
+        want = peaks.sweep_threshold(act, rec.annotation)
+        assert (row.eval, row.best_threshold) == (want.best_result, want.best_threshold)
+        assert row.baseline_f == metrics.evaluate(peaks.pick_peaks(act), rec.annotation.beats).f_measure
+    assert len(evaluated) < 3 * len(grid)
+
+
 # ---------------------------------------------------------------------------
 # peak vs dbn
 # ---------------------------------------------------------------------------
@@ -533,6 +564,20 @@ def test_decode_cache_keeps_eval_configs_apart(monkeypatch):
     calls.clear()
     assert_same_report(experiments.run_peak_vs_dbn(ds, "pseudo", eval_cfg=strict), warm)
     assert sum(calls.values()) == 0
+
+
+def test_systems_table_gt_row_uses_the_decode_cache(monkeypatch):
+    spec = SweepSpec(lambdas=(1, 100))
+    ds = load_pseudo()
+    experiments.run_gt_bottleneck(ds)
+    calls = count_decodes(monkeypatch)
+    warm = experiments.run_systems_table(ds, "pseudo", spec)
+    # per track: lambdas 1 and 100 (100 is the fixed row), each also held to
+    # the GT tempo; gt-bottleneck's decodes serve the GT row
+    assert sum(calls.values()) == 3 * 4
+    calls.clear()
+    assert_same_report(warm, experiments.run_systems_table(load_pseudo(), "pseudo", spec))
+    assert sum(calls.values()) == 3 * 5
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from beatdiag.errors import (
     ParseError,
     ToolkitError,
 )
+from oracles import parse_activation_text_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +477,35 @@ def test_load_activation_any_bytes(tmp_path_factory, blob):
         assert isinstance(act, ingest.ActivationCurve)
         assert 0 < act.fps < np.inf
         assert act.values.size >= 1 and act.values.min() >= 0.0 and act.values.max() <= 1.0
+
+
+number_lines = st.one_of(st.floats(0.0, 1.0).map(repr), st.floats(0.0, 1.0).map("{:.6f}".format))
+odd_lines = st.one_of(
+    st.sampled_from([
+        " 0.3 ", "\t0.5", "\u00a00.5", "1", "-0", "1e-400", "1.0000005", "1_0", "0_5", "\u0661", "1.7", "-0.2",
+        "nan", "-inf", "1e309", "", "  ", "# c", "#0.5", "x", "0x1", "0,5", "\x00",
+    ]),
+    st.text(max_size=8),
+)
+text_bodies = st.tuples(
+    st.sampled_from(["#fps=50", "#fps=43.07", "#fps=", "fps=50"]),
+    st.one_of(st.lists(number_lines, max_size=30), st.lists(st.one_of(number_lines, odd_lines), max_size=12)),
+    st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\u2028"]),
+).map(lambda hls: hls[2].join([hls[0], *hls[1]]).encode("utf-8"))
+
+
+def _parse_outcome(parse, blob):
+    try:
+        act = parse(blob, "a.act", "a")
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+    return act.fps, act.source_label, act.values.dtype, act.values.tobytes()
+
+
+@given(blob=text_bodies)
+@settings(max_examples=500)
+def test_text_activation_parser_matches_line_loop(blob):
+    assert _parse_outcome(ingest._parse_activation_text, blob) == _parse_outcome(parse_activation_text_oracle, blob)
 
 
 beat_texts = st.one_of(
