@@ -21,7 +21,8 @@ from . import dbn, diagnostics, experiments, ingest, metrics, peaks, reports
 from .errors import ToolkitError
 
 def load_config_file(path) -> dict:
-    """Flat key=value lines; '#' starts a comment; keys use snake_case."""
+    """{key: (line number, value)} of flat key=value lines; '#' starts a
+    comment; keys use snake_case."""
     values = {}
     for lineno, line in enumerate(ingest.read_text(Path(path)).splitlines(), start=1):
         stripped = line.strip()
@@ -30,7 +31,7 @@ def load_config_file(path) -> dict:
         if "=" not in stripped:
             raise ToolkitError(f"{path}:{lineno}: expected key=value")
         key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
+        values[key.strip()] = (lineno, value.strip())
     return values
 
 
@@ -44,10 +45,12 @@ class Settings:
 
     def get(self, key, default, cast=float):
         value = self.args.get(key)
-        if value is None:
-            raw = self.file.get(key)
-            if raw is not None:
+        if value is None and key in self.file:
+            lineno, raw = self.file[key]
+            try:
                 value = cast(raw) if cast is not bool else raw.lower() in ("1", "true", "yes")
+            except ValueError as exc:
+                raise ToolkitError(f"{self.args['config']}:{lineno}: {key}: {exc}") from None
         if value is None:
             value = default
         self.resolved[key] = value
@@ -463,7 +466,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = reports.rows_from_csv(Path(args.rows_csv).read_text())
+    rows = reports.rows_from_csv(ingest.read_text(Path(args.rows_csv)), args.rows_csv)
     if not rows:
         raise ToolkitError(f"{args.rows_csv}: no rows")
     stats = reports.aggregate(rows, args.group_by)

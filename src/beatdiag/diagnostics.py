@@ -74,25 +74,26 @@ def _beat_frames(act: ActivationCurve, ref: BeatAnnotation) -> np.ndarray:
     return frames[in_range]
 
 
+def _windows(frames: np.ndarray, n: int) -> np.ndarray:
+    """Frame indices within +/-2 frames of each beat, clipped to the curve;
+    a clipped window repeats its edge frame, which changes no max or mask."""
+    offsets = np.arange(-GT_NEIGHBORHOOD_FRAMES, GT_NEIGHBORHOOD_FRAMES + 1)
+    return np.clip(frames[:, None] + offsets, 0, n - 1)
+
+
 def act_at_gt(act: ActivationCurve, ref: BeatAnnotation) -> float:
     """Mean over annotated beats of the max activation within +/-2 frames."""
     frames = _beat_frames(act, ref)
     if frames.size == 0:
         raise NoOverlap(f"{ref.track_id}: no annotated beat inside the curve")
-    values = act.values
-    peaks = [
-        values[max(f - GT_NEIGHBORHOOD_FRAMES, 0): f + GT_NEIGHBORHOOD_FRAMES + 1].max()
-        for f in frames
-    ]
-    return float(np.mean(peaks))
+    return float(np.mean(act.values[_windows(frames, len(act.values))].max(axis=1)))
 
 
 def false_positive_activation(act: ActivationCurve, ref: BeatAnnotation) -> float:
     """Mean activation over frames farther than 2 frames from every beat."""
     frames = _beat_frames(act, ref)
     far = np.ones(len(act.values), dtype=bool)
-    for f in frames:
-        far[max(f - GT_NEIGHBORHOOD_FRAMES, 0): f + GT_NEIGHBORHOOD_FRAMES + 1] = False
+    far[_windows(frames, len(act.values))] = False
     if not far.any():
         return 0.0
     return float(act.values[far].mean())
@@ -105,16 +106,11 @@ def peak_sharpness(act: ActivationCurve) -> float:
     if peak_times.size == 0:
         return 0.0
     frames = np.round(peak_times * act.fps).astype(int)
-    last = len(values) - 1
-    sharpness = [
-        max(
-            values[f]
-            - 0.5 * (values[max(f - SHARPNESS_OFFSET_FRAMES, 0)] + values[min(f + SHARPNESS_OFFSET_FRAMES, last)]),
-            0.0,
-        )
-        for f in frames
-    ]
-    return float(np.mean(sharpness))
+    before = values[np.maximum(frames - SHARPNESS_OFFSET_FRAMES, 0)]
+    after = values[np.minimum(frames + SHARPNESS_OFFSET_FRAMES, len(values) - 1)]
+    sharpness = values[frames] - 0.5 * (before + after)
+    # where, not np.maximum: like max(x, 0.0), a tie or NaN keeps x
+    return float(np.mean(np.where(0.0 > sharpness, 0.0, sharpness)))
 
 
 def periodicity_strength(act: ActivationCurve) -> float:

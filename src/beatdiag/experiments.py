@@ -7,13 +7,14 @@ Every experiment runs the same three steps:
    peak picking, the DBN, or the DBN held to a tempo window. A lambda or
    threshold sweep is just one spec per grid value.
 2. Worker. ``score_track`` decodes one track's activation once per distinct
-   spec, picking a threshold grid's peaks in one pass, and scores each
-   distinct beat sequence once. ``_map_tracks`` runs it over the tracks of
-   one activation source, optionally in a process pool; the gt-synth source
-   is synthesized inside the worker. The scores of DBN decodes are cached
-   per loaded Dataset, by track, source, synth config, spec and eval config,
-   so every stage of a run on one dataset decodes each of them once; only
-   the specs the cache lacks reach the worker. The parent process owns the
+   spec, picking a threshold grid's peaks in one pass, and scores the
+   distinct beat sequences together in one metrics pass. ``_map_tracks``
+   runs it over the tracks of one activation source, optionally in a
+   process pool; the gt-synth source is synthesized inside the worker. The
+   scores of DBN decodes are cached per loaded Dataset, by track, source,
+   synth config, spec and eval config, so every stage of a run on one
+   dataset decodes each of them once; only the specs the cache lacks reach
+   the worker. The parent process owns the
    cache, so results are the same at any ``jobs``.
 3. Fold. The experiment turns the per-track {spec: EvalResult} maps into a
    RunReport of per-track rows plus corpus-level summaries and tables.
@@ -119,8 +120,9 @@ def score_track(payload) -> dict:
     """{spec: EvalResult} for one track, each distinct spec decoded once.
 
     Peak specs are picked together, one suppression pass per threshold grid
-    (``peaks.pick_peaks_grid``), and each distinct beat array is scored
-    once: specs that decode to equal beats share one EvalResult.
+    (``peaks.pick_peaks_grid``), and the distinct beat arrays are scored in
+    one ``metrics.evaluate_many`` pass: specs that decode to equal beats
+    share one EvalResult.
 
     ``payload`` is (annotation, activation or None, synth_cfg, specs,
     eval_cfg); without an activation the GT activation is synthesized.
@@ -130,14 +132,10 @@ def score_track(payload) -> dict:
         act = synthesize_gt_activation(ref, synth_cfg)
     specs = dict.fromkeys(specs)
     picks = peaks.pick_peaks_grid(act, [s.config for s in specs if isinstance(s.config, peaks.PeakConfig)])
-    results, scores = {}, {}
-    for spec in specs:
-        beats = picks[spec.config] if spec.config in picks else spec.decode(act)
-        key = beats.tobytes()
-        if key not in results:
-            results[key] = metrics.evaluate(beats, ref.beats, eval_cfg)
-        scores[spec] = results[key]
-    return scores
+    beats = {spec: picks[spec.config] if spec.config in picks else spec.decode(act) for spec in specs}
+    distinct = {b.tobytes(): b for b in beats.values()}
+    results = dict(zip(distinct, metrics.evaluate_many(list(distinct.values()), ref.beats, eval_cfg)))
+    return {spec: results[b.tobytes()] for spec, b in beats.items()}
 
 
 def _map_tracks(fn, items, jobs: int = 1) -> dict:

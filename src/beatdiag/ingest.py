@@ -187,9 +187,12 @@ class DatasetLayout:
 
 
 def read_text(path: Path) -> str:
-    """The file decoded as UTF-8; a ParseError names the path if it is not."""
+    """The file decoded as UTF-8; a ParseError names the path if it cannot
+    be read or is not UTF-8."""
     try:
         return path.read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
@@ -215,8 +218,22 @@ def load_beats(path) -> BeatAnnotation:
     strictly increasing.
     """
     path = Path(path)
+    lines = read_text(path).splitlines()
+    arr = _plain_floats(lines)
+    if arr is None:
+        arr = _parse_beat_lines(lines, path)
+    if arr.size and arr.min() < 0:
+        raise MalformedAnnotation(f"{path}: negative timestamp")
+    if arr.size > 1 and not np.all(np.diff(arr) > 0):
+        bad = int(np.flatnonzero(np.diff(arr) <= 0)[0]) + 2
+        raise MalformedAnnotation(f"{path}: timestamps not strictly increasing at line ~{bad}")
+    return BeatAnnotation(track_id=track_id_from_path(path), beats=arr)
+
+
+def _parse_beat_lines(lines, path) -> np.ndarray:
+    """First token of each non-blank line as a timestamp."""
     beats = []
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -227,13 +244,21 @@ def load_beats(path) -> BeatAnnotation:
             raise ParseError(f"{path}:{lineno}: expected a timestamp, got {token!r}") from None
         if not math.isfinite(beats[-1]):
             raise ParseError(f"{path}:{lineno}: timestamp must be finite, got {token!r}")
-    arr = np.asarray(beats, dtype=float)
-    if arr.size and arr.min() < 0:
-        raise MalformedAnnotation(f"{path}: negative timestamp")
-    if arr.size > 1 and not np.all(np.diff(arr) > 0):
-        bad = int(np.flatnonzero(np.diff(arr) <= 0)[0]) + 2
-        raise MalformedAnnotation(f"{path}: timestamps not strictly increasing at line ~{bad}")
-    return BeatAnnotation(track_id=track_id_from_path(path), beats=arr)
+    return np.asarray(beats, dtype=float)
+
+
+def _plain_floats(lines) -> np.ndarray | None:
+    """``lines`` as floats in one numpy call, which parses as float() does;
+    None unless there is at least one line and every line is one finite
+    number. The callers then parse line by line, which skips what may be
+    skipped and gives every error its line number."""
+    try:
+        values = np.array(lines, dtype=float)
+    except ValueError:
+        return None
+    if values.size and np.isfinite(values).all():
+        return values
+    return None
 
 
 def write_beats(beats, path, decimals: int = 3):
@@ -415,14 +440,8 @@ def _parse_activation_text(blob: bytes, path, label: str) -> ActivationCurve:
         raise MissingFps(f"{path}: bad fps value {lines[0]!r}") from None
     if not 0 < fps < math.inf:
         raise MissingFps(f"{path}: fps must be positive and finite, got {fps}")
-    # One numpy call parses a body of plain values, as float() would; any
-    # other body (comments, blank lines, bad values) goes through the loop,
-    # which gives every error its line number.
-    try:
-        values = np.array(lines[1:], dtype=float)
-    except ValueError:
-        values = None
-    if values is None or not values.size or not np.isfinite(values).all():
+    values = _plain_floats(lines[1:])
+    if values is None:
         values = _parse_activation_lines(lines, path)
     try:
         return ActivationCurve(values=values, fps=fps, source_label=label)

@@ -19,6 +19,7 @@ import numpy as np
 
 from ._version import __version__
 from .diagnostics import ActivationDiagnostics, FailureCategory, TempoStats, _band_name
+from .errors import ParseError
 from .metrics import EvalResult
 
 ROW_FIELDS = (
@@ -178,57 +179,65 @@ def _format(value) -> str:
     return str(value)
 
 
-def rows_from_csv(text: str) -> list[ReportRow]:
-    """Parse a rows.csv back into ReportRow objects (inverse of rows_to_csv)."""
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for rec in reader:
-        def fget(key):
-            return float(rec[key]) if rec.get(key) else None
+def rows_from_csv(text: str, source: str = "rows.csv") -> list[ReportRow]:
+    """Parse a rows.csv back into ReportRow objects (inverse of rows_to_csv).
 
-        eval_result = None
-        if rec.get("f_measure"):
-            eval_result = EvalResult(
-                f_measure=fget("f_measure"),
-                cmlc=fget("cmlc") or 0.0,
-                cmlt=fget("cmlt") or 0.0,
-                amlc=fget("amlc") or 0.0,
-                amlt=fget("amlt") or 0.0,
-                n_ref=int(float(rec["n_ref"])) if rec.get("n_ref") else 0,
-                n_est=int(float(rec["n_est"])) if rec.get("n_est") else 0,
-            )
-        diag = None
-        if rec.get("act_at_gt"):
-            diag = ActivationDiagnostics(
-                act_at_gt=fget("act_at_gt"),
-                max_activation=fget("max_activation") or 0.0,
-                peak_sharpness=fget("peak_sharpness") or 0.0,
-                periodicity_strength=fget("periodicity_strength") or 0.0,
-                entropy=fget("entropy") or 0.0,
-                false_positive_activation=fget("false_positive_activation") or 0.0,
-            )
-        tempo = None
-        if rec.get("gt_bpm"):
-            tempo = TempoStats(gt_bpm=fget("gt_bpm"), ibi_cv=fget("ibi_cv") or 0.0)
-        rows.append(
-            ReportRow(
-                track_id=rec["track_id"],
-                system=rec.get("system", ""),
-                config=rec.get("config", ""),
-                eval=eval_result,
-                category=FailureCategory(rec["category"]) if rec.get("category") else None,
-                diagnostics=diag,
-                tempo=tempo,
-                axes=frozenset(a for a in rec.get("axes", "").split(";") if a),
-                confidence=int(rec["confidence"]) if rec.get("confidence") else None,
-                tag_count=int(rec["tag_count"]) if rec.get("tag_count") else None,
-                baseline_f=fget("baseline_f"),
-                delta_f=fget("delta_f"),
-                best_lambda=fget("best_lambda"),
-                best_threshold=fget("best_threshold"),
-            )
+    A ParseError names ``source`` and the line of a bad row, or the missing
+    track_id column.
+    """
+    reader = csv.DictReader(io.StringIO(text))
+    try:
+        if reader.fieldnames is not None and "track_id" not in reader.fieldnames:
+            raise ParseError(f"{source}:1: no track_id column")
+        return [_row_from_record(rec) for rec in reader]
+    except (ValueError, csv.Error) as exc:
+        raise ParseError(f"{source}:{reader.line_num}: {exc}") from None
+
+
+def _row_from_record(rec: dict) -> ReportRow:
+    def fget(key):
+        return float(rec[key]) if rec.get(key) else None
+
+    eval_result = None
+    if rec.get("f_measure"):
+        eval_result = EvalResult(
+            f_measure=fget("f_measure"),
+            cmlc=fget("cmlc") or 0.0,
+            cmlt=fget("cmlt") or 0.0,
+            amlc=fget("amlc") or 0.0,
+            amlt=fget("amlt") or 0.0,
+            n_ref=int(float(rec["n_ref"])) if rec.get("n_ref") else 0,
+            n_est=int(float(rec["n_est"])) if rec.get("n_est") else 0,
         )
-    return rows
+    diag = None
+    if rec.get("act_at_gt"):
+        diag = ActivationDiagnostics(
+            act_at_gt=fget("act_at_gt"),
+            max_activation=fget("max_activation") or 0.0,
+            peak_sharpness=fget("peak_sharpness") or 0.0,
+            periodicity_strength=fget("periodicity_strength") or 0.0,
+            entropy=fget("entropy") or 0.0,
+            false_positive_activation=fget("false_positive_activation") or 0.0,
+        )
+    tempo = None
+    if rec.get("gt_bpm"):
+        tempo = TempoStats(gt_bpm=fget("gt_bpm"), ibi_cv=fget("ibi_cv") or 0.0)
+    return ReportRow(
+        track_id=rec["track_id"],
+        system=rec.get("system", ""),
+        config=rec.get("config", ""),
+        eval=eval_result,
+        category=FailureCategory(rec["category"]) if rec.get("category") else None,
+        diagnostics=diag,
+        tempo=tempo,
+        axes=frozenset(a for a in rec.get("axes", "").split(";") if a),
+        confidence=int(rec["confidence"]) if rec.get("confidence") else None,
+        tag_count=int(rec["tag_count"]) if rec.get("tag_count") else None,
+        baseline_f=fget("baseline_f"),
+        delta_f=fget("delta_f"),
+        best_lambda=fget("best_lambda"),
+        best_threshold=fget("best_threshold"),
+    )
 
 
 def csv_text(header, rows) -> str:

@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from beatdiag.errors import CorruptActivation, MissingFps
-from beatdiag.ingest import ActivationCurve
+from beatdiag.errors import CorruptActivation, MalformedAnnotation, MissingFps, ParseError
+from beatdiag.ingest import ActivationCurve, BeatAnnotation, track_id_from_path
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +258,72 @@ def variation_scores_oracle(est, ref, phase_tol, period_tol):
         run = run + 1 if hit else 0
         longest = max(longest, run)
     return longest / n, total / n
+
+
+# ---------------------------------------------------------------------------
+# Per-beat diagnostics loops (the index-arithmetic diagnostics' oracles)
+# ---------------------------------------------------------------------------
+
+
+def act_at_gt_oracle(values, frames, radius: int = 2) -> float:
+    """Mean over in-range beat frames of the max value within +/-radius frames."""
+    peaks = [values[max(f - radius, 0): f + radius + 1].max() for f in frames]
+    return float(np.mean(peaks))
+
+
+def false_positive_activation_oracle(values, frames, radius: int = 2) -> float:
+    """Mean value over frames farther than ``radius`` from every beat frame."""
+    far = np.ones(len(values), dtype=bool)
+    for f in frames:
+        far[max(f - radius, 0): f + radius + 1] = False
+    if not far.any():
+        return 0.0
+    return float(values[far].mean())
+
+
+def peak_sharpness_oracle(values, fps: float, offset: int = 3) -> float:
+    """Mean of max(peak - mean of the values ``offset`` frames either side, 0)
+    over the peaks picked at threshold 0.1 with no separation."""
+    peak_times = np.asarray(pick_peaks_oracle(values, fps, 0.1, 0.0))
+    if peak_times.size == 0:
+        return 0.0
+    frames = np.round(peak_times * fps).astype(int)
+    last = len(values) - 1
+    sharpness = [
+        max(values[f] - 0.5 * (values[max(f - offset, 0)] + values[min(f + offset, last)]), 0.0)
+        for f in frames
+    ]
+    return float(np.mean(sharpness))
+
+
+# ---------------------------------------------------------------------------
+# Line-by-line beat file parsing (the one-call parser's oracle)
+# ---------------------------------------------------------------------------
+
+
+def parse_beats_oracle(text: str, path):
+    """A beat file's text parsed one line at a time: the first token of each
+    non-blank line. Only the error types and the BeatAnnotation container
+    come from the package."""
+    beats = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        token = stripped.split()[0]
+        try:
+            beats.append(float(token))
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: expected a timestamp, got {token!r}") from None
+        if not math.isfinite(beats[-1]):
+            raise ParseError(f"{path}:{lineno}: timestamp must be finite, got {token!r}")
+    arr = np.asarray(beats, dtype=float)
+    if arr.size and arr.min() < 0:
+        raise MalformedAnnotation(f"{path}: negative timestamp")
+    if arr.size > 1 and not np.all(np.diff(arr) > 0):
+        bad = int(np.flatnonzero(np.diff(arr) <= 0)[0]) + 2
+        raise MalformedAnnotation(f"{path}: timestamps not strictly increasing at line ~{bad}")
+    return BeatAnnotation(track_id=track_id_from_path(path), beats=arr)
 
 
 # ---------------------------------------------------------------------------

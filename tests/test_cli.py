@@ -535,3 +535,36 @@ def test_cli_process_skips_and_lists_track_with_empty_annotation(tmp_path):
     assert note in proc.stdout and note in (tmp_path / "out" / "peak-vs-dbn" / "report.txt").read_text()
     rows = reports.rows_from_csv((tmp_path / "out" / "peak-vs-dbn" / "rows.csv").read_text())
     assert sorted(row.track_id for row in rows) == ["pseudo02", "pseudo03"]
+
+
+def _bad_cli_input(tmp_path, case):
+    """(argv, the path and line the error must name) for one malformed input."""
+    rows = tmp_path / "rows.csv"
+    cfg = tmp_path / "bad.cfg"
+    if case == "missing-rows":
+        return ["report", str(tmp_path / "missing.csv")], f"{tmp_path / 'missing.csv'}: "
+    if case == "no-track-id":
+        rows.write_text("system,f_measure\npeaks,0.5\n")
+        return ["report", str(rows)], f"{rows}:1: no track_id column"
+    if case == "bad-value":
+        rows.write_text("track_id,f_measure\na,0.5\nb,high\n")
+        return ["report", str(rows)], f"{rows}:3: "
+    if case == "non-utf8-rows":
+        rows.write_bytes(b"track_id,f_measure\n\xff,0.5\n")
+        return ["report", str(rows)], f"{rows}: not UTF-8 text"
+    if case == "missing-config":
+        return (["decode", "--peaks", "--config", str(cfg), str(PSEUDO_DIR / "activations"), "-o",
+                 str(tmp_path / "out")], f"{cfg}: ")
+    cfg.write_text("# bounds\nmax_bpm=200\nmin_bpm=abc\n")
+    return (["decode", "--dbn", "--config", str(cfg), str(PSEUDO_DIR / "activations"), "-o", str(tmp_path / "out")],
+            f"{cfg}:3: min_bpm: could not convert string to float: 'abc'")
+
+
+@pytest.mark.parametrize("case", ["missing-rows", "no-track-id", "bad-value", "non-utf8-rows", "missing-config",
+                                  "bad-config-value"])
+def test_cli_process_rejects_bad_report_and_config_input_with_its_path(tmp_path, case):
+    argv, where = _bad_cli_input(tmp_path, case)
+    proc = _run_cli_process(argv)
+    assert proc.returncode == 1
+    assert f"error: {where}" in proc.stderr
+    assert "Traceback" not in proc.stderr

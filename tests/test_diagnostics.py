@@ -11,7 +11,8 @@ from beatdiag.experiments import SynthConfig, synthesize_gt_activation
 from beatdiag.ingest import ActivationCurve, BeatAnnotation
 from beatdiag.metrics import EvalResult
 from conftest import make_grid_annotation
-from oracles import spearman_rho_oracle
+from oracles import (act_at_gt_oracle, false_positive_activation_oracle, peak_sharpness_oracle,
+                     spearman_rho_oracle)
 
 
 def curve(values, fps=50.0):
@@ -83,6 +84,30 @@ def test_peak_sharpness_gaussian():
     values = np.exp(-((t - 20.0) ** 2) / 8.0)
     expected = 1 - np.exp(-9 / 8)
     assert diagnostics.peak_sharpness(curve(values)) == pytest.approx(expected, abs=1e-6)
+
+
+short_curves = st.one_of(
+    st.lists(st.integers(0, 8).map(lambda k: k / 8), min_size=1, max_size=40),  # plateaus and equal peaks
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+)
+
+
+@given(values=short_curves, fps=st.sampled_from([10.0, 43.07, 50.0]), data=st.data())
+@settings(max_examples=400)
+def test_beat_window_diagnostics_match_per_beat_loops(values, fps, data):
+    act = curve(values, fps)
+    n = len(values)
+    frames = data.draw(st.one_of(st.sets(st.integers(0, n + 2), max_size=12), st.just({0, n - 1})))
+    ref = BeatAnnotation(track_id="t", beats=np.sort(np.asarray(list(frames), dtype=float)) / fps)
+    inside = [int(f) for f in np.round(ref.beats * fps) if f < n]
+    fpa = diagnostics.false_positive_activation(act, ref)
+    assert fpa.hex() == false_positive_activation_oracle(act.values, inside).hex()
+    if not inside:
+        with pytest.raises(NoOverlap):
+            diagnostics.act_at_gt(act, ref)
+    else:
+        assert diagnostics.act_at_gt(act, ref).hex() == act_at_gt_oracle(act.values, inside).hex()
+    assert diagnostics.peak_sharpness(act).hex() == peak_sharpness_oracle(act.values, fps).hex()
 
 
 def test_periodicity_strength_pulse_train():

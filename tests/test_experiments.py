@@ -197,33 +197,34 @@ def test_run_threshold_sweep_report():
 
 def test_threshold_sweep_picks_once_per_track_and_scores_each_beat_array_once(monkeypatch):
     ds = load_pseudo()
-    evaluated, picked = Counter(), Counter()
-    evaluate, pick = metrics.evaluate, peaks.pick_peaks
+    scored, picked = [], Counter()
+    evaluate_many, pick = metrics.evaluate_many, peaks.pick_peaks
 
-    def counting_evaluate(est, ref, cfg=metrics.DEFAULT_EVAL):
-        evaluated[ref.tobytes(), est.tobytes()] += 1
-        return evaluate(est, ref, cfg)
+    def counting_evaluate_many(ests, ref, cfg=metrics.DEFAULT_EVAL):
+        scored.append((ref.tobytes(), [est.tobytes() for est in ests]))
+        return evaluate_many(ests, ref, cfg)
 
     def counting_pick(act, cfg=peaks.PeakConfig()):
         picked[act.values.tobytes()] += 1
         return pick(act, cfg)
 
-    monkeypatch.setattr(metrics, "evaluate", counting_evaluate)
+    monkeypatch.setattr(metrics, "evaluate_many", counting_evaluate_many)
     monkeypatch.setattr(peaks, "pick_peaks", counting_pick)
     report = experiments.run_threshold_sweep(ds, "pseudo")
     monkeypatch.undo()
     assert len(picked) == 3 and set(picked.values()) == {1}
-    assert set(evaluated.values()) == {1}
+    assert len(scored) == 3 and len({ref for ref, _ in scored}) == 3  # one call per track
+    assert all(len(set(ests)) == len(ests) for _, ests in scored)  # no two arrays equal
     grid = [*SweepSpec().thresholds, 0.5]
     for row in report.rows:
         rec = ds[row.track_id]
         act = rec.activations["pseudo"]
         distinct = {peaks.pick_peaks(act, peaks.PeakConfig(thr)).tobytes() for thr in grid}
-        assert {est for ref, est in evaluated if ref == rec.annotation.beats.tobytes()} == distinct
+        assert [set(ests) for ref, ests in scored if ref == rec.annotation.beats.tobytes()] == [distinct]
         want = peaks.sweep_threshold(act, rec.annotation)
         assert (row.eval, row.best_threshold) == (want.best_result, want.best_threshold)
         assert row.baseline_f == metrics.evaluate(peaks.pick_peaks(act), rec.annotation.beats).f_measure
-    assert len(evaluated) < 3 * len(grid)
+    assert sum(len(ests) for _, ests in scored) < 3 * len(grid)
 
 
 # ---------------------------------------------------------------------------

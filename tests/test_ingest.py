@@ -13,7 +13,7 @@ from beatdiag.errors import (
     ParseError,
     ToolkitError,
 )
-from oracles import parse_activation_text_oracle
+from oracles import parse_activation_text_oracle, parse_beats_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +506,34 @@ def _parse_outcome(parse, blob):
 @settings(max_examples=500)
 def test_text_activation_parser_matches_line_loop(blob):
     assert _parse_outcome(ingest._parse_activation_text, blob) == _parse_outcome(parse_activation_text_oracle, blob)
+
+
+increasing_beats = st.lists(st.floats(0.001, 5.0), max_size=30).map(lambda gaps: np.cumsum(gaps).tolist())
+beat_bodies = st.tuples(
+    st.one_of(
+        increasing_beats.map(lambda ts: [repr(t) for t in ts]),
+        increasing_beats.map(lambda ts: [f"{t:.3f}" for t in ts]),
+        st.lists(st.one_of(number_lines, odd_lines, st.just("1.0 2")), max_size=12),
+    ),
+    st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\u2028"]),
+    st.booleans(),
+).map(lambda b: b[1].join(b[0]) + (b[1] if b[2] else ""))
+
+
+def _beats_outcome(load):
+    try:
+        ann = load()
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+    return ann.track_id, ann.beats.dtype, ann.beats.tobytes()
+
+
+@given(text=beat_bodies)
+@settings(max_examples=500)
+def test_load_beats_matches_line_loop(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "loop_x.beats"
+    path.write_bytes(text.encode("utf-8"))
+    assert _beats_outcome(lambda: ingest.load_beats(path)) == _beats_outcome(lambda: parse_beats_oracle(text, path))
 
 
 beat_texts = st.one_of(

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beatdiag import metrics
-from beatdiag.errors import InsufficientReference
+from beatdiag.errors import InsufficientReference, ToolkitError
 from conftest import DATA_DIR
 from oracles import f_measure_oracle, variation_scores_oracle
 
@@ -107,6 +107,9 @@ def test_continuity_requires_two_reference_beats():
 def test_continuity_single_estimate_scores_zero():
     ref = np.arange(1.0, 10.0)
     assert metrics.continuity(np.array([3.0]), ref) == (0.0, 0.0, 0.0, 0.0)
+    # A lone beat's interval is 0, which a tempo tolerance above 1 would pass.
+    loose = metrics.EvalConfig(continuity_phase_tol=1.5, continuity_tempo_tol=1.5)
+    assert metrics.continuity(np.array([3.0]), ref, loose) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_golden_continuity_fixtures_exact():
@@ -142,7 +145,7 @@ def _oracle_scores(est, refs, phase_tol=0.175, period_tol=0.175):
 )
 @settings(max_examples=500)
 def test_variation_scores_match_oracle(est, refs, phase_tol, period_tol):
-    got = metrics._variation_scores(est, refs, phase_tol, period_tol)
+    got = metrics._variation_scores([est], refs, phase_tol, period_tol)[0]
     assert got == _oracle_scores(est, refs, phase_tol, period_tol)
 
 
@@ -155,7 +158,19 @@ def test_variation_scores_match_oracle(est, refs, phase_tol, period_tol):
 def test_variation_scores_independent_of_block_size(est, ref, block):
     refs = metrics.metrical_variations(ref)
     with mock.patch.object(metrics, "_BLOCK_ELEMENTS", block):
-        assert metrics._variation_scores(est, refs, 0.175, 0.175) == _oracle_scores(est, refs)
+        assert metrics._variation_scores([est], refs, 0.175, 0.175)[0] == _oracle_scores(est, refs)
+
+
+@given(
+    ests=st.lists(st.one_of(grid_est, real_est), min_size=1, max_size=6),
+    refs=st.lists(st.one_of(grid_ref, real_ref), min_size=1, max_size=5),
+    phase_tol=tolerances,
+    period_tol=tolerances,
+)
+@settings(max_examples=300)
+def test_variation_scores_of_many_estimates_match_oracle(ests, refs, phase_tol, period_tol):
+    got = metrics._variation_scores(ests, refs, phase_tol, period_tol)
+    assert got == [_oracle_scores(est, refs, phase_tol, period_tol) for est in ests]
 
 
 @pytest.mark.parametrize(
@@ -172,7 +187,7 @@ def test_variation_scores_independent_of_block_size(est, ref, block):
 def test_continuity_variations_match_oracle(est, ref):
     est = np.asarray(est, dtype=float)
     refs = metrics.metrical_variations(np.asarray(ref, dtype=float))
-    assert metrics._variation_scores(est, refs, 0.175, 0.175) == _oracle_scores(est, refs)
+    assert metrics._variation_scores([est], refs, 0.175, 0.175)[0] == _oracle_scores(est, refs)
 
 
 # ---------------------------------------------------------------------------
@@ -231,3 +246,36 @@ def test_metrics_invariant_to_global_shift(ref, est, shift):
     assert moved.f_measure == pytest.approx(base.f_measure, abs=1e-9)
     assert moved.cmlt == pytest.approx(base.cmlt, abs=1e-9)
     assert moved.amlt == pytest.approx(base.amlt, abs=1e-9)
+
+
+def _outcome(score):
+    try:
+        return score()
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+
+
+def _bits(result):
+    return tuple(np.float64(getattr(result, f)).tobytes() for f in ("f_measure", "cmlc", "cmlt", "amlc", "amlt")) + (
+        result.n_ref, result.n_est)
+
+
+@given(
+    ests=st.lists(st.one_of(grid_est, real_est), min_size=1, max_size=6),
+    ref=st.one_of(grid_ref, real_ref),
+    trim=st.sampled_from([0.0, 0.0, 1.0, 3.0, 10.0, 45.0]),
+    phase_tol=tolerances,
+    period_tol=tolerances,
+)
+@settings(max_examples=400)
+def test_evaluate_many_matches_evaluate_per_array(ests, ref, trim, phase_tol, period_tol):
+    # Grid references repeat beats, estimates are unsorted and repeat beats,
+    # and a trim may leave fewer than 2 reference beats: then both raise.
+    cfg = metrics.EvalConfig(continuity_phase_tol=phase_tol, continuity_tempo_tol=period_tol, trim_seconds=trim)
+    many = _outcome(lambda: [_bits(r) for r in metrics.evaluate_many(ests, ref, cfg)])
+    each = _outcome(lambda: [_bits(metrics.evaluate(est, ref, cfg)) for est in ests])
+    assert many == each
+
+
+def test_evaluate_many_of_no_estimates_is_empty():
+    assert metrics.evaluate_many([], np.array([1.0])) == []
