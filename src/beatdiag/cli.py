@@ -9,7 +9,6 @@ supply any of them, with explicit flags taking precedence. Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import types
 from pathlib import Path
@@ -42,6 +41,7 @@ class Settings:
         self.args = vars(args)
         self.file = load_config_file(args.config) if getattr(args, "config", None) else {}
         self.resolved = {}
+        self.read_from_file = []  # keys whose value came from the file, in reading order
 
     def get(self, key, default, cast=float):
         value = self.args.get(key)
@@ -50,45 +50,70 @@ class Settings:
             try:
                 value = cast(raw) if cast is not bool else raw.lower() in ("1", "true", "yes")
             except ValueError as exc:
-                raise ToolkitError(f"{self.args['config']}:{lineno}: {key}: {exc}") from None
+                raise ToolkitError(self._where(key, exc)) from None
+            self.read_from_file.append(key)
         if value is None:
             value = default
         self.resolved[key] = value
         return value
 
+    def _where(self, key, exc) -> str:
+        return f"{self.args['config']}:{self.file[key][0]}: {key}: {exc}"
+
+    def _checked(self, build):
+        """build(); a config check that fails on a value read from the file
+        is reported at the first such key its message names."""
+        start = len(self.read_from_file)
+        try:
+            return build()
+        except ValueError as exc:
+            named = [key for key in self.read_from_file[start:] if key in str(exc)]
+            if not named:
+                raise
+            raise ToolkitError(self._where(min(named, key=str(exc).index), exc)) from None
+
     def dbn_config(self, min_bpm_default=55.0) -> dbn.DbnConfig:
-        return dbn.DbnConfig(
+        return self._checked(lambda: dbn.DbnConfig(
             min_bpm=self.get("min_bpm", min_bpm_default),
             max_bpm=self.get("max_bpm", 215.0),
             transition_lambda=self.get("transition_lambda", 100.0),
             observation_lambda=self.get("observation_lambda", 16, cast=int),
             correct_beats=not self.get("no_correct", False, cast=bool),
-        )
+        ))
 
     def peak_config(self) -> peaks.PeakConfig:
-        return peaks.PeakConfig(
+        return self._checked(lambda: peaks.PeakConfig(
             threshold=self.get("threshold", 0.5),
             min_separation=self.get("min_separation", 0.1),
-        )
+        ))
 
     def eval_config(self) -> metrics.EvalConfig:
-        return metrics.EvalConfig(trim_seconds=self.get("trim", 0.0))
+        return self._checked(lambda: metrics.EvalConfig(trim_seconds=self.get("trim", 0.0)))
 
     def synth_config(self) -> experiments.SynthConfig:
-        return experiments.SynthConfig(
+        return self._checked(lambda: experiments.SynthConfig(
             sigma_frames=self.get("sigma_frames", 2.0),
             fps=self.get("fps", 43.07),
-        )
+        ))
 
     def sweep_spec(self) -> experiments.SweepSpec:
-        spec = experiments.SweepSpec()
-        lambdas = self.get("lambdas", None, cast=str)
-        thresholds = self.get("thresholds", None, cast=str)
-        if lambdas:
-            spec = dataclasses.replace(spec, lambdas=tuple(float(x) for x in lambdas.split(",")))
-        if thresholds:
-            spec = dataclasses.replace(spec, thresholds=tuple(float(x) for x in thresholds.split(",")))
-        return spec
+        def build():
+            grids = {key: self.get(key, None, cast=float_list) for key in ("lambdas", "thresholds")}
+            return experiments.SweepSpec(**{key: _floats(text) for key, text in grids.items() if text})
+
+        return self._checked(build)
+
+
+def _floats(text: str) -> tuple:
+    return tuple(float(x) for x in text.split(","))
+
+
+def float_list(text: str) -> str:
+    """A comma-separated list of floats, checked and kept as written (the
+    manifest records it so); empty means the default grid."""
+    if text:
+        _floats(text)
+    return text
 
 
 def _add_common(parser):
@@ -177,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trim", type=float, default=None)
     p.add_argument("--fps", type=float, default=None)
     p.add_argument("--sigma-frames", dest="sigma_frames", type=float, default=None)
-    p.add_argument("--lambdas", default=None, help="comma-separated lambda grid")
-    p.add_argument("--thresholds", default=None, help="comma-separated threshold grid")
+    p.add_argument("--lambdas", type=float_list, default=None, help="comma-separated lambda grid")
+    p.add_argument("--thresholds", type=float_list, default=None, help="comma-separated threshold grid")
     _add_dbn_flags(p)
     _add_peak_flags(p)
     p.add_argument("-o", "--output", required=True, help="run directory")

@@ -22,6 +22,15 @@ every slot and swaps in the beat density on the beat-region slots. The
 backtrack fills one beat per step. The arithmetic is the per-frame recursion's,
 operation for operation, so paths, scores and the tie rule (lowest source
 tempo at a wrap, lowest flat state id at the end) are unchanged.
+
+The K x K max-plus at the wraps runs in one preallocated buffer: a broadcast
+copy puts the source scores in every row, an in-place add brings in the log
+transition matrix, and a row argmax picks each target's source. The winning
+scores come from one gather on the buffer's flat view, at row start plus
+source. The step once did the max-plus as one broadcasting ``np.add`` and
+the gather as a row/column index pair; each sum is still score plus log
+transition, bit for bit (IEEE addition commutes), and numpy runs the copy
+and the same-shape add faster than the broadcasting add.
 """
 
 from __future__ import annotations
@@ -176,16 +185,19 @@ def _viterbi_in_space(
     wrap_from = np.empty((n_frames, n_tempi), dtype=np.min_scalar_type(n_tempi - 1))
     candidates = np.empty((n_tempi, n_tempi))
     src = np.empty(n_tempi, dtype=np.intp)
-    tempo_range = np.arange(n_tempi)
+    # candidates[k', src[k']] is cand_flat[row_start[k'] + src[k']]
+    cand_flat = candidates.ravel()
+    row_start = np.arange(n_tempi) * n_tempi
     wrap_slots = slots[:n_tempi]
     for t in range(1, n_frames):
         slots += 1  # one frame on: every slot moves one step round its ring
         np.copyto(slots, beat_base, where=slots == beat_end)
         # last phase at t-1 and phase 0 at t share a slot: read, then overwrite
-        np.add(delta[wrap_slots], wrap_into, out=candidates)
+        np.copyto(candidates, delta[wrap_slots])  # every row: the source scores
+        candidates += wrap_into
         candidates.argmax(axis=1, out=src)  # first max -> lowest source tempo
         wrap_from[t] = src
-        delta[wrap_slots] = candidates[tempo_range, src]
+        delta[wrap_slots] = cand_flat[row_start + src]
         in_beat = delta[slots]
         delta += obs[t, 0]
         in_beat += obs[t, 1]

@@ -29,7 +29,6 @@ import dataclasses
 import math
 import weakref
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +143,9 @@ def _map_tracks(fn, items, jobs: int = 1) -> dict:
     if jobs <= 1:
         results = {tid: fn(payload) for tid, payload in items}
     else:
+        # imported here: multiprocessing costs every process that never forks a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outputs = pool.map(fn, [payload for _, payload in items], chunksize=1)
             results = {tid: out for (tid, _), out in zip(items, outputs)}

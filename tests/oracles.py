@@ -2,7 +2,9 @@
 
 Nothing here may import decoding or matching logic from the package under
 test; each oracle recomputes its answer from first principles so the tests
-compare two independent routes.
+compare two independent routes. The one exception is the ring Viterbi
+oracle, which takes the decoder's model densities from the package and
+pins only its forward recursion.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 
 import numpy as np
 
+from beatdiag import dbn
 from beatdiag.errors import CorruptActivation, MalformedAnnotation, MissingFps, ParseError
 from beatdiag.ingest import ActivationCurve, BeatAnnotation, track_id_from_path
 
@@ -368,3 +371,81 @@ def parse_activation_text_oracle(blob: bytes, path, label: str):
         return ActivationCurve(values=np.asarray(values), fps=fps, source_label=label)
     except CorruptActivation as exc:
         raise CorruptActivation(f"{path}: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# Ring-buffer Viterbi step (the forward pass's oracle)
+# ---------------------------------------------------------------------------
+
+
+def viterbi_ring_oracle(
+    act: ActivationCurve, space: dbn.StateSpace, transition_lambda: float
+) -> tuple[np.ndarray, float]:
+    """The ring-buffer decoder with its per-frame step as first written.
+
+    The max-plus is one broadcasting ``np.add`` and the winning scores come
+    from a fancy-index pair. The model (state space, transition and
+    observation densities) comes from the package; the dense oracle above
+    checks that independently. This copy pins the step: the package's
+    forward pass must give the same path and the same log score bits.
+    """
+    # wrap_into[k', k] = log p(k -> k'): row k' holds the candidates of target tempo k'
+    wrap_into = np.ascontiguousarray(dbn.transition_log_probs(space, transition_lambda).T)
+    obs = dbn.observation_log_probs(act, space)
+    n_frames = len(act.values)
+    n_tempi = space.num_tempi
+    first = space.first_states
+    ring_base = np.repeat(first, space.intervals)
+    is_beat = space.is_beat_state
+
+    def ring_slots(t):
+        # ring slot of each flat state (tempo k, phase p) at frame t:
+        # first_k + (t - p) mod tau_k, i.e. keyed by the frame its beat started
+        return ring_base + (t - space.state_phase) % space.state_interval
+
+    # Beat-region states phase-major, so the first K are the phase-0 states in
+    # tempo order: their slots double as the slots of the wrap.
+    beat_states = np.flatnonzero(is_beat)
+    beat_states = beat_states[np.argsort(space.state_phase[beat_states], kind="stable")]
+    slots = ring_slots(0)[beat_states]
+    beat_base = ring_base[beat_states]
+    beat_end = beat_base + space.state_interval[beat_states]
+
+    delta = np.empty(space.num_states)
+    delta[ring_slots(0)] = np.where(is_beat, obs[0, 1], obs[0, 0]) - np.log(space.num_states)
+    # Back pointers are only needed at phase wraps: wrap_from[t, k] is the
+    # tempo index active at t-1 when tempo k starts a new beat at frame t.
+    wrap_from = np.empty((n_frames, n_tempi), dtype=np.min_scalar_type(n_tempi - 1))
+    candidates = np.empty((n_tempi, n_tempi))
+    src = np.empty(n_tempi, dtype=np.intp)
+    tempo_range = np.arange(n_tempi)
+    wrap_slots = slots[:n_tempi]
+    for t in range(1, n_frames):
+        slots += 1  # one frame on: every slot moves one step round its ring
+        np.copyto(slots, beat_base, where=slots == beat_end)
+        # last phase at t-1 and phase 0 at t share a slot: read, then overwrite
+        np.add(delta[wrap_slots], wrap_into, out=candidates)
+        candidates.argmax(axis=1, out=src)  # first max -> lowest source tempo
+        wrap_from[t] = src
+        delta[wrap_slots] = candidates[tempo_range, src]
+        in_beat = delta[slots]
+        delta += obs[t, 0]
+        in_beat += obs[t, 1]
+        delta[slots] = in_beat
+    final = delta[ring_slots(n_frames - 1)]  # back to flat state order
+    end = int(final.argmax())
+    log_prob = float(final[end])
+
+    # one slice per beat, walking back through the wrap pointers
+    path = np.empty(n_frames, dtype=np.int64)
+    k = int(np.searchsorted(first, end, side="right")) - 1
+    t, phase = n_frames - 1, end - int(first[k])
+    while True:
+        beat_start = t - phase  # negative when the first beat began before frame 0
+        lo = max(beat_start, 0)
+        path[lo:t + 1] = np.arange(first[k] + lo - beat_start, first[k] + phase + 1)
+        if beat_start <= 0:
+            return path, log_prob
+        k = int(wrap_from[beat_start, k])
+        t, phase = beat_start - 1, int(space.intervals[k]) - 1
+

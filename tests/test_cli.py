@@ -385,6 +385,16 @@ def test_import_cli_leaves_scipy_stats_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_cli_leaves_process_pool_unloaded():
+    import subprocess
+    import sys
+
+    code = "import sys, beatdiag.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_traced_functions_exist():
     """Every function the benchmark tracer wraps exists under that name."""
     import ast
@@ -555,13 +565,21 @@ def _bad_cli_input(tmp_path, case):
     if case == "missing-config":
         return (["decode", "--peaks", "--config", str(cfg), str(PSEUDO_DIR / "activations"), "-o",
                  str(tmp_path / "out")], f"{cfg}: ")
+    if case == "bad-config-range":  # converts, then fails the DbnConfig check
+        cfg.write_text("# bounds\nmin_bpm=-5\n")
+        return (["decode", "--dbn", "--config", str(cfg), str(PSEUDO_DIR / "activations"), "-o",
+                 str(tmp_path / "out")], f"{cfg}:2: min_bpm: need 0 < min_bpm <= max_bpm")
+    if case == "bad-config-list":
+        cfg.write_text("lambdas=1,x\n")
+        return (["experiment", "lambda-sweep", "--dataset", f"p={PSEUDO_DIR}", "--config", str(cfg), "-o",
+                 str(tmp_path / "out")], f"{cfg}:1: lambdas: could not convert string to float: 'x'")
     cfg.write_text("# bounds\nmax_bpm=200\nmin_bpm=abc\n")
     return (["decode", "--dbn", "--config", str(cfg), str(PSEUDO_DIR / "activations"), "-o", str(tmp_path / "out")],
             f"{cfg}:3: min_bpm: could not convert string to float: 'abc'")
 
 
 @pytest.mark.parametrize("case", ["missing-rows", "no-track-id", "bad-value", "non-utf8-rows", "missing-config",
-                                  "bad-config-value"])
+                                  "bad-config-value", "bad-config-range", "bad-config-list"])
 def test_cli_process_rejects_bad_report_and_config_input_with_its_path(tmp_path, case):
     argv, where = _bad_cli_input(tmp_path, case)
     proc = _run_cli_process(argv)

@@ -2,13 +2,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beatdiag import dbn, ingest, metrics
 from beatdiag.errors import ConstraintError, StateSpaceError
 from beatdiag.experiments import SynthConfig, synthesize_gt_activation
 from beatdiag.ingest import ActivationCurve
 from conftest import PSEUDO_DIR, make_grid_annotation, make_pulse_activation
-from oracles import dense_model, dense_viterbi_score, enumerate_paths_score, score_path
+from oracles import dense_model, dense_viterbi_score, enumerate_paths_score, score_path, viterbi_ring_oracle
 
 
 def curve(values, fps=50.0):
@@ -243,6 +245,45 @@ def test_golden_cases_cover_their_edge():
     act, cfg = golden_case("pre-start")
     path, _ = dbn.viterbi(act, cfg)
     assert dbn.build_state_space(cfg, act.fps).state_phase[path[0]] > 0
+
+
+def _activation_values(kind, n_frames, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.uniform(0, 1, n_frames)
+    if kind == "quantised":  # thirds: many exact ties between states
+        return rng.integers(0, 4, n_frames) / 3
+    if kind == "sparse":
+        return (rng.uniform(0, 1, n_frames) < 0.05).astype(float)
+    return np.full(n_frames, float(kind))  # constant, "0.0" is all zero
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "quantised", "sparse", "0.0", "0.5", "1.0"]),
+    n_frames=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    fps=st.sampled_from([20.0, 43.07, 50.0, 100.0]),
+    tau_min=st.integers(2, 40),
+    n_tempi=st.integers(1, 200),
+    transition_lambda=st.floats(-2, 6).map(lambda e: 10.0 ** e),
+    observation_lambda=st.sampled_from([2, 8, 16]),
+)
+# a tie between source tempi at a wrap lies on the path: pins the first-max rule
+@example(kind="quantised", n_frames=150, seed=0, fps=20.0, tau_min=3, n_tempi=20, transition_lambda=10.0,
+         observation_lambda=2)
+def test_viterbi_step_matches_ring_oracle(kind, n_frames, seed, fps, tau_min, n_tempi,
+                                          transition_lambda, observation_lambda):
+    # n_tempi == 1 is the single-tempo space, min_bpm == max_bpm
+    cfg = dbn.DbnConfig(min_bpm=60.0 * fps / (tau_min + n_tempi - 1), max_bpm=60.0 * fps / tau_min,
+                        transition_lambda=transition_lambda, observation_lambda=observation_lambda)
+    space = dbn.build_state_space(cfg, fps)
+    assert space.num_tempi == n_tempi
+    act = curve(_activation_values(kind, n_frames, seed), fps=fps)
+    path, logp = dbn.viterbi(act, cfg)
+    want_path, want_logp = viterbi_ring_oracle(act, space, transition_lambda)
+    assert np.array_equal(path, want_path)
+    assert float.hex(logp) == float.hex(want_logp)
 
 
 # ---------------------------------------------------------------------------
