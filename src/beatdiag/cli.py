@@ -96,6 +96,11 @@ class Settings:
             fps=self.get("fps", 43.07),
         ))
 
+    def tempo_window(self) -> float:
+        """The tempo_window setting, checked as a TempoConstraint checks it."""
+        return self._checked(lambda: dbn.TempoConstraint(
+            dbn.CONSTRAINT_MIN_BPM, self.get("tempo_window", 0.20)).window_fraction)
+
     def sweep_spec(self) -> experiments.SweepSpec:
         def build():
             grids = {key: self.get(key, None, cast=float_list) for key in ("lambdas", "thresholds")}
@@ -221,12 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _activation_paths(inputs) -> dict:
     """{track_id: path} of the files in ``inputs``, and of those in its
-    directories that match DatasetLayout.activation_glob; one file per id."""
+    directories that match ingest.ACTIVATION_GLOB; one file per id."""
     found = []
     for item in inputs:
         p = Path(item)
         if p.is_dir():
-            found += ingest.glob_sorted(p, ingest.DatasetLayout.activation_glob)
+            found += ingest.glob_sorted(p, ingest.ACTIVATION_GLOB)
         elif p.is_file():
             found.append(p)
         else:
@@ -237,18 +242,15 @@ def _activation_paths(inputs) -> dict:
     return by_track
 
 
-def _beats_by_track(directory) -> dict:
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise ToolkitError(f"not a directory: {directory}")
-    out = {}
-    for path in sorted(directory.iterdir()):
-        if path.name == "manifest.txt":
-            continue
-        if path.suffix in (".beats", ".txt") and path.is_file():
-            ann = ingest.load_beats(path)
-            out[ann.track_id] = ann
-    return out
+def _write_or_print(text: str, output, config: dict):
+    """Write ``text`` to ``output`` with a manifest of ``config`` beside it,
+    or print it when there is no ``output``."""
+    if output:
+        out = Path(output)
+        out.write_text(text)
+        reports.write_manifest(out.with_suffix(out.suffix + ".manifest.txt"), config)
+    else:
+        print(text, end="")
 
 
 def _parse_labeled(pairs, what) -> list[tuple[str, str]]:
@@ -276,8 +278,8 @@ def cmd_decode(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     dbn_cfg = settings.dbn_config()
     peak_cfg = settings.peak_config()
+    window = settings.tempo_window()
     tempo = {}
-    window = settings.get("tempo_window", 0.20)
     if args.dbn_constrained:
         if not args.tempo_file:
             raise ToolkitError("--dbn-constrained requires --tempo-file")
@@ -285,18 +287,14 @@ def cmd_decode(args) -> int:
     written = 0
     for track_id, path in _activation_paths(args.inputs).items():
         act = ingest.load_activation(path)
-        if args.peaks:
-            beats = peaks.pick_peaks(act, peak_cfg)
-        elif args.dbn_constrained:
-            bpm = tempo.get(track_id)
-            if bpm is None:
+        constraint = None
+        if args.dbn_constrained:
+            if track_id not in tempo:
                 print(f"warning: no tempo estimate for {track_id}, skipped", file=sys.stderr)
                 continue
-            constraint = dbn.TempoConstraint(center_bpm=bpm, window_fraction=window)
-            beats = dbn.decode_constrained(act, dbn_cfg, constraint)
-        else:
-            beats = dbn.decode(act, dbn_cfg)
-        ingest.write_beats(beats, out_dir / f"{track_id}.beats")
+            constraint = dbn.TempoConstraint(center_bpm=tempo[track_id], window_fraction=window)
+        spec = experiments.DecoderSpec(peak_cfg if args.peaks else dbn_cfg, constraint)
+        ingest.write_beats(spec.decode(act), out_dir / f"{track_id}.beats")
         written += 1
     mode = "peaks" if args.peaks else ("dbn-constrained" if args.dbn_constrained else "dbn")
     reports.write_manifest(out_dir / "manifest.txt", {"command": f"decode:{mode}", **settings.resolved})
@@ -307,8 +305,8 @@ def cmd_decode(args) -> int:
 def cmd_eval(args) -> int:
     settings = Settings(args)
     eval_cfg = settings.eval_config()
-    est = _beats_by_track(args.est)
-    ref = _beats_by_track(args.ref)
+    est = ingest.load_annotations(args.est)
+    ref = ingest.load_annotations(args.ref)
     missing_ref = sorted(set(est) - set(ref))
     missing_est = sorted(set(ref) - set(est))
     if missing_ref or missing_est:
@@ -317,60 +315,27 @@ def cmd_eval(args) -> int:
         for track in missing_est:
             print(f"no estimate for reference {track}", file=sys.stderr)
         return 1
-    header = ("track_id", "f_measure", "cmlc", "cmlt", "amlc", "amlt", "n_ref", "n_est")
-    lines = [",".join(header)]
-    results = []
-    for track_id in sorted(ref):
-        r = metrics.evaluate(est[track_id].beats, ref[track_id].beats, eval_cfg)
-        results.append(r)
-        lines.append(
-            f"{track_id},{r.f_measure:.6f},{r.cmlc:.6f},{r.cmlt:.6f},"
-            f"{r.amlc:.6f},{r.amlt:.6f},{r.n_ref},{r.n_est}"
-        )
-    body = "\n".join(lines) + "\n"
-    if args.output:
-        out = Path(args.output)
-        out.write_text(body)
-        reports.write_manifest(out.with_suffix(out.suffix + ".manifest.txt"),
-                               {"command": "eval", **settings.resolved})
-    else:
-        print(body, end="")
+    results = {track_id: metrics.evaluate(est[track_id].beats, ref[track_id].beats, eval_cfg)
+               for track_id in sorted(ref)}
+    _write_or_print(reports.results_csv(metrics.EvalResult, results), args.output,
+                    {"command": "eval", **settings.resolved})
     if results:
-        print(
-            f"mean over {len(results)} track(s): "
-            f"F={np.mean([r.f_measure for r in results]):.3f} "
-            f"CMLt={np.mean([r.cmlt for r in results]):.3f} "
-            f"AMLt={np.mean([r.amlt for r in results]):.3f}"
-        )
+        means = " ".join(f"{label}={np.mean([getattr(r, name) for r in results.values()]):.3f}"
+                         for label, name in (("F", "f_measure"), ("CMLt", "cmlt"), ("AMLt", "amlt")))
+        print(f"mean over {len(results)} track(s): {means}")
     return 0
 
 
 def cmd_diagnose(args) -> int:
-    refs = _beats_by_track(args.beats)
-    header = (
-        "track_id,act_at_gt,max_activation,peak_sharpness,"
-        "periodicity_strength,entropy,false_positive_activation"
-    )
-    lines = [header]
+    refs = ingest.load_annotations(args.beats)
+    results = {}
     for track_id, path in _activation_paths([args.activations]).items():
-        ref = refs.get(track_id)
-        if ref is None:
+        if track_id not in refs:
             print(f"warning: no reference beats for {track_id}, skipped", file=sys.stderr)
             continue
-        act = ingest.load_activation(path)
-        d = diagnostics.compute_diagnostics(act, ref)
-        lines.append(
-            f"{track_id},{d.act_at_gt:.6f},{d.max_activation:.6f},{d.peak_sharpness:.6f},"
-            f"{d.periodicity_strength:.6f},{d.entropy:.6f},{d.false_positive_activation:.6f}"
-        )
-    body = "\n".join(lines) + "\n"
-    if args.output:
-        out = Path(args.output)
-        out.write_text(body)
-        reports.write_manifest(out.with_suffix(out.suffix + ".manifest.txt"),
-                               {"command": "diagnose"})
-    else:
-        print(body, end="")
+        results[track_id] = diagnostics.compute_diagnostics(ingest.load_activation(path), refs[track_id])
+    _write_or_print(reports.results_csv(diagnostics.ActivationDiagnostics, results), args.output,
+                    {"command": "diagnose"})
     return 0
 
 
@@ -379,10 +344,10 @@ def cmd_synth_gt(args) -> int:
     synth_cfg = settings.synth_config()
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    refs = _beats_by_track(args.beats)
+    refs = ingest.load_annotations(args.beats)
+    suffix = ".bin" if args.binary else ".act"
     for track_id in sorted(refs):
         act = experiments.synthesize_gt_activation(refs[track_id], synth_cfg)
-        suffix = ".bin" if args.binary else ".act"
         ingest.write_activation(act, out_dir / f"{track_id}{suffix}", binary=args.binary)
     reports.write_manifest(out_dir / "manifest.txt", {"command": "synth-gt", **settings.resolved})
     print(f"wrote {len(refs)} activation file(s) to {out_dir}")
@@ -426,10 +391,9 @@ EXPERIMENT_CALLS = {
     "lambda-sweep": lambda s, r: experiments.run_lambda_sweep(
         r.dataset, r.source, r.sweep, s.dbn_config(min_bpm_default=30.0), r.eval_cfg, r.synth_cfg, r.jobs),
     "threshold-sweep": lambda s, r: experiments.run_threshold_sweep(
-        r.dataset, r.source, r.sweep, r.eval_cfg,
-        s.get("min_separation", 0.1), s.get("threshold", 0.5), r.jobs, r.synth_cfg),
+        r.dataset, r.source, r.sweep, r.eval_cfg, s.peak_config(), r.jobs, r.synth_cfg),
     "tempo-curve": lambda s, r: experiments.run_tempo_curve(
-        r.dataset, r.source, _tempo_sources(r.args), s.get("tempo_window", 0.20),
+        r.dataset, r.source, _tempo_sources(r.args), s.tempo_window(),
         s.dbn_config(min_bpm_default=30.0), r.eval_cfg, r.synth_cfg, r.jobs),
     "peak-vs-dbn": lambda s, r: experiments.run_peak_vs_dbn(
         r.dataset, r.source, s.dbn_config(), s.peak_config(), r.eval_cfg, r.jobs, r.synth_cfg),
@@ -440,10 +404,10 @@ EXPERIMENT_CALLS = {
     "dataset-stats": lambda s, r: experiments.dataset_stats(r.dataset),
     "systems": lambda s, r: experiments.run_systems_table(
         r.dataset, r.source, r.sweep, s.dbn_config(min_bpm_default=30.0), s.peak_config(),
-        r.eval_cfg, r.synth_cfg, s.get("tempo_window", 0.20), r.jobs),
+        r.eval_cfg, r.synth_cfg, s.tempo_window(), r.jobs),
     "axis-table": lambda s, r: experiments.run_axis_table(
         r.dataset, r.source, s.dbn_config(), s.peak_config(),
-        r.eval_cfg, r.synth_cfg, s.get("tempo_window", 0.20), r.jobs),
+        r.eval_cfg, r.synth_cfg, s.tempo_window(), r.jobs),
 }
 EXPERIMENTS = tuple(EXPERIMENT_CALLS)
 

@@ -36,6 +36,7 @@ and the same-shape add faster than the broadcasting add.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,10 @@ class TempoConstraint:
 
     center_bpm: float
     window_fraction: float = 0.20
+
+    def __post_init__(self):
+        if not 0 <= self.window_fraction < math.inf:  # NaN fails too
+            raise ValueError(f"tempo_window must be finite and >= 0, got {self.window_fraction}")
 
     def effective_range(self) -> tuple[float, float]:
         """Window intersected with the global constraint bounds."""

@@ -476,14 +476,17 @@ def run_threshold_sweep(
     source: str,
     spec: SweepSpec = SweepSpec(),
     eval_cfg: metrics.EvalConfig = metrics.DEFAULT_EVAL,
-    min_separation: float = 0.1,
-    default_threshold: float = 0.5,
+    peak_cfg: peaks.PeakConfig = peaks.PeakConfig(),
     jobs: int = 1,
     synth_cfg: SynthConfig = SynthConfig(),
 ) -> RunReport:
-    """Per-track peak-picking threshold sweep; the ceiling for any decoder."""
-    grid = [DecoderSpec(peaks.PeakConfig(thr, min_separation)) for thr in spec.thresholds]
-    default = DecoderSpec(peaks.PeakConfig(default_threshold, min_separation))
+    """Per-track peak-picking threshold sweep; the ceiling for any decoder.
+
+    Every grid threshold picks with ``peak_cfg``'s minimum separation, and
+    ``peak_cfg`` itself is the default the optimum is compared against.
+    """
+    grid = [DecoderSpec(dataclasses.replace(peak_cfg, threshold=thr)) for thr in spec.thresholds]
+    default = DecoderSpec(peak_cfg)
     scored, missing, short = _score_source(dataset, source, lambda rec: [*grid, default],
                                            eval_cfg, synth_cfg, jobs)
     report = RunReport(experiment="threshold-sweep")
@@ -496,7 +499,7 @@ def run_threshold_sweep(
         report.summary = {
             "n_tracks": len(report.rows),
             "optimal_mean_f": float(np.mean([r.eval.f_measure for r in report.rows])),
-            "default_threshold": default_threshold,
+            "default_threshold": peak_cfg.threshold,
             "default_mean_f": float(np.mean([r.baseline_f for r in report.rows])),
         }
     _note_skipped(report, source, missing, short)

@@ -11,6 +11,10 @@ File conventions
 * Tempo estimates: CSV ``track_id,bpm,source_label`` with a header row.
 * Axis map: ``canonical_tag<TAB>axis_name`` lines; a line with no axis adds
   the tag to the vocabulary without an axis.
+* Directories: annotation, tag and activation directories are scanned for
+  the file names in BEATS_GLOB, TAGS_GLOB and ACTIVATION_GLOB. A file named
+  ``manifest.txt`` (what the toolkit writes next to its outputs) is never a
+  track, and two files for one track id in one directory are an error.
 """
 
 from __future__ import annotations
@@ -42,6 +46,11 @@ AXES = ("weak_beat_cues", "tempo_instability", "metrical_ambiguity", "structural
 VALUE_TOLERANCE = 1e-6  # activation values may overshoot [0,1] by at most this
 
 ACT_MAGIC = b"ACT1"
+
+BEATS_GLOB = ("*.beats", "*.txt")
+TAGS_GLOB = ("*.tag", "*.tags")
+ACTIVATION_GLOB = ("*.act", "*.act.txt", "*.bin")
+MANIFEST_NAME = "manifest.txt"
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +190,6 @@ class DatasetLayout:
     beats_dir: str = "beats"
     tags_dir: str | None = "tags"
     activation_dirs: dict = field(default_factory=dict)
-    beats_glob: tuple[str, ...] = ("*.beats", "*.txt")
-    tags_glob: tuple[str, ...] = ("*.tag", "*.tags")
-    activation_glob: tuple[str, ...] = ("*.act", "*.act.txt", "*.bin")
 
 
 def read_text(path: Path) -> str:
@@ -543,11 +549,12 @@ def load_tempo_estimates(path) -> list[TempoEstimate]:
 
 
 def glob_sorted(directory: Path, patterns) -> list[Path]:
-    """Files in ``directory`` matching any of ``patterns``, sorted, each once."""
+    """Files in ``directory`` matching any of ``patterns``, sorted, each
+    once; ``manifest.txt`` is left out."""
     seen = {}
     for pattern in patterns:
         for p in directory.glob(pattern):
-            if p.is_file():
+            if p.is_file() and p.name != MANIFEST_NAME:
                 seen[p] = None
     return sorted(seen)
 
@@ -563,6 +570,15 @@ def files_by_track(paths) -> dict:
     return by_track
 
 
+def load_annotations(directory) -> dict:
+    """{track_id: BeatAnnotation} of the annotation files in ``directory``."""
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise ToolkitError(f"not a directory: {directory}")
+    paths = files_by_track(glob_sorted(directory, BEATS_GLOB))
+    return {track_id: load_beats(path) for track_id, path in paths.items()}
+
+
 def root_layout(root) -> DatasetLayout:
     """The default layout with one activation source per subdirectory of
     ``root/activations``, named after it. Paths are relative to ``root``."""
@@ -576,9 +592,9 @@ def load_dataset(root, layout: DatasetLayout | None = None, axis_map: AxisMap | 
 
     One TrackRecord per annotation file; tags and activations join on
     track_id. An activation without an annotation is kept for decode-only
-    use (with a warning); two activation files for one track in one source
-    directory are an error. Iteration order is sorted by track_id regardless
-    of filesystem enumeration order.
+    use (with a warning); two files for one track in one directory are an
+    error. Iteration order is sorted by track_id regardless of filesystem
+    enumeration order.
     """
     root = Path(root)
     layout = layout or DatasetLayout()
@@ -593,47 +609,33 @@ def load_dataset(root, layout: DatasetLayout | None = None, axis_map: AxisMap | 
 
     beats_dir = resolve(layout.beats_dir)
     if beats_dir.is_dir():
-        for path in glob_sorted(beats_dir, layout.beats_glob):
-            ann = load_beats(path)
-            records[ann.track_id] = TrackRecord(
-                track_id=ann.track_id,
-                annotation=ann,
-                metadata=TrackMetadata(track_id=ann.track_id),
+        for track_id, ann in load_annotations(beats_dir).items():
+            records[track_id] = TrackRecord(
+                track_id=track_id, annotation=ann, metadata=TrackMetadata(track_id=track_id)
             )
 
-    if layout.tags_dir is not None:
-        tags_dir = resolve(layout.tags_dir)
-        if tags_dir.is_dir():
-            for path in glob_sorted(tags_dir, layout.tags_glob):
-                meta, unknown = load_tags(path, axis_map)
-                if unknown:
-                    residue[meta.track_id] = unknown
-                record = records.get(meta.track_id)
-                if record is None:
-                    log.warning("tags for unknown track %s", meta.track_id)
-                    records[meta.track_id] = TrackRecord(
-                        track_id=meta.track_id, annotation=None, metadata=meta
-                    )
-                else:
-                    record.metadata = meta
+    if layout.tags_dir is not None and resolve(layout.tags_dir).is_dir():
+        for track_id, path in files_by_track(glob_sorted(resolve(layout.tags_dir), TAGS_GLOB)).items():
+            meta, unknown = load_tags(path, axis_map)
+            if unknown:
+                residue[track_id] = unknown
+            if track_id not in records:
+                log.warning("tags for unknown track %s", track_id)
+                records[track_id] = TrackRecord(track_id=track_id, annotation=None, metadata=meta)
+            records[track_id].metadata = meta
 
     for label, act_dir in sorted(layout.activation_dirs.items()):
         act_dir = resolve(act_dir)
         if not act_dir.is_dir():
             log.warning("activation directory missing: %s", act_dir)
             continue
-        for track_id, path in files_by_track(glob_sorted(act_dir, layout.activation_glob)).items():
+        for track_id, path in files_by_track(glob_sorted(act_dir, ACTIVATION_GLOB)).items():
             curve = load_activation(path, source_label=label)
-            record = records.get(track_id)
-            if record is None:
+            if track_id not in records:
                 log.warning("activation without annotation: %s (%s)", track_id, label)
                 records[track_id] = TrackRecord(
-                    track_id=track_id,
-                    annotation=None,
-                    metadata=TrackMetadata(track_id=track_id),
-                    activations={label: curve},
+                    track_id=track_id, annotation=None, metadata=TrackMetadata(track_id=track_id)
                 )
-            else:
-                record.activations[label] = curve
+            records[track_id].activations[label] = curve
 
     return Dataset(records.values(), residue_tags=residue)

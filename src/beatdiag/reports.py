@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,52 +21,6 @@ from ._version import __version__
 from .diagnostics import ActivationDiagnostics, FailureCategory, TempoStats, _band_name
 from .errors import ParseError
 from .metrics import EvalResult
-
-ROW_FIELDS = (
-    "track_id",
-    "system",
-    "config",
-    "f_measure",
-    "cmlc",
-    "cmlt",
-    "amlc",
-    "amlt",
-    "n_ref",
-    "n_est",
-    "category",
-    "act_at_gt",
-    "max_activation",
-    "peak_sharpness",
-    "periodicity_strength",
-    "entropy",
-    "false_positive_activation",
-    "gt_bpm",
-    "ibi_cv",
-    "axes",
-    "confidence",
-    "tag_count",
-    "baseline_f",
-    "delta_f",
-    "best_lambda",
-    "best_threshold",
-)
-
-# Numeric columns that grouped aggregation averages when present.
-METRIC_FIELDS = (
-    "f_measure",
-    "cmlc",
-    "cmlt",
-    "amlc",
-    "amlt",
-    "act_at_gt",
-    "max_activation",
-    "peak_sharpness",
-    "periodicity_strength",
-    "entropy",
-    "false_positive_activation",
-    "baseline_f",
-    "delta_f",
-)
 
 GROUPINGS = ("category", "axis", "axis_count", "confidence", "tag_count", "bpm_band", "system")
 
@@ -89,18 +43,12 @@ class ReportRow:
     best_threshold: float | None = None
 
     def value(self, column: str):
-        if column in ("track_id", "system", "config"):
-            return getattr(self, column)
-        if column == "category":
-            return str(self.category) if self.category is not None else None
+        """The cell of ``column``; None where the row has no value."""
+        if column in _NESTED_COLUMN:
+            result = getattr(self, _NESTED_COLUMN[column])
+            return getattr(result, column) if result is not None else None
         if column == "axes":
             return ";".join(sorted(self.axes))
-        if column in ("n_ref", "n_est", "f_measure", "cmlc", "cmlt", "amlc", "amlt"):
-            return getattr(self.eval, column) if self.eval is not None else None
-        if column in ("gt_bpm", "ibi_cv"):
-            return getattr(self.tempo, column) if self.tempo is not None else None
-        if column in ActivationDiagnostics.__dataclass_fields__:
-            return getattr(self.diagnostics, column) if self.diagnostics is not None else None
         return getattr(self, column)
 
     def group_keys(self, group_by: str) -> list[str]:
@@ -120,6 +68,25 @@ class ReportRow:
         if group_by == "system":
             return [self.system or "na"]
         raise ValueError(f"unknown grouping {group_by!r}; use one of {GROUPINGS}")
+
+
+def _field_names(cls) -> tuple:
+    """The field names of dataclass ``cls``, in declaration order."""
+    return tuple(f.name for f in fields(cls))
+
+
+# ReportRow fields that hold a result, written as the result's own columns.
+_NESTED = {"eval": EvalResult, "diagnostics": ActivationDiagnostics, "tempo": TempoStats}
+_NESTED_COLUMN = {column: name for name, cls in _NESTED.items() for column in _field_names(cls)}
+
+# The columns of rows.csv: ReportRow's fields with each result spread out.
+ROW_FIELDS = tuple(column for name in _field_names(ReportRow)
+                   for column in (_field_names(_NESTED[name]) if name in _NESTED else (name,)))
+
+# Numeric columns that grouped aggregation averages when present: the
+# float scores of a result and of its diagnostics, and the F comparisons.
+METRIC_FIELDS = tuple(f.name for cls in (EvalResult, ActivationDiagnostics) for f in fields(cls)
+                      if f.type == "float") + ("baseline_f", "delta_f")
 
 
 @dataclass
@@ -194,49 +161,40 @@ def rows_from_csv(text: str, source: str = "rows.csv") -> list[ReportRow]:
         raise ParseError(f"{source}:{reader.line_num}: {exc}") from None
 
 
-def _row_from_record(rec: dict) -> ReportRow:
-    def fget(key):
-        return float(rec[key]) if rec.get(key) else None
+# The number type of a field by its annotation; the modules that declare
+# these dataclasses postpone annotations, so the annotations are strings.
+_NUMBER = {"float": float, "float | None": float, "int": int, "int | None": int}
 
-    eval_result = None
-    if rec.get("f_measure"):
-        eval_result = EvalResult(
-            f_measure=fget("f_measure"),
-            cmlc=fget("cmlc") or 0.0,
-            cmlt=fget("cmlt") or 0.0,
-            amlc=fget("amlc") or 0.0,
-            amlt=fget("amlt") or 0.0,
-            n_ref=int(float(rec["n_ref"])) if rec.get("n_ref") else 0,
-            n_est=int(float(rec["n_est"])) if rec.get("n_est") else 0,
-        )
-    diag = None
-    if rec.get("act_at_gt"):
-        diag = ActivationDiagnostics(
-            act_at_gt=fget("act_at_gt"),
-            max_activation=fget("max_activation") or 0.0,
-            peak_sharpness=fget("peak_sharpness") or 0.0,
-            periodicity_strength=fget("periodicity_strength") or 0.0,
-            entropy=fget("entropy") or 0.0,
-            false_positive_activation=fget("false_positive_activation") or 0.0,
-        )
-    tempo = None
-    if rec.get("gt_bpm"):
-        tempo = TempoStats(gt_bpm=fget("gt_bpm"), ibi_cv=fget("ibi_cv") or 0.0)
+
+def _cell(rec: dict, column: str, kind, empty=None):
+    """``column`` of ``rec`` as ``kind``; ``empty`` when it is empty."""
+    text = rec.get(column)
+    if not text:
+        return empty
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ValueError(f"{column}: {exc}") from None
+
+
+def _result(cls, rec: dict):
+    """A ``cls`` result from its columns of ``rec``, None when its first
+    column is empty; its other empty columns read as 0."""
+    columns = fields(cls)
+    if not rec.get(columns[0].name):
+        return None
+    return cls(**{f.name: _cell(rec, f.name, _NUMBER[f.type], _NUMBER[f.type](0)) for f in columns})
+
+
+def _row_from_record(rec: dict) -> ReportRow:
     return ReportRow(
         track_id=rec["track_id"],
         system=rec.get("system", ""),
         config=rec.get("config", ""),
-        eval=eval_result,
         category=FailureCategory(rec["category"]) if rec.get("category") else None,
-        diagnostics=diag,
-        tempo=tempo,
         axes=frozenset(a for a in rec.get("axes", "").split(";") if a),
-        confidence=int(rec["confidence"]) if rec.get("confidence") else None,
-        tag_count=int(rec["tag_count"]) if rec.get("tag_count") else None,
-        baseline_f=fget("baseline_f"),
-        delta_f=fget("delta_f"),
-        best_lambda=fget("best_lambda"),
-        best_threshold=fget("best_threshold"),
+        **{name: _result(cls, rec) for name, cls in _NESTED.items()},
+        **{f.name: _cell(rec, f.name, _NUMBER[f.type]) for f in fields(ReportRow) if f.type in _NUMBER},
     )
 
 
@@ -247,6 +205,14 @@ def csv_text(header, rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def results_csv(cls, results: dict) -> str:
+    """CSV of {track_id: result}: a track_id column, then one column per
+    field of the dataclass ``cls``."""
+    columns = _field_names(cls)
+    return csv_text(("track_id",) + columns,
+                    ([track_id] + [_format(getattr(r, c)) for c in columns] for track_id, r in results.items()))
 
 
 def rows_to_csv(rows) -> str:

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -9,6 +10,9 @@ DATA_DIR = TESTS_DIR / "data"
 PSEUDO_DIR = DATA_DIR / "pseudo"
 
 sys.path.insert(0, str(TESTS_DIR))
+# Tests that start ``python -m beatdiag.cli`` or a script import the source
+# tree, as pytest's own ``pythonpath`` setting does for this process.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(TESTS_DIR.parent / "src"), os.environ.get("PYTHONPATH")]))
 
 from beatdiag.ingest import ActivationCurve, BeatAnnotation  # noqa: E402
 

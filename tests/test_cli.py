@@ -437,6 +437,14 @@ def test_decode_rejects_two_files_for_one_track(tmp_path, capsys):
     assert not list((tmp_path / "out").glob("*.beats"))
 
 
+def test_eval_rejects_two_files_for_one_track(tmp_path, capsys):
+    beats_dir, _ = _write_mini_inputs(tmp_path, bpms=(72,))
+    (beats_dir / "trk0.txt").write_text("0.5\n1.0\n")
+    assert run(["eval", "--est", str(beats_dir), "--ref", str(beats_dir)]) == 1
+    err = capsys.readouterr().err
+    assert str(beats_dir / "trk0.beats") in err and str(beats_dir / "trk0.txt") in err
+
+
 def test_experiment_rejects_two_activation_files_for_one_track(tmp_path, capsys):
     root = tmp_path / "root"
     root.mkdir()
@@ -548,7 +556,8 @@ def test_cli_process_skips_and_lists_track_with_empty_annotation(tmp_path):
 
 
 def _bad_cli_input(tmp_path, case):
-    """(argv, the path and line the error must name) for one malformed input."""
+    """(argv, how the error must start: the path and line of the bad input,
+    where it has them) for one malformed input."""
     rows = tmp_path / "rows.csv"
     cfg = tmp_path / "bad.cfg"
     if case == "missing-rows":
@@ -559,6 +568,9 @@ def _bad_cli_input(tmp_path, case):
     if case == "bad-value":
         rows.write_text("track_id,f_measure\na,0.5\nb,high\n")
         return ["report", str(rows)], f"{rows}:3: "
+    if case == "bad-count":  # not a whole number of beats
+        rows.write_text("track_id,f_measure,n_ref\na,0.5,inf\n")
+        return ["report", str(rows)], f"{rows}:2: n_ref: "
     if case == "non-utf8-rows":
         rows.write_bytes(b"track_id,f_measure\n\xff,0.5\n")
         return ["report", str(rows)], f"{rows}: not UTF-8 text"
@@ -573,13 +585,35 @@ def _bad_cli_input(tmp_path, case):
         cfg.write_text("lambdas=1,x\n")
         return (["experiment", "lambda-sweep", "--dataset", f"p={PSEUDO_DIR}", "--config", str(cfg), "-o",
                  str(tmp_path / "out")], f"{cfg}:1: lambdas: could not convert string to float: 'x'")
+
+    def experiment(name):
+        return ["experiment", name, "--dataset", f"p={PSEUDO_DIR}", "--source", "pseudo", "--config", str(cfg),
+                "-o", str(tmp_path / "out")]
+
+    if case == "bad-config-threshold":
+        cfg.write_text("threshold=1.5\n")
+        return experiment("threshold-sweep"), f"{cfg}:1: threshold: threshold must be in (0, 1)"
+    if case == "bad-config-separation":
+        cfg.write_text("# picking\nmin_separation=-1\n")
+        return experiment("threshold-sweep"), f"{cfg}:2: min_separation: min_separation must be >= 0"
+    if case == "bad-config-window":
+        cfg.write_text("tempo_window=-1\n")
+        return experiment("tempo-curve"), f"{cfg}:1: tempo_window: tempo_window must be finite and >= 0"
+    if case == "bad-config-window-nan":
+        cfg.write_text("tempo_window=nan\n")
+        return experiment("systems"), f"{cfg}:1: tempo_window: tempo_window must be finite and >= 0"
+    if case == "bad-flag-window":
+        return (["decode", "--dbn-constrained", "--tempo-window", "-1", str(PSEUDO_DIR / "activations"),
+                 "-o", str(tmp_path / "out")], "tempo_window must be finite and >= 0, got -1.0")
     cfg.write_text("# bounds\nmax_bpm=200\nmin_bpm=abc\n")
     return (["decode", "--dbn", "--config", str(cfg), str(PSEUDO_DIR / "activations"), "-o", str(tmp_path / "out")],
             f"{cfg}:3: min_bpm: could not convert string to float: 'abc'")
 
 
-@pytest.mark.parametrize("case", ["missing-rows", "no-track-id", "bad-value", "non-utf8-rows", "missing-config",
-                                  "bad-config-value", "bad-config-range", "bad-config-list"])
+@pytest.mark.parametrize("case", ["missing-rows", "no-track-id", "bad-value", "bad-count", "non-utf8-rows",
+                                  "missing-config", "bad-config-value", "bad-config-range", "bad-config-list",
+                                  "bad-config-threshold", "bad-config-separation", "bad-config-window",
+                                  "bad-config-window-nan", "bad-flag-window"])
 def test_cli_process_rejects_bad_report_and_config_input_with_its_path(tmp_path, case):
     argv, where = _bad_cli_input(tmp_path, case)
     proc = _run_cli_process(argv)

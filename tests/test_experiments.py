@@ -408,6 +408,17 @@ def test_rows_csv_round_trip():
         assert a.eval.f_measure == pytest.approx(b.eval.f_measure, abs=1e-6)
         assert a.category == b.category
         assert a.axes == b.axes
+    # rows.csv keeps its columns, and every experiment's rows parse back to the same bytes
+    assert text.splitlines()[0] == (
+        "track_id,system,config,f_measure,cmlc,cmlt,amlc,amlt,n_ref,n_est,category,act_at_gt,max_activation,"
+        "peak_sharpness,periodicity_strength,entropy,false_positive_activation,gt_bpm,ibi_cv,axes,confidence,"
+        "tag_count,baseline_f,delta_f,best_lambda,best_threshold")
+    runs = {name: call(ds, 1) for name, call in EXPERIMENT_CALLS.items()}
+    runs["gt-bottleneck"] = experiments.run_gt_bottleneck(ds)
+    for name, run in runs.items():
+        text = reports.rows_to_csv(run.sorted_rows())
+        assert len(text.splitlines()) > 1, name
+        assert reports.rows_to_csv(reports.rows_from_csv(text)) == text, name
 
 
 def test_write_run_report_files(tmp_path):

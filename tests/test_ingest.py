@@ -406,6 +406,27 @@ def test_load_dataset_rejects_two_activation_files_for_one_track(tmp_path):
     assert str(act_dir / "x.act") in str(err.value) and str(act_dir / "x.bin") in str(err.value)
 
 
+@pytest.mark.parametrize("kind, first, second", [("beats", "x.beats", "x.txt"), ("tags", "x.tag", "x.tags")])
+def test_load_dataset_rejects_two_annotation_or_tag_files_for_one_track(tmp_path, kind, first, second):
+    (tmp_path / "beats").mkdir()
+    (tmp_path / "tags").mkdir()
+    (tmp_path / "beats" / "x.beats").write_text("0.5\n1.0\n1.5\n")
+    (tmp_path / kind / first).write_text("slow tempo\n" if kind == "tags" else "0.5\n1.0\n1.5\n")
+    (tmp_path / kind / second).write_text("rubato\n" if kind == "tags" else "0.5\n")
+    with pytest.raises(ToolkitError) as err:
+        ingest.load_dataset(tmp_path)
+    assert str(tmp_path / kind / first) in str(err.value) and str(tmp_path / kind / second) in str(err.value)
+
+
+def test_load_dataset_never_reads_manifest_as_a_track(tmp_path):
+    (tmp_path / "beats").mkdir()
+    (tmp_path / "beats" / "x.beats").write_text("0.5\n1.0\n1.5\n")
+    (tmp_path / "beats" / "manifest.txt").write_text("toolkit_version=0.1.0\ncommand=decode:peaks\n")
+    ds = ingest.load_dataset(tmp_path)
+    assert [r.track_id for r in ds] == ["x"]
+    assert list(ingest.load_annotations(tmp_path / "beats")) == ["x"]
+
+
 # ---------------------------------------------------------------------------
 # any input gives a valid object or a ToolkitError
 # ---------------------------------------------------------------------------
