@@ -1,16 +1,22 @@
 """Command-line front end.
 
-Subcommands: decode, eval, diagnose, synth-gt, experiment, report.
-Flags mirror config fields in kebab-case; a flat key=value config file can
-supply any of them, with explicit flags taking precedence. Exit codes:
-0 ok, 1 data error, 2 usage error.
+Subcommands: decode, eval, diagnose, synth-gt, experiment, report. Exit
+codes: 0 ok, 1 data error, 2 usage error. --jobs belongs to experiment.
+
+A flat key=value file given with --config (not to diagnose or report) may
+set min_bpm, max_bpm, transition_lambda, observation_lambda, no_correct,
+threshold, min_separation, trim, fps, sigma_frames, tempo_window, lambdas,
+thresholds and jobs; flags win over it. An unknown or repeated key, or a
+boolean other than 1/true/yes/0/false/no, is an error. A setting left unset
+takes the default of the config field it sets, as named in SETTINGS.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import sys
-import types
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +25,25 @@ from ._version import __version__
 from . import dbn, diagnostics, experiments, ingest, metrics, peaks, reports
 from .errors import ToolkitError
 
+# Config key: (flag, config class, field). The flag's type is the field's.
+SETTINGS = {
+    "min_bpm": ("--min-bpm", dbn.DbnConfig, "min_bpm"),
+    "max_bpm": ("--max-bpm", dbn.DbnConfig, "max_bpm"),
+    "transition_lambda": ("--lambda", dbn.DbnConfig, "transition_lambda"),
+    "observation_lambda": ("--observation-lambda", dbn.DbnConfig, "observation_lambda"),
+    "threshold": ("--threshold", peaks.PeakConfig, "threshold"),
+    "min_separation": ("--min-separation", peaks.PeakConfig, "min_separation"),
+    "trim": ("--trim", metrics.EvalConfig, "trim_seconds"),
+    "fps": ("--fps", experiments.SynthConfig, "fps"),
+    "sigma_frames": ("--sigma-frames", experiments.SynthConfig, "sigma_frames"),
+}
+# The other config keys, each read by name where it is used.
+OTHER_KEYS = ("no_correct", "tempo_window", "lambdas", "thresholds", "jobs")
+
+
 def load_config_file(path) -> dict:
     """{key: (line number, value)} of flat key=value lines; '#' starts a
-    comment; keys use snake_case."""
+    comment. Each key is a SETTINGS or OTHER_KEYS key, set once."""
     values = {}
     for lineno, line in enumerate(ingest.read_text(Path(path)).splitlines(), start=1):
         stripped = line.strip()
@@ -29,8 +51,12 @@ def load_config_file(path) -> dict:
             continue
         if "=" not in stripped:
             raise ToolkitError(f"{path}:{lineno}: expected key=value")
-        key, _, value = stripped.partition("=")
-        values[key.strip()] = (lineno, value.strip())
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if key not in SETTINGS and key not in OTHER_KEYS:
+            raise ToolkitError(f"{path}:{lineno}: {key}: unknown key; known: {', '.join([*SETTINGS, *OTHER_KEYS])}")
+        if key in values:
+            raise ToolkitError(f"{path}:{lineno}: {key}: repeated key, first set on line {values[key][0]}")
+        values[key] = (lineno, value)
     return values
 
 
@@ -48,7 +74,7 @@ class Settings:
         if value is None and key in self.file:
             lineno, raw = self.file[key]
             try:
-                value = cast(raw) if cast is not bool else raw.lower() in ("1", "true", "yes")
+                value = cast(raw)
             except ValueError as exc:
                 raise ToolkitError(self._where(key, exc)) from None
             self.read_from_file.append(key)
@@ -72,34 +98,22 @@ class Settings:
                 raise
             raise ToolkitError(self._where(min(named, key=str(exc).index), exc)) from None
 
-    def dbn_config(self, min_bpm_default=55.0) -> dbn.DbnConfig:
-        return self._checked(lambda: dbn.DbnConfig(
-            min_bpm=self.get("min_bpm", min_bpm_default),
-            max_bpm=self.get("max_bpm", 215.0),
-            transition_lambda=self.get("transition_lambda", 100.0),
-            observation_lambda=self.get("observation_lambda", 16, cast=int),
-            correct_beats=not self.get("no_correct", False, cast=bool),
-        ))
+    def config(self, base):
+        """``base`` with the flag or file value of each SETTINGS row of its
+        class, and of no_correct for a DbnConfig, laid over its own values."""
+        def build():
+            fields = {field: self.get(key, getattr(base, field), cast=type(getattr(cls(), field)))
+                      for key, (_, cls, field) in SETTINGS.items() if isinstance(base, cls)}
+            if isinstance(base, dbn.DbnConfig):
+                fields["correct_beats"] = not self.get("no_correct", not base.correct_beats, cast=ingest.parse_bool)
+            return dataclasses.replace(base, **fields)
 
-    def peak_config(self) -> peaks.PeakConfig:
-        return self._checked(lambda: peaks.PeakConfig(
-            threshold=self.get("threshold", 0.5),
-            min_separation=self.get("min_separation", 0.1),
-        ))
+        return self._checked(build)
 
-    def eval_config(self) -> metrics.EvalConfig:
-        return self._checked(lambda: metrics.EvalConfig(trim_seconds=self.get("trim", 0.0)))
-
-    def synth_config(self) -> experiments.SynthConfig:
-        return self._checked(lambda: experiments.SynthConfig(
-            sigma_frames=self.get("sigma_frames", 2.0),
-            fps=self.get("fps", 43.07),
-        ))
-
-    def tempo_window(self) -> float:
+    def tempo_window(self, default: float) -> float:
         """The tempo_window setting, checked as a TempoConstraint checks it."""
         return self._checked(lambda: dbn.TempoConstraint(
-            dbn.CONSTRAINT_MIN_BPM, self.get("tempo_window", 0.20)).window_fraction)
+            dbn.CONSTRAINT_MIN_BPM, self.get("tempo_window", default)).window_fraction)
 
     def sweep_spec(self) -> experiments.SweepSpec:
         def build():
@@ -121,25 +135,18 @@ def float_list(text: str) -> str:
     return text
 
 
-def _add_common(parser):
+def _add_settings(parser, *classes):
+    """--config, and the flag of each SETTINGS row of these config classes."""
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--jobs", type=int, default=None, help="track-level parallelism")
-
-
-def _add_dbn_flags(parser):
-    parser.add_argument("--min-bpm", dest="min_bpm", type=float, default=None)
-    parser.add_argument("--max-bpm", dest="max_bpm", type=float, default=None)
-    parser.add_argument("--lambda", dest="transition_lambda", type=float, default=None)
-    parser.add_argument("--observation-lambda", dest="observation_lambda", type=int, default=None)
-    parser.add_argument(
-        "--no-correct", dest="no_correct", action="store_const", const=True, default=None,
-        help="disable beat-position correction to the activation peak",
-    )
-
-
-def _add_peak_flags(parser):
-    parser.add_argument("--threshold", type=float, default=None)
-    parser.add_argument("--min-separation", dest="min_separation", type=float, default=None)
+    for key, (flag, cls, field) in SETTINGS.items():
+        if cls in classes:
+            parser.add_argument(flag, dest=key, type=type(getattr(cls(), field)), default=None,
+                                help=f"sets {cls.__name__}.{field}")
+    if dbn.DbnConfig in classes:
+        parser.add_argument(
+            "--no-correct", dest="no_correct", action="store_const", const=True, default=None,
+            help="disable beat-position correction to the activation peak",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,41 +155,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decode", help="decode activation files into .beats files")
-    _add_common(p)
+    _add_settings(p, dbn.DbnConfig, peaks.PeakConfig)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--dbn", action="store_true", help="DBN Viterbi decoding")
     mode.add_argument("--peaks", action="store_true", help="threshold peak picking")
     mode.add_argument("--dbn-constrained", action="store_true", help="DBN with per-track tempo window")
     p.add_argument("inputs", nargs="+", help="activation files or directories")
     p.add_argument("-o", "--output", required=True, help="output directory for .beats files")
-    _add_dbn_flags(p)
-    _add_peak_flags(p)
     p.add_argument("--tempo-file", help="track_id,bpm,source_label CSV for --dbn-constrained")
     p.add_argument("--tempo-window", dest="tempo_window", type=float, default=None)
 
     p = sub.add_parser("eval", help="evaluate estimated beats against references")
-    _add_common(p)
+    _add_settings(p, metrics.EvalConfig)
     p.add_argument("--est", required=True, help="directory of estimated .beats files")
     p.add_argument("--ref", required=True, help="directory of reference .beats files")
-    p.add_argument("--trim", type=float, default=None, help="drop beats before this many seconds")
     p.add_argument("-o", "--output", help="write per-track CSV here")
 
     p = sub.add_parser("diagnose", help="activation diagnostics per track")
-    _add_common(p)
     p.add_argument("--activations", required=True, help="directory of activation files")
     p.add_argument("--beats", required=True, help="directory of reference .beats files")
     p.add_argument("-o", "--output", help="write CSV here instead of stdout")
 
     p = sub.add_parser("synth-gt", help="synthesize GT activations from annotations")
-    _add_common(p)
+    _add_settings(p, experiments.SynthConfig)
     p.add_argument("--beats", required=True, help="directory of reference .beats files")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--fps", type=float, default=None)
-    p.add_argument("--sigma-frames", dest="sigma_frames", type=float, default=None)
     p.add_argument("--binary", action="store_true", help="write binary ACT1 files")
 
     p = sub.add_parser("experiment", help="run a named experiment and write its report")
-    _add_common(p)
+    _add_settings(p, dbn.DbnConfig, peaks.PeakConfig, metrics.EvalConfig, experiments.SynthConfig)
+    p.add_argument("--jobs", type=int, default=None, help="track-level parallelism")
     p.add_argument("name", choices=EXPERIMENTS)
     p.add_argument("--beats-dir", dest="beats_dir", help="annotation directory")
     p.add_argument("--tags-dir", dest="tags_dir", help="difficulty-tag directory")
@@ -204,13 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--gt-tempo", action="store_true", help="append the ground-truth tempo source")
     p.add_argument("--tempo-window", dest="tempo_window", type=float, default=None)
-    p.add_argument("--trim", type=float, default=None)
-    p.add_argument("--fps", type=float, default=None)
-    p.add_argument("--sigma-frames", dest="sigma_frames", type=float, default=None)
     p.add_argument("--lambdas", type=float_list, default=None, help="comma-separated lambda grid")
     p.add_argument("--thresholds", type=float_list, default=None, help="comma-separated threshold grid")
-    _add_dbn_flags(p)
-    _add_peak_flags(p)
     p.add_argument("-o", "--output", required=True, help="run directory")
 
     p = sub.add_parser("report", help="re-aggregate a rows.csv and print a table")
@@ -276,9 +273,9 @@ def cmd_decode(args) -> int:
     settings = Settings(args)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dbn_cfg = settings.dbn_config()
-    peak_cfg = settings.peak_config()
-    window = settings.tempo_window()
+    dbn_cfg = settings.config(dbn.DbnConfig())
+    peak_cfg = settings.config(peaks.PeakConfig())
+    window = settings.tempo_window(dbn.TEMPO_WINDOW)
     tempo = {}
     if args.dbn_constrained:
         if not args.tempo_file:
@@ -294,7 +291,11 @@ def cmd_decode(args) -> int:
                 continue
             constraint = dbn.TempoConstraint(center_bpm=tempo[track_id], window_fraction=window)
         spec = experiments.DecoderSpec(peak_cfg if args.peaks else dbn_cfg, constraint)
-        ingest.write_beats(spec.decode(act), out_dir / f"{track_id}.beats")
+        try:
+            beats = spec.decode(act)
+        except ToolkitError as exc:  # a BPM range that this activation's frame rate cannot hold
+            raise ToolkitError(f"{path}: {exc}") from None
+        ingest.write_beats(beats, out_dir / f"{track_id}.beats")
         written += 1
     mode = "peaks" if args.peaks else ("dbn-constrained" if args.dbn_constrained else "dbn")
     reports.write_manifest(out_dir / "manifest.txt", {"command": f"decode:{mode}", **settings.resolved})
@@ -304,7 +305,7 @@ def cmd_decode(args) -> int:
 
 def cmd_eval(args) -> int:
     settings = Settings(args)
-    eval_cfg = settings.eval_config()
+    eval_cfg = settings.config(metrics.DEFAULT_EVAL)
     est = ingest.load_annotations(args.est)
     ref = ingest.load_annotations(args.ref)
     missing_ref = sorted(set(est) - set(ref))
@@ -341,7 +342,7 @@ def cmd_diagnose(args) -> int:
 
 def cmd_synth_gt(args) -> int:
     settings = Settings(args)
-    synth_cfg = settings.synth_config()
+    synth_cfg = settings.config(experiments.SynthConfig())
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     refs = ingest.load_annotations(args.beats)
@@ -381,42 +382,28 @@ def _tempo_sources(args) -> list:
     return sources
 
 
-# Each experiment's call on the run's Settings ``s`` and run values ``r`` (see run_experiment).
-EXPERIMENT_CALLS = {
-    "bottleneck": lambda s, r: experiments.run_bottleneck_table(
-        r.datasets, r.source, r.synth_cfg, s.dbn_config(min_bpm_default=30.0), s.peak_config(),
-        r.eval_cfg, r.jobs),
-    "gt-bottleneck": lambda s, r: experiments.run_gt_bottleneck(
-        r.dataset, r.synth_cfg, s.dbn_config(min_bpm_default=30.0), r.eval_cfg, r.jobs),
-    "lambda-sweep": lambda s, r: experiments.run_lambda_sweep(
-        r.dataset, r.source, r.sweep, s.dbn_config(min_bpm_default=30.0), r.eval_cfg, r.synth_cfg, r.jobs),
-    "threshold-sweep": lambda s, r: experiments.run_threshold_sweep(
-        r.dataset, r.source, r.sweep, r.eval_cfg, s.peak_config(), r.jobs, r.synth_cfg),
-    "tempo-curve": lambda s, r: experiments.run_tempo_curve(
-        r.dataset, r.source, _tempo_sources(r.args), s.tempo_window(),
-        s.dbn_config(min_bpm_default=30.0), r.eval_cfg, r.synth_cfg, r.jobs),
-    "peak-vs-dbn": lambda s, r: experiments.run_peak_vs_dbn(
-        r.dataset, r.source, s.dbn_config(), s.peak_config(), r.eval_cfg, r.jobs, r.synth_cfg),
-    "taxonomy": lambda s, r: experiments.run_taxonomy(
-        r.dataset, r.source, decoder=r.args.decoder or "peaks", intersect_source=r.args.intersect_source,
-        dbn_cfg=s.dbn_config(), peak_cfg=s.peak_config(), eval_cfg=r.eval_cfg, synth_cfg=r.synth_cfg,
-        jobs=r.jobs),
-    "dataset-stats": lambda s, r: experiments.dataset_stats(r.dataset),
-    "systems": lambda s, r: experiments.run_systems_table(
-        r.dataset, r.source, r.sweep, s.dbn_config(min_bpm_default=30.0), s.peak_config(),
-        r.eval_cfg, r.synth_cfg, s.tempo_window(), r.jobs),
-    "axis-table": lambda s, r: experiments.run_axis_table(
-        r.dataset, r.source, s.dbn_config(), s.peak_config(),
-        r.eval_cfg, r.synth_cfg, s.tempo_window(), r.jobs),
+# Each experiment's function in ``experiments``. run_experiment looks it up
+# when it runs and fills its parameters by name.
+EXPERIMENTS = {
+    "bottleneck": "run_bottleneck_table",
+    "gt-bottleneck": "run_gt_bottleneck",
+    "lambda-sweep": "run_lambda_sweep",
+    "threshold-sweep": "run_threshold_sweep",
+    "tempo-curve": "run_tempo_curve",
+    "peak-vs-dbn": "run_peak_vs_dbn",
+    "taxonomy": "run_taxonomy",
+    "dataset-stats": "dataset_stats",
+    "systems": "run_systems_table",
+    "axis-table": "run_axis_table",
 }
-EXPERIMENTS = tuple(EXPERIMENT_CALLS)
 
 
 def run_experiment(args, datasets) -> reports.RunReport:
     """Run ``args.name`` (parsed ``experiment`` args) on [(name, Dataset)].
 
-    Only bottleneck reads more than the first dataset. ``report.config``
-    holds the resolved settings for the run's manifest.
+    Only bottleneck reads more than the first dataset. A dbn_cfg, peak_cfg
+    or window parameter takes the settings laid over its own default.
+    ``report.config`` holds the resolved settings for the run's manifest.
     """
     settings = Settings(args)
     carried = sorted({label for _, ds in datasets for record in ds.annotated() for label in record.activations})
@@ -424,12 +411,25 @@ def run_experiment(args, datasets) -> reports.RunReport:
         if source not in (None, experiments.GT_SOURCE, *carried):
             raise ToolkitError(f"no annotated track has activation source {source!r}; "
                                f"sources present: {', '.join(carried) or 'none'}")
-    run = types.SimpleNamespace(
-        args=args, datasets=datasets, dataset=datasets[0][1], source=args.source or experiments.GT_SOURCE,
-        jobs=settings.get("jobs", 1, cast=int), eval_cfg=settings.eval_config(),
-        synth_cfg=settings.synth_config(), sweep=settings.sweep_spec())
-    report = EXPERIMENT_CALLS[args.name](settings, run)
-    report.config = {"experiment": args.name, "source": run.source, **settings.resolved}
+    source = args.source or experiments.GT_SOURCE
+    # Resolved for every experiment, so every manifest records them; None leaves a parameter's default.
+    given = {
+        "datasets": datasets, "dataset": datasets[0][1], "source": source, "decoder": args.decoder,
+        "intersect_source": args.intersect_source, "jobs": settings.get("jobs", 1, cast=int),
+        "eval_cfg": settings.config(metrics.DEFAULT_EVAL), "synth_cfg": settings.config(experiments.SynthConfig()),
+        "sweep": settings.sweep_spec(),
+    }
+    over_default = {"dbn_cfg": settings.config, "peak_cfg": settings.config, "window": settings.tempo_window,
+                    "tempo_sources": lambda _: _tempo_sources(args)}
+    run = getattr(experiments, EXPERIMENTS[args.name])
+    kwargs = {}
+    for name, param in inspect.signature(run).parameters.items():
+        if name in over_default:
+            kwargs[name] = over_default[name](param.default)
+        elif given.get(name) is not None:
+            kwargs[name] = given[name]
+    report = run(**kwargs)
+    report.config = {"experiment": args.name, "source": source, **settings.resolved}
     return report
 
 

@@ -51,6 +51,9 @@ DENSITY_FLOOR = 1e-12
 CONSTRAINT_MIN_BPM = 30.0
 CONSTRAINT_MAX_BPM = 215.0
 
+# Default half-width of a tempo window, as a fraction of its center BPM.
+TEMPO_WINDOW = 0.20
+
 
 @dataclass(frozen=True)
 class DbnConfig:
@@ -81,7 +84,7 @@ class TempoConstraint:
     """A BPM window around an externally supplied tempo estimate."""
 
     center_bpm: float
-    window_fraction: float = 0.20
+    window_fraction: float = TEMPO_WINDOW
 
     def __post_init__(self):
         if not 0 <= self.window_fraction < math.inf:  # NaN fails too

@@ -223,8 +223,6 @@ def tempo_stats(ref: BeatAnnotation) -> TempoStats:
 
 BPM_BANDS = ((0.0, 55.0), (55.0, 70.0), (70.0, 90.0), (90.0, 120.0), (120.0, np.inf))
 
-TEMPO_LABELS = ("correct", "double", "half", "other")
-
 
 def _band_name(bpm: float) -> str:
     for lo, hi in BPM_BANDS:
@@ -237,15 +235,6 @@ def _band_name(bpm: float) -> str:
     return "unknown"
 
 
-@dataclass(frozen=True)
-class TempoAccuracyReport:
-    labels: dict           # track_id -> label
-    rates: dict            # label -> fraction of scored tracks
-    band_rates: dict       # band name -> {label: fraction, "n": count}
-    n_scored: int
-    skipped: tuple
-
-
 def score_tempo_estimate(est_bpm: float, gt_bpm: float, tol: float = 0.08) -> str:
     """correct / double / half within relative tolerance, else other."""
     if abs(est_bpm - gt_bpm) / gt_bpm <= tol:
@@ -255,34 +244,3 @@ def score_tempo_estimate(est_bpm: float, gt_bpm: float, tol: float = 0.08) -> st
     if abs(est_bpm - 0.5 * gt_bpm) / (0.5 * gt_bpm) <= tol:
         return "half"
     return "other"
-
-
-def tempo_accuracy(estimates, refs, tol: float = 0.08) -> TempoAccuracyReport:
-    """Score tempo estimates against annotations, overall and per BPM band.
-
-    ``estimates`` is an iterable of TempoEstimate; ``refs`` maps track_id to
-    BeatAnnotation. Estimates without a matching annotation are skipped with
-    a warning and reported.
-    """
-    labels = {}
-    bands = {}
-    skipped = []
-    for est in estimates:
-        ref = refs.get(est.track_id)
-        if ref is None or len(ref.beats) < MIN_TEMPO_BEATS:
-            log.warning("tempo estimate for unmatched track %s skipped", est.track_id)
-            skipped.append(est.track_id)
-            continue
-        gt = tempo_stats(ref).gt_bpm
-        label = score_tempo_estimate(est.bpm, gt, tol)
-        labels[est.track_id] = label
-        bands.setdefault(_band_name(gt), []).append(label)
-    n = len(labels)
-    rates = {lab: sum(v == lab for v in labels.values()) / n for lab in TEMPO_LABELS} if n else {}
-    band_rates = {}
-    for band, labs in sorted(bands.items()):
-        band_rates[band] = {lab: labs.count(lab) / len(labs) for lab in TEMPO_LABELS}
-        band_rates[band]["n"] = len(labs)
-    return TempoAccuracyReport(
-        labels=labels, rates=rates, band_rates=band_rates, n_scored=n, skipped=tuple(skipped)
-    )

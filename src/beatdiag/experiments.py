@@ -68,6 +68,9 @@ class SweepSpec:
 
 GT_SOURCE = "gt-synth"
 
+# The DBN floor lowered from 55 to 30 BPM, where slow tracks decode at their own tempo.
+SLOW_DBN = dbn.DbnConfig(min_bpm=30.0)
+
 
 def synthesize_gt_activation(ref: BeatAnnotation, cfg: SynthConfig = SynthConfig()) -> ActivationCurve:
     """Gaussian peaks centered on the annotated beats, combined by max.
@@ -214,10 +217,10 @@ def _activation_of(record, source: str, synth_cfg: SynthConfig) -> ActivationCur
     return record.activations[source]
 
 
-def _lambda_grid(spec: SweepSpec, base: dbn.DbnConfig, constraint=None) -> list:
+def _lambda_grid(sweep: SweepSpec, dbn_cfg: dbn.DbnConfig, constraint=None) -> list:
     return [
-        DecoderSpec(dataclasses.replace(base, transition_lambda=float(lam)), constraint)
-        for lam in spec.lambdas
+        DecoderSpec(dataclasses.replace(dbn_cfg, transition_lambda=float(lam)), constraint)
+        for lam in sweep.lambdas
     ]
 
 
@@ -311,14 +314,14 @@ def dataset_stats(dataset: Dataset) -> RunReport:
 def run_gt_bottleneck(
     dataset: Dataset,
     synth_cfg: SynthConfig = SynthConfig(),
-    cfg: dbn.DbnConfig = dbn.DbnConfig(min_bpm=30.0),
+    dbn_cfg: dbn.DbnConfig = SLOW_DBN,
     eval_cfg: metrics.EvalConfig = metrics.DEFAULT_EVAL,
     jobs: int = 1,
 ) -> RunReport:
     """Decode synthetic GT activations for every annotated track."""
-    spec = DecoderSpec(cfg)
+    spec = DecoderSpec(dbn_cfg)
     scored, _, short = _score_source(dataset, GT_SOURCE, lambda rec: (spec,), eval_cfg, synth_cfg, jobs)
-    rows = [_row(rec, GT_SOURCE, _dbn_label(cfg), scores[spec]) for rec, scores in scored]
+    rows = [_row(rec, GT_SOURCE, _dbn_label(dbn_cfg), scores[spec]) for rec, scores in scored]
     fs = [r.eval.f_measure for r in rows]
     report = RunReport(experiment="gt-bottleneck", rows=rows)
     report.summary = {
@@ -343,7 +346,7 @@ def run_bottleneck_table(
     datasets,
     source: str | None = None,
     synth_cfg: SynthConfig = SynthConfig(),
-    dbn_cfg: dbn.DbnConfig = dbn.DbnConfig(min_bpm=30.0),
+    dbn_cfg: dbn.DbnConfig = SLOW_DBN,
     peak_cfg: peaks.PeakConfig = peaks.PeakConfig(),
     eval_cfg: metrics.EvalConfig = metrics.DEFAULT_EVAL,
     jobs: int = 1,
@@ -411,17 +414,17 @@ class LambdaSweep:
 def sweep_lambda(
     act: ActivationCurve,
     ref: BeatAnnotation,
-    spec: SweepSpec = SweepSpec(),
-    base: dbn.DbnConfig = dbn.DbnConfig(min_bpm=30.0),
+    sweep: SweepSpec = SweepSpec(),
+    dbn_cfg: dbn.DbnConfig = SLOW_DBN,
     eval_cfg: metrics.EvalConfig = metrics.DEFAULT_EVAL,
 ) -> LambdaSweep:
     """Decode at every lambda; the F-optimal one wins, ties to the smaller."""
-    grid = _lambda_grid(spec, base)
+    grid = _lambda_grid(sweep, dbn_cfg)
     results, best = _sweep(grid, score_track((ref, act, None, grid, eval_cfg)))
     return LambdaSweep(
-        lambdas=tuple(float(x) for x in spec.lambdas),
+        lambdas=tuple(float(x) for x in sweep.lambdas),
         results=tuple(results),
-        best_lambda=float(spec.lambdas[best]),
+        best_lambda=float(sweep.lambdas[best]),
         best_result=results[best],
     )
 
@@ -429,24 +432,24 @@ def sweep_lambda(
 def run_lambda_sweep(
     dataset: Dataset,
     source: str,
-    spec: SweepSpec = SweepSpec(),
-    base: dbn.DbnConfig = dbn.DbnConfig(min_bpm=30.0),
+    sweep: SweepSpec = SweepSpec(),
+    dbn_cfg: dbn.DbnConfig = SLOW_DBN,
     eval_cfg: metrics.EvalConfig = metrics.DEFAULT_EVAL,
     synth_cfg: SynthConfig = SynthConfig(),
     jobs: int = 1,
 ) -> RunReport:
     """Per-track lambda sweep over a corpus, plus the best fixed lambda."""
-    grid = _lambda_grid(spec, base)
+    grid = _lambda_grid(sweep, dbn_cfg)
     scored, missing, short = _score_source(dataset, source, lambda rec: grid, eval_cfg, synth_cfg, jobs)
     sweeps = [_sweep(grid, scores) for _, scores in scored]
     report = RunReport(experiment="lambda-sweep")
     for (rec, _), (results, best) in zip(scored, sweeps):
         report.rows.append(_row(rec, source, "per-track-optimal-lambda", results[best],
-                                best_lambda=float(spec.lambdas[best])))
+                                best_lambda=float(sweep.lambdas[best])))
     if sweeps:
         per_lambda = [
             (f"{lam:g}", *_mean_cells([results[i] for results, _ in sweeps], ("f_measure", "cmlt")))
-            for i, lam in enumerate(spec.lambdas)
+            for i, lam in enumerate(sweep.lambdas)
         ]
         fixed_means = [float(r[1]) for r in per_lambda]
         best_fixed_i = int(np.argmax(fixed_means))
@@ -456,10 +459,10 @@ def run_lambda_sweep(
             "n_tracks": len(sweeps),
             "optimal_mean_f": float(np.mean([r.f_measure for r in optimal])),
             "optimal_mean_cmlt": float(np.mean([r.cmlt for r in optimal])),
-            "best_fixed_lambda": float(spec.lambdas[best_fixed_i]),
+            "best_fixed_lambda": float(sweep.lambdas[best_fixed_i]),
             "best_fixed_mean_f": fixed_means[best_fixed_i],
             "median_optimal_lambda": float(np.median(best_lams)),
-            "frac_preferring_min_lambda": float(np.mean([b == spec.lambdas[0] for b in best_lams])),
+            "frac_preferring_min_lambda": float(np.mean([b == sweep.lambdas[0] for b in best_lams])),
         }
         report.tables["per-lambda"] = (("lambda", "mean_f", "mean_cmlt"), per_lambda)
     _note_skipped(report, source, missing, short)
@@ -474,7 +477,7 @@ def run_lambda_sweep(
 def run_threshold_sweep(
     dataset: Dataset,
     source: str,
-    spec: SweepSpec = SweepSpec(),
+    sweep: SweepSpec = SweepSpec(),
     eval_cfg: metrics.EvalConfig = metrics.DEFAULT_EVAL,
     peak_cfg: peaks.PeakConfig = peaks.PeakConfig(),
     jobs: int = 1,
@@ -485,7 +488,7 @@ def run_threshold_sweep(
     Every grid threshold picks with ``peak_cfg``'s minimum separation, and
     ``peak_cfg`` itself is the default the optimum is compared against.
     """
-    grid = [DecoderSpec(dataclasses.replace(peak_cfg, threshold=thr)) for thr in spec.thresholds]
+    grid = [DecoderSpec(dataclasses.replace(peak_cfg, threshold=thr)) for thr in sweep.thresholds]
     default = DecoderSpec(peak_cfg)
     scored, missing, short = _score_source(dataset, source, lambda rec: [*grid, default],
                                            eval_cfg, synth_cfg, jobs)
@@ -493,7 +496,7 @@ def run_threshold_sweep(
     for rec, scores in scored:
         results, best = _sweep(grid, scores)
         report.rows.append(_row(rec, source, "per-track-optimal-threshold", results[best],
-                                best_threshold=float(spec.thresholds[best]),
+                                best_threshold=float(sweep.thresholds[best]),
                                 baseline_f=scores[default].f_measure))
     if report.rows:
         report.summary = {
@@ -579,8 +582,8 @@ def run_tempo_curve(
     dataset: Dataset,
     source: str,
     tempo_sources,
-    window: float = 0.20,
-    cfg: dbn.DbnConfig = dbn.DbnConfig(min_bpm=30.0),
+    window: float = dbn.TEMPO_WINDOW,
+    dbn_cfg: dbn.DbnConfig = SLOW_DBN,
     eval_cfg: metrics.EvalConfig = metrics.DEFAULT_EVAL,
     synth_cfg: SynthConfig = SynthConfig(),
     jobs: int = 1,
@@ -591,7 +594,7 @@ def run_tempo_curve(
     special label ``gt-tempo`` derives per-track BPM from the annotation.
     The unconstrained decode is always included as the baseline series.
     """
-    unconstrained = DecoderSpec(cfg)
+    unconstrained = DecoderSpec(dbn_cfg)
     held = {}  # track id -> {series index: spec}; series 0 is unconstrained
 
     def specs_of(rec):
@@ -599,9 +602,9 @@ def run_tempo_curve(
         for i, (label, bpm_by_track) in enumerate(tempo_sources, start=1):
             if label == GT_TEMPO_SOURCE:
                 if len(rec.annotation) >= diagnostics.MIN_TEMPO_BEATS:
-                    specs[i] = DecoderSpec(cfg, _gt_tempo_window(rec, window))
+                    specs[i] = DecoderSpec(dbn_cfg, _gt_tempo_window(rec, window))
             elif bpm_by_track.get(rec.track_id) is not None:
-                specs[i] = DecoderSpec(cfg, dbn.TempoConstraint(bpm_by_track[rec.track_id], window))
+                specs[i] = DecoderSpec(dbn_cfg, dbn.TempoConstraint(bpm_by_track[rec.track_id], window))
         return list(specs.values())
 
     scored, missing, short = _score_source(dataset, source, specs_of, eval_cfg, synth_cfg, jobs)
@@ -640,12 +643,12 @@ def run_tempo_curve(
 def run_systems_table(
     dataset: Dataset,
     source: str,
-    spec: SweepSpec = SweepSpec(),
-    base: dbn.DbnConfig = dbn.DbnConfig(min_bpm=30.0),
+    sweep: SweepSpec = SweepSpec(),
+    dbn_cfg: dbn.DbnConfig = SLOW_DBN,
     peak_cfg: peaks.PeakConfig = peaks.PeakConfig(),
     eval_cfg: metrics.EvalConfig = metrics.DEFAULT_EVAL,
     synth_cfg: SynthConfig = SynthConfig(),
-    window: float = 0.20,
+    window: float = dbn.TEMPO_WINDOW,
     jobs: int = 1,
 ) -> RunReport:
     """Corpus means for the standard decoder configurations, one table row
@@ -653,11 +656,11 @@ def run_systems_table(
     lambda, GT-tempo constraint combined with the optimal lambda, and the
     GT-activation upper bound.
     """
-    peak, fixed = DecoderSpec(peak_cfg), DecoderSpec(base)
-    grid = _lambda_grid(spec, base)
+    peak, fixed = DecoderSpec(peak_cfg), DecoderSpec(dbn_cfg)
+    grid = _lambda_grid(sweep, dbn_cfg)
 
     def held_grid(rec):  # the lambda grid held to the GT tempo window
-        return _lambda_grid(spec, base, _gt_tempo_window(rec, window))
+        return _lambda_grid(sweep, dbn_cfg, _gt_tempo_window(rec, window))
 
     scored, missing, short = _score_source(dataset, source, lambda rec: [peak, fixed, *grid, *held_grid(rec)],
                                            eval_cfg, synth_cfg, jobs, diagnostics.MIN_TEMPO_BEATS)
@@ -671,7 +674,7 @@ def run_systems_table(
     constrained = [_sweep(held_grid(rec), scores) for rec, scores in scored]
     configurations = (
         ("peak-picking", [scores[peak] for _, scores in scored], None),
-        (f"dbn-lambda={base.transition_lambda:g}", [scores[fixed] for _, scores in scored], None),
+        (f"dbn-lambda={dbn_cfg.transition_lambda:g}", [scores[fixed] for _, scores in scored], None),
         ("dbn-optimal-lambda", [r[i] for r, i in optimal], [i for _, i in optimal]),
         ("gt-tempo+optimal-lambda", [r[i] for r, i in constrained], [i for _, i in constrained]),
         ("gt-activations+dbn", [scores[fixed] for _, scores in gt_scored], None),
@@ -680,7 +683,7 @@ def run_systems_table(
     table = []
     for label, results, best in configurations:
         for j, ((rec, _), result) in enumerate(zip(scored, results)):
-            best_lambda = None if best is None else float(spec.lambdas[best[j]])
+            best_lambda = None if best is None else float(sweep.lambdas[best[j]])
             report.rows.append(_row(rec, source, label, result, best_lambda=best_lambda))
         table.append((label, *_mean_cells(results)))
     report.tables["systems"] = (("configuration", "mean_f", "mean_cmlt", "mean_amlt"), table)
@@ -701,7 +704,7 @@ def run_axis_table(
     peak_cfg: peaks.PeakConfig = peaks.PeakConfig(),
     eval_cfg: metrics.EvalConfig = metrics.DEFAULT_EVAL,
     synth_cfg: SynthConfig = SynthConfig(),
-    window: float = 0.20,
+    window: float = dbn.TEMPO_WINDOW,
     jobs: int = 1,
 ) -> RunReport:
     """Per-difficulty-axis comparison table.

@@ -348,7 +348,15 @@ def assign_axes(tags, axis_map: AxisMap) -> frozenset:
 
 
 _META_LINE = re.compile(r"^(annotator|confidence|easy)\s*[:=]\s*(.+)$", re.IGNORECASE)
-_EASY_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def parse_bool(text: str) -> bool:
+    """1/true/yes or 0/false/no, in any case; anything else is a ValueError."""
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise ValueError(f"{text!r} is not {'/'.join(_BOOLEANS)}") from None
 
 
 def load_tags(path, axis_map: AxisMap | None = None):
@@ -380,9 +388,10 @@ def load_tags(path, axis_map: AxisMap | None = None):
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: confidence {value!r} is not an integer") from None
             elif key == "easy":
-                is_easy = _EASY_VALUES.get(value.lower())
-                if is_easy is None:
-                    raise ParseError(f"{path}:{lineno}: easy {value!r} is not {'/'.join(_EASY_VALUES)}")
+                try:
+                    is_easy = parse_bool(value)
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: easy {exc}") from None
             continue
         raw_tags.extend(t.strip() for t in re.split(r"[,;]", stripped) if t.strip())
     canonical = []

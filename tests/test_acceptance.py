@@ -67,7 +67,7 @@ def test_c1_gt_bottleneck_on_smc():
     report = experiments.run_gt_bottleneck(
         ds,
         synth_cfg=SynthConfig(sigma_frames=2.0, fps=43.07),
-        cfg=dbn.DbnConfig(min_bpm=30.0, max_bpm=215.0, transition_lambda=100.0),
+        dbn_cfg=dbn.DbnConfig(min_bpm=30.0, max_bpm=215.0, transition_lambda=100.0),
     )
     elapsed = time.monotonic() - start
     mean_f = report.summary["mean_f"]

@@ -6,7 +6,7 @@ import pytest
 
 from beatdiag import cli, ingest, reports
 from beatdiag.experiments import SynthConfig, synthesize_gt_activation
-from beatdiag.ingest import write_activation, write_beats
+from beatdiag.ingest import ActivationCurve, write_activation, write_beats
 from conftest import PSEUDO_DIR, TESTS_DIR, make_grid_annotation
 
 
@@ -360,6 +360,23 @@ def test_experiment_empty_dataset_exits_one(tmp_path, capsys):
     assert "no tracks" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("decode", "--jobs"), ("eval", "--jobs"), ("diagnose", "--jobs"), ("synth-gt", "--jobs"), ("diagnose", "--config"),
+])
+def test_flag_a_command_would_ignore_exits_two(tmp_path, command, flag):
+    """--jobs is experiment's alone, and diagnose reads no config file."""
+    acts, beats, out = str(PSEUDO_DIR / "activations" / "pseudo"), str(PSEUDO_DIR / "beats"), str(tmp_path / "o")
+    argv = {
+        "decode": ["decode", "--peaks", acts, "-o", out],
+        "eval": ["eval", "--est", beats, "--ref", beats],
+        "diagnose": ["diagnose", "--activations", acts, "--beats", beats],
+        "synth-gt": ["synth-gt", "--beats", beats, "-o", out],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + [flag, "2"])
+    assert exc.value.code == 2
+
+
 def test_bad_config_value_exits_one(tmp_path, capsys):
     _, acts_dir = _write_mini_inputs(tmp_path, bpms=(72,))
     assert run([
@@ -605,6 +622,30 @@ def _bad_cli_input(tmp_path, case):
     if case == "bad-flag-window":
         return (["decode", "--dbn-constrained", "--tempo-window", "-1", str(PSEUDO_DIR / "activations"),
                  "-o", str(tmp_path / "out")], "tempo_window must be finite and >= 0, got -1.0")
+    if case == "bad-config-key":  # a misspelt key
+        cfg.write_text("min_bmp=30\n")
+        return (["decode", "--dbn", "--config", str(cfg), str(PSEUDO_DIR / "activations"), "-o",
+                 str(tmp_path / "out")], f"{cfg}:1: min_bmp: unknown key")
+    if case == "bad-config-flag-key":  # a flag that is not a setting
+        cfg.write_text("source=pseudo\n")
+        return experiment("lambda-sweep"), f"{cfg}:1: source: unknown key"
+    if case == "bad-config-repeat":
+        cfg.write_text("min_bpm=30\n# again\nmin_bpm=40\n")
+        return experiment("gt-bottleneck"), f"{cfg}:3: min_bpm: repeated key, first set on line 1"
+    if case == "bad-config-bool":
+        cfg.write_text("no_correct=flase\n")
+        return (["decode", "--dbn", "--config", str(cfg), str(PSEUDO_DIR / "activations"), "-o",
+                 str(tmp_path / "out")], f"{cfg}:1: no_correct: 'flase' is not 1/true/yes/0/false/no")
+    if case == "decode-low-fps":  # one frame per beat period at 215 BPM
+        act = tmp_path / "slow.act"
+        write_activation(ActivationCurve(values=np.full(40, 0.5), fps=2.0, source_label="m"), act)
+        return ["decode", "--dbn", str(act), "-o", str(tmp_path / "out")], f"{act}: fps 2.0 too low"
+    if case == "decode-empty-range":  # 10 BPM +/- 20% lies below the 30 BPM bound
+        tempo = tmp_path / "tempo.csv"
+        tempo.write_text("track_id,bpm,source_label\npseudo01,10,est\n")
+        act = PSEUDO_DIR / "activations" / "pseudo" / "pseudo01.act"
+        return (["decode", "--dbn-constrained", "--tempo-file", str(tempo), str(act), "-o", str(tmp_path / "out")],
+                f"{act}: empty BPM range")
     cfg.write_text("# bounds\nmax_bpm=200\nmin_bpm=abc\n")
     return (["decode", "--dbn", "--config", str(cfg), str(PSEUDO_DIR / "activations"), "-o", str(tmp_path / "out")],
             f"{cfg}:3: min_bpm: could not convert string to float: 'abc'")
@@ -613,7 +654,9 @@ def _bad_cli_input(tmp_path, case):
 @pytest.mark.parametrize("case", ["missing-rows", "no-track-id", "bad-value", "bad-count", "non-utf8-rows",
                                   "missing-config", "bad-config-value", "bad-config-range", "bad-config-list",
                                   "bad-config-threshold", "bad-config-separation", "bad-config-window",
-                                  "bad-config-window-nan", "bad-flag-window"])
+                                  "bad-config-window-nan", "bad-flag-window", "bad-config-key",
+                                  "bad-config-flag-key", "bad-config-repeat", "bad-config-bool", "decode-low-fps",
+                                  "decode-empty-range"])
 def test_cli_process_rejects_bad_report_and_config_input_with_its_path(tmp_path, case):
     argv, where = _bad_cli_input(tmp_path, case)
     proc = _run_cli_process(argv)

@@ -255,24 +255,3 @@ def test_score_tempo_estimate_labels():
     assert diagnostics.score_tempo_estimate(140.0, 70.0) == "double"
     assert diagnostics.score_tempo_estimate(35.0, 70.0) == "half"
     assert diagnostics.score_tempo_estimate(105.0, 70.0) == "other"
-
-
-def test_tempo_accuracy_report():
-    refs = {
-        "a": make_grid_annotation(bpm=72, track_id="a"),
-        "b": make_grid_annotation(bpm=50, track_id="b"),
-    }
-    from beatdiag.ingest import TempoEstimate
-
-    estimates = [
-        TempoEstimate(track_id="a", bpm=72.0, source_label="m"),
-        TempoEstimate(track_id="b", bpm=100.0, source_label="m"),
-        TempoEstimate(track_id="zz", bpm=80.0, source_label="m"),
-    ]
-    rep = diagnostics.tempo_accuracy(estimates, refs)
-    assert rep.labels == {"a": "correct", "b": "double"}
-    assert rep.n_scored == 2
-    assert rep.skipped == ("zz",)
-    assert rep.rates["correct"] == 0.5
-    assert rep.band_rates["<55"]["double"] == 1.0
-    assert rep.band_rates["70-90"]["correct"] == 1.0

@@ -285,7 +285,7 @@ def test_tempo_curve_window_covering_range_equals_baseline():
     cfg = dbn.DbnConfig(min_bpm=30.0, max_bpm=215.0)
     # center and window chosen so every track's effective range is [30, 215]
     source = ("cover", {r.track_id: 122.5 for r in ds.annotated()})
-    report = experiments.run_tempo_curve(ds, "pseudo", [source], window=0.76, cfg=cfg)
+    report = experiments.run_tempo_curve(ds, "pseudo", [source], window=0.76, dbn_cfg=cfg)
     header, series = report.tables["tempo-curve"]
     assert series[0][2:5] == series[1][2:5]
 
@@ -515,6 +515,34 @@ def run_suite_stages(dataset, source, names=None):
         args = cli.build_parser().parse_args(["experiment", name, "--source", source, "-o", "unused"])
         out[name] = cli.run_experiment(args, [("pseudo", dataset)])
     return out
+
+
+# The resolved settings each experiment records with no flags. The five
+# experiments that sweep or bound the DBN decode from 30 BPM; peak-vs-dbn,
+# taxonomy and axis-table keep the stock 55 BPM floor.
+_RUN = {"jobs": 1, "trim": 0.0, "fps": 43.07, "sigma_frames": 2.0, "lambdas": None, "thresholds": None}
+_DBN_30 = {"min_bpm": 30.0, "max_bpm": 215.0, "transition_lambda": 100.0, "observation_lambda": 16,
+           "no_correct": False}
+_DBN_55 = {**_DBN_30, "min_bpm": 55.0}
+_PEAKS = {"threshold": 0.5, "min_separation": 0.1}
+DEFAULT_CONFIGS = {
+    "bottleneck": {**_RUN, **_DBN_30, **_PEAKS},
+    "gt-bottleneck": {**_RUN, **_DBN_30},
+    "lambda-sweep": {**_RUN, **_DBN_30},
+    "threshold-sweep": {**_RUN, **_PEAKS},
+    "tempo-curve": {**_RUN, **_DBN_30, "tempo_window": 0.2},
+    "peak-vs-dbn": {**_RUN, **_DBN_55, **_PEAKS},
+    "taxonomy": {**_RUN, **_DBN_55, **_PEAKS},
+    "dataset-stats": {**_RUN},
+    "systems": {**_RUN, **_DBN_30, **_PEAKS, "tempo_window": 0.2},
+    "axis-table": {**_RUN, **_DBN_55, **_PEAKS, "tempo_window": 0.2},
+}
+
+
+def test_each_experiment_resolves_its_default_config():
+    assert set(DEFAULT_CONFIGS) == set(cli.EXPERIMENTS)
+    for name, report in run_suite_stages(load_pseudo(), "pseudo", DEFAULT_CONFIGS).items():
+        assert report.config == {"experiment": name, "source": "pseudo", **DEFAULT_CONFIGS[name]}, name
 
 
 def count_decodes(monkeypatch) -> Counter:
