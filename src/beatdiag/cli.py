@@ -3,12 +3,14 @@
 Subcommands: decode, eval, diagnose, synth-gt, experiment, report. Exit
 codes: 0 ok, 1 data error, 2 usage error. --jobs belongs to experiment.
 
-A flat key=value file given with --config (not to diagnose or report) may
-set min_bpm, max_bpm, transition_lambda, observation_lambda, no_correct,
-threshold, min_separation, trim, fps, sigma_frames, tempo_window, lambdas,
-thresholds and jobs; flags win over it. An unknown or repeated key, or a
-boolean other than 1/true/yes/0/false/no, is an error. A setting left unset
-takes the default of the config field it sets, as named in SETTINGS.
+A command reads only the settings it uses, and manifest.txt records them:
+decode those of its mode, an experiment those of its function's parameters
+(run_experiment). A settings flag, --decoder, --intersect-source,
+--tempo-file or --gt-tempo that it does not read exits 2 before anything is
+written; every experiment takes --jobs and --source. A key=value file given
+with --config (not to diagnose or report) may set any SETTINGS or OTHER_KEYS
+key once; flags win over it, and keys the command does not read are ignored.
+A boolean is 1/true/yes/0/false/no. An unset setting keeps its field's default.
 """
 
 from __future__ import annotations
@@ -115,12 +117,21 @@ class Settings:
         return self._checked(lambda: dbn.TempoConstraint(
             dbn.CONSTRAINT_MIN_BPM, self.get("tempo_window", default)).window_fraction)
 
-    def sweep_spec(self) -> experiments.SweepSpec:
+    def sweep_spec(self, base: experiments.SweepSpec) -> experiments.SweepSpec:
         def build():
             grids = {key: self.get(key, None, cast=float_list) for key in ("lambdas", "thresholds")}
-            return experiments.SweepSpec(**{key: _floats(text) for key, text in grids.items() if text})
+            return dataclasses.replace(base, **{key: _floats(text) for key, text in grids.items() if text})
 
         return self._checked(build)
+
+    def reject_unread(self, command: str):
+        """Exit 2 at a settings or experiment flag given that ``command``
+        did not read; every experiment accepts --jobs."""
+        for key in (*SETTINGS, *OTHER_KEYS, "decoder", "intersect_source", "tempo_file", "gt_tempo"):
+            if key != "jobs" and self.args.get(key) is not None and key not in self.resolved:
+                flag = SETTINGS[key][0] if key in SETTINGS else "--" + key.replace("_", "-")
+                print(f"error: {command} does not read {flag}", file=sys.stderr)
+                raise SystemExit(2)
 
 
 def _floats(text: str) -> tuple:
@@ -188,23 +199,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=EXPERIMENTS)
     p.add_argument("--beats-dir", dest="beats_dir", help="annotation directory")
     p.add_argument("--tags-dir", dest="tags_dir", help="difficulty-tag directory")
-    p.add_argument(
-        "--activations", action="append", default=[], metavar="LABEL=DIR",
-        help="named activation source (repeatable)",
-    )
-    p.add_argument(
-        "--dataset", action="append", default=[], metavar="NAME=ROOT",
-        help="dataset root with beats/, tags/, activations/ subdirs (repeatable; bottleneck reads them all)",
-    )
+    p.add_argument("--activations", action="append", default=[], metavar="LABEL=DIR",
+                   help="named activation source (repeatable)")
+    p.add_argument("--dataset", action="append", default=[], metavar="NAME=ROOT",
+                   help="dataset root with beats/, tags/, activations/ (repeatable; bottleneck reads all)")
     p.add_argument("--axis-map", dest="axis_map", help="tag vocabulary / axis file")
     p.add_argument("--source", help="activation source label (default gt-synth)")
     p.add_argument("--intersect-source", dest="intersect_source", help="second system for taxonomy")
     p.add_argument("--decoder", choices=("dbn", "peaks"), default=None, help="taxonomy decoder")
-    p.add_argument(
-        "--tempo-file", action="append", default=[], metavar="LABEL=CSV",
-        help="ordered tempo-estimate sources for tempo-curve (repeatable)",
-    )
-    p.add_argument("--gt-tempo", action="store_true", help="append the ground-truth tempo source")
+    p.add_argument("--tempo-file", action="append", metavar="LABEL=CSV",
+                   help="ordered tempo-estimate sources for tempo-curve (repeatable)")
+    p.add_argument("--gt-tempo", action="store_const", const=True, help="append the ground-truth tempo source")
     p.add_argument("--tempo-window", dest="tempo_window", type=float, default=None)
     p.add_argument("--lambdas", type=float_list, default=None, help="comma-separated lambda grid")
     p.add_argument("--thresholds", type=float_list, default=None, help="comma-separated threshold grid")
@@ -271,16 +276,17 @@ def _tempo_map(path) -> dict:
 
 def cmd_decode(args) -> int:
     settings = Settings(args)
+    mode = "peaks" if args.peaks else ("dbn-constrained" if args.dbn_constrained else "dbn")
+    config = settings.config(peaks.PeakConfig() if args.peaks else dbn.DbnConfig())
+    if args.dbn_constrained:
+        window = settings.tempo_window(dbn.TEMPO_WINDOW)
+        tempo_file = settings.get("tempo_file", None, cast=str)
+        if not tempo_file:
+            raise ToolkitError("--dbn-constrained requires --tempo-file")
+        tempo = _tempo_map(tempo_file)
+    settings.reject_unread(f"decode --{mode}")
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dbn_cfg = settings.config(dbn.DbnConfig())
-    peak_cfg = settings.config(peaks.PeakConfig())
-    window = settings.tempo_window(dbn.TEMPO_WINDOW)
-    tempo = {}
-    if args.dbn_constrained:
-        if not args.tempo_file:
-            raise ToolkitError("--dbn-constrained requires --tempo-file")
-        tempo = _tempo_map(args.tempo_file)
     written = 0
     for track_id, path in _activation_paths(args.inputs).items():
         act = ingest.load_activation(path)
@@ -290,14 +296,13 @@ def cmd_decode(args) -> int:
                 print(f"warning: no tempo estimate for {track_id}, skipped", file=sys.stderr)
                 continue
             constraint = dbn.TempoConstraint(center_bpm=tempo[track_id], window_fraction=window)
-        spec = experiments.DecoderSpec(peak_cfg if args.peaks else dbn_cfg, constraint)
+        spec = experiments.DecoderSpec(config, constraint)
         try:
             beats = spec.decode(act)
         except ToolkitError as exc:  # a BPM range that this activation's frame rate cannot hold
             raise ToolkitError(f"{path}: {exc}") from None
         ingest.write_beats(beats, out_dir / f"{track_id}.beats")
         written += 1
-    mode = "peaks" if args.peaks else ("dbn-constrained" if args.dbn_constrained else "dbn")
     reports.write_manifest(out_dir / "manifest.txt", {"command": f"decode:{mode}", **settings.resolved})
     print(f"wrote {written} beats file(s) to {out_dir}")
     return 0
@@ -374,10 +379,11 @@ def _datasets_from_args(args) -> list:
     return [("dataset", dataset)]
 
 
-def _tempo_sources(args) -> list:
+def _tempo_sources(settings) -> list:
     """The --tempo-file sources in order, then gt-tempo if asked for or if none is given."""
-    sources = [(label, _tempo_map(path)) for label, path in _parse_labeled(args.tempo_file, "--tempo-file")]
-    if args.gt_tempo or not sources:
+    files = settings.get("tempo_file", [], cast=str)
+    sources = [(label, _tempo_map(path)) for label, path in _parse_labeled(files, "--tempo-file")]
+    if settings.get("gt_tempo", False, cast=ingest.parse_bool) or not sources:
         sources.append((experiments.GT_TEMPO_SOURCE, {}))
     return sources
 
@@ -401,33 +407,31 @@ EXPERIMENTS = {
 def run_experiment(args, datasets) -> reports.RunReport:
     """Run ``args.name`` (parsed ``experiment`` args) on [(name, Dataset)].
 
-    Only bottleneck reads more than the first dataset. A dbn_cfg, peak_cfg
-    or window parameter takes the settings laid over its own default.
-    ``report.config`` holds the resolved settings for the run's manifest.
+    Each parameter of the experiment's function that has a resolver below is
+    resolved from the settings laid over the parameter's default; the rest
+    keep their defaults. Only bottleneck reads more than the first dataset.
+    ``report.config`` holds the source and what was read, for the manifest.
     """
     settings = Settings(args)
-    carried = sorted({label for _, ds in datasets for record in ds.annotated() for label in record.activations})
-    for source in (args.source, args.intersect_source):
-        if source not in (None, experiments.GT_SOURCE, *carried):
-            raise ToolkitError(f"no annotated track has activation source {source!r}; "
-                               f"sources present: {', '.join(carried) or 'none'}")
     source = args.source or experiments.GT_SOURCE
-    # Resolved for every experiment, so every manifest records them; None leaves a parameter's default.
-    given = {
-        "datasets": datasets, "dataset": datasets[0][1], "source": source, "decoder": args.decoder,
-        "intersect_source": args.intersect_source, "jobs": settings.get("jobs", 1, cast=int),
-        "eval_cfg": settings.config(metrics.DEFAULT_EVAL), "synth_cfg": settings.config(experiments.SynthConfig()),
-        "sweep": settings.sweep_spec(),
+    resolvers = {
+        "dataset": lambda _: datasets[0][1], "datasets": lambda _: datasets, "source": lambda _: source,
+        "dbn_cfg": settings.config, "peak_cfg": settings.config, "eval_cfg": settings.config,
+        "synth_cfg": settings.config, "sweep": settings.sweep_spec, "window": settings.tempo_window,
+        "tempo_sources": lambda _: _tempo_sources(settings),
+        "jobs": lambda default: settings.get("jobs", default, cast=int),
+        "decoder": lambda default: settings.get("decoder", default, cast=str),
+        "intersect_source": lambda default: settings.get("intersect_source", default, cast=str),
     }
-    over_default = {"dbn_cfg": settings.config, "peak_cfg": settings.config, "window": settings.tempo_window,
-                    "tempo_sources": lambda _: _tempo_sources(args)}
     run = getattr(experiments, EXPERIMENTS[args.name])
-    kwargs = {}
-    for name, param in inspect.signature(run).parameters.items():
-        if name in over_default:
-            kwargs[name] = over_default[name](param.default)
-        elif given.get(name) is not None:
-            kwargs[name] = given[name]
+    kwargs = {name: resolvers[name](param.default)
+              for name, param in inspect.signature(run).parameters.items() if name in resolvers}
+    settings.reject_unread(args.name)
+    carried = sorted({label for _, ds in datasets for record in ds.annotated() for label in record.activations})
+    for label in (source, kwargs.get("intersect_source")):
+        if label not in (None, experiments.GT_SOURCE, *carried):
+            raise ToolkitError(f"no annotated track has activation source {label!r}; "
+                               f"sources present: {', '.join(carried) or 'none'}")
     report = run(**kwargs)
     report.config = {"experiment": args.name, "source": source, **settings.resolved}
     return report

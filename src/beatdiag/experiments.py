@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dbn, diagnostics, metrics, peaks
-from .errors import DegenerateInput
+from .errors import DegenerateInput, NoOverlap, ToolkitError
 from .ingest import AXES, ActivationCurve, BeatAnnotation, Dataset
 from .reports import ReportRow, RunReport, csv_text
 
@@ -127,14 +127,18 @@ def score_track(payload) -> dict:
     share one EvalResult.
 
     ``payload`` is (annotation, activation or None, synth_cfg, specs,
-    eval_cfg); without an activation the GT activation is synthesized.
+    eval_cfg); without an activation the GT activation is synthesized. A
+    decoder error names the track and the activation's source.
     """
     ref, act, synth_cfg, specs, eval_cfg = payload
     if act is None:
         act = synthesize_gt_activation(ref, synth_cfg)
     specs = dict.fromkeys(specs)
-    picks = peaks.pick_peaks_grid(act, [s.config for s in specs if isinstance(s.config, peaks.PeakConfig)])
-    beats = {spec: picks[spec.config] if spec.config in picks else spec.decode(act) for spec in specs}
+    try:
+        picks = peaks.pick_peaks_grid(act, [s.config for s in specs if isinstance(s.config, peaks.PeakConfig)])
+        beats = {spec: picks[spec.config] if spec.config in picks else spec.decode(act) for spec in specs}
+    except ToolkitError as exc:
+        raise ToolkitError(f"{ref.track_id} ({act.source_label}): {exc}") from None
     distinct = {b.tobytes(): b for b in beats.values()}
     results = dict(zip(distinct, metrics.evaluate_many(list(distinct.values()), ref.beats, eval_cfg)))
     return {spec: results[b.tobytes()] for spec, b in beats.items()}
@@ -724,7 +728,11 @@ def run_axis_table(
     report = RunReport(experiment="axis-table")
     tracks = []  # (axes, act at GT, peak F, DBN F change, GT-tempo CMLt gain)
     for rec, scores in scored:
-        at_gt = diagnostics.act_at_gt(_activation_of(rec, source, synth_cfg), rec.annotation)
+        try:
+            at_gt = diagnostics.act_at_gt(_activation_of(rec, source, synth_cfg), rec.annotation)
+        except NoOverlap as exc:  # the curve ends before the first annotated beat
+            report.notes.append(f"{exc}; skipped")
+            continue
         delta = scores[plain].f_measure - scores[peak].f_measure
         cmlt_gain = scores[held(rec)].cmlt - scores[plain].cmlt
         tracks.append((rec.metadata.axes, at_gt, scores[peak].f_measure, delta, cmlt_gain))
@@ -751,7 +759,7 @@ def run_axis_table(
                 f"{np.mean(cmlt_gains):+.3f}",
             ))
     report.tables["axis-table"] = (header, table)
-    report.summary = {"n_tracks": len(scored)}
+    report.summary = {"n_tracks": len(tracks)}
     _note_skipped(report, source, missing, short)
     return report
 
@@ -802,9 +810,13 @@ def run_taxonomy(
         ):
             counts["mixed"] += 1
         else:
-            row.category = category
             act = _activation_of(rec, source, synth_cfg)
-            row.diagnostics = diagnostics.compute_diagnostics(act, rec.annotation)
+            try:
+                row.diagnostics = diagnostics.compute_diagnostics(act, rec.annotation)
+            except NoOverlap as exc:  # the curve ends before the first annotated beat
+                report.notes.append(f"{exc}; skipped")
+                continue
+            row.category = category
             counts[str(category)] += 1
         report.rows.append(row)
     report.summary = {"n_tracks": len(report.rows)}

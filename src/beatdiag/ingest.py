@@ -89,7 +89,6 @@ class TrackMetadata:
     axes: frozenset = frozenset()
     annotator_confidence: int | None = None
     annotator_id: str | None = None
-    is_easy: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -347,7 +346,7 @@ def assign_axes(tags, axis_map: AxisMap) -> frozenset:
     return frozenset(axis_map.entries[t] for t in tags if t in axis_map.entries)
 
 
-_META_LINE = re.compile(r"^(annotator|confidence|easy)\s*[:=]\s*(.+)$", re.IGNORECASE)
+_META_LINE = re.compile(r"^(annotator|confidence)\s*[:=]\s*(.+)$", re.IGNORECASE)
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -363,7 +362,7 @@ def load_tags(path, axis_map: AxisMap | None = None):
     """Parse a free-text tag file into (TrackMetadata, residue raw tags).
 
     Tags are separated by newlines, commas, or semicolons. Lines of the form
-    ``annotator: X``, ``confidence: N``, ``easy: true`` carry annotation
+    ``annotator: X`` and ``confidence: N`` carry annotation
     provenance; either inline keys or a separate metadata file may be used.
     """
     if axis_map is None:
@@ -372,7 +371,6 @@ def load_tags(path, axis_map: AxisMap | None = None):
     raw_tags = []
     annotator = None
     confidence = None
-    is_easy = None
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -387,11 +385,6 @@ def load_tags(path, axis_map: AxisMap | None = None):
                     confidence = int(value)
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: confidence {value!r} is not an integer") from None
-            elif key == "easy":
-                try:
-                    is_easy = parse_bool(value)
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: easy {exc}") from None
             continue
         raw_tags.extend(t.strip() for t in re.split(r"[,;]", stripped) if t.strip())
     canonical = []
@@ -411,7 +404,6 @@ def load_tags(path, axis_map: AxisMap | None = None):
         axes=assign_axes(canonical, axis_map),
         annotator_confidence=confidence,
         annotator_id=annotator,
-        is_easy=is_easy,
     )
     return metadata, residue
 

@@ -8,6 +8,7 @@ from beatdiag import cli, ingest, reports
 from beatdiag.experiments import SynthConfig, synthesize_gt_activation
 from beatdiag.ingest import ActivationCurve, write_activation, write_beats
 from conftest import PSEUDO_DIR, TESTS_DIR, make_grid_annotation
+from test_experiments import DEFAULT_CONFIGS
 
 
 def run(argv):
@@ -360,21 +361,78 @@ def test_experiment_empty_dataset_exits_one(tmp_path, capsys):
     assert "no tracks" in capsys.readouterr().err
 
 
+# Each flag that only some commands read: the manifest key it sets, and a value.
+CHOOSY_FLAGS = {
+    "--min-bpm": ("min_bpm", "30"), "--max-bpm": ("max_bpm", "200"), "--lambda": ("transition_lambda", "50"),
+    "--observation-lambda": ("observation_lambda", "8"), "--no-correct": ("no_correct", None),
+    "--threshold": ("threshold", "0.3"), "--min-separation": ("min_separation", "0.2"), "--trim": ("trim", "1"),
+    "--fps": ("fps", "50"), "--sigma-frames": ("sigma_frames", "3"), "--tempo-window": ("tempo_window", "0.1"),
+    "--lambdas": ("lambdas", "1,2"), "--thresholds": ("thresholds", "0.2,0.4"), "--decoder": ("decoder", "dbn"),
+    "--intersect-source": ("intersect_source", "gt-synth"), "--tempo-file": ("tempo_file", "est=no-such.csv"),
+    "--gt-tempo": ("gt_tempo", None),
+}
+EXPERIMENT_UNREAD = [(name, flag) for name, config in DEFAULT_CONFIGS.items()
+                     for flag, (key, _) in CHOOSY_FLAGS.items() if key not in config]
+_DBN_FLAGS = ("--min-bpm", "--max-bpm", "--lambda", "--observation-lambda", "--no-correct")
+DECODE_UNREAD = [*(("decode --peaks", flag) for flag in (*_DBN_FLAGS, "--tempo-window", "--tempo-file")),
+                 *(("decode --dbn", flag) for flag in ("--threshold", "--min-separation", "--tempo-window",
+                                                       "--tempo-file")),
+                 ("decode --dbn-constrained", "--threshold"), ("decode --dbn-constrained", "--min-separation")]
+
+
+def test_unread_pair_counts():
+    """Of 17 such flags, the ten experiments read 92 (experiment, flag)
+    pairs, and decode's three modes 14 of their 27 (mode, flag) pairs."""
+    assert (len(EXPERIMENT_UNREAD), len(DECODE_UNREAD)) == (170 - 92, 27 - 14)
+
+
 @pytest.mark.parametrize("command,flag", [
     ("decode", "--jobs"), ("eval", "--jobs"), ("diagnose", "--jobs"), ("synth-gt", "--jobs"), ("diagnose", "--config"),
+    *DECODE_UNREAD, *EXPERIMENT_UNREAD,
 ])
-def test_flag_a_command_would_ignore_exits_two(tmp_path, command, flag):
-    """--jobs is experiment's alone, and diagnose reads no config file."""
+def test_flag_a_command_would_ignore_exits_two(tmp_path, capsys, command, flag):
+    """--jobs is experiment's alone, diagnose reads no config file, and a
+    command that does not read a settings or experiment flag rejects it,
+    before it writes anything."""
     acts, beats, out = str(PSEUDO_DIR / "activations" / "pseudo"), str(PSEUDO_DIR / "beats"), str(tmp_path / "o")
+    tempo = tmp_path / "tempo.csv"
+    tempo.write_text("track_id,bpm,source_label\npseudo01,90,est\n")
     argv = {
         "decode": ["decode", "--peaks", acts, "-o", out],
         "eval": ["eval", "--est", beats, "--ref", beats],
         "diagnose": ["diagnose", "--activations", acts, "--beats", beats],
         "synth-gt": ["synth-gt", "--beats", beats, "-o", out],
-    }[command]
+        "decode --peaks": ["decode", "--peaks", acts, "-o", out],
+        "decode --dbn": ["decode", "--dbn", acts, "-o", out],
+        "decode --dbn-constrained": ["decode", "--dbn-constrained", "--tempo-file", str(tempo), acts, "-o", out],
+    }.get(command, ["experiment", command, "--dataset", f"p={PSEUDO_DIR}", "-o", out])
+    value = CHOOSY_FLAGS[flag][1] if flag in CHOOSY_FLAGS else "2"
     with pytest.raises(SystemExit) as exc:
-        run(argv + [flag, "2"])
+        run(argv + [flag] + ([value] if value else []))
     assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+    if flag in CHOOSY_FLAGS:
+        assert f"error: {command} does not read {flag}\n" in capsys.readouterr().err
+
+
+def test_config_keys_a_command_does_not_read_are_ignored(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trim=5\njobs=2\nmin_bpm=abc\nthreshold=0.3\n")
+    out = tmp_path / "out"
+    assert run(["decode", "--peaks", "--config", str(cfg), str(PSEUDO_DIR / "activations" / "pseudo"),
+                "-o", str(out)]) == 0
+    assert (out / "manifest.txt").read_text().splitlines()[1:] == [
+        "command=decode:peaks", "min_separation=0.1", "threshold=0.3"]
+
+
+def test_taxonomy_manifest_records_its_decoder(tmp_path):
+    for decoder in ("peaks", "dbn"):
+        assert run(["experiment", "taxonomy", "--dataset", f"p={PSEUDO_DIR}", "--source", "pseudo",
+                    "--decoder", decoder, "-o", str(tmp_path / decoder)]) == 0
+    by_peaks, by_dbn = ((tmp_path / d / "taxonomy" / "manifest.txt").read_text().splitlines() for d in ("peaks", "dbn"))
+    assert "decoder=peaks" in by_peaks and "decoder=dbn" in by_dbn
+    assert [line for line in by_peaks if not line.startswith("decoder=")] == [
+        line for line in by_dbn if not line.startswith("decoder=")]
 
 
 def test_bad_config_value_exits_one(tmp_path, capsys):
@@ -534,7 +592,7 @@ def _break_input(root, kind):
         path.write_bytes(b"\xff\xfe" + path.read_bytes())
     elif kind == "tags":
         path = root / "tags" / "pseudo01.tags"
-        path.write_text(path.read_text() + "easy: maybe\n")
+        path.write_text(path.read_text() + "confidence: high\n")
     elif kind == "tempo":
         path = root / "tempo.csv"
         path.write_text("track_id,bpm,source_label\npseudo01,90\n")
@@ -663,3 +721,39 @@ def test_cli_process_rejects_bad_report_and_config_input_with_its_path(tmp_path,
     assert proc.returncode == 1
     assert f"error: {where}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _probe_root(tmp_path, probe):
+    """The pseudo corpus with one activation replaced: pseudo01's by 40
+    frames at 2 fps, or pseudo02's by a single frame."""
+    root = tmp_path / "pseudo"
+    shutil.copytree(PSEUDO_DIR, root)
+    track, values, fps = {"fps2": ("pseudo01", np.full(40, 0.5), 2.0),
+                          "one-frame": ("pseudo02", np.array([0.5]), 43.07)}[probe]
+    write_activation(ActivationCurve(values=values, fps=fps, source_label="pseudo"),
+                     root / "activations" / "pseudo" / f"{track}.act")
+    return root
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_process_decoder_error_names_track_and_source(tmp_path, jobs):
+    root = _probe_root(tmp_path, "fps2")
+    proc = _run_cli_process(["experiment", "peak-vs-dbn", "--dataset", f"p={root}", "--source", "pseudo",
+                             "--jobs", jobs, "-o", str(tmp_path / "out")])
+    assert proc.returncode == 1
+    assert "error: pseudo01 (pseudo): fps 2.0 too low for max_bpm 215.0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["taxonomy", "axis-table"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_process_skips_and_lists_track_whose_curve_holds_no_beat(tmp_path, name, jobs):
+    root = _probe_root(tmp_path, "one-frame")
+    proc = _run_cli_process(["experiment", name, "--dataset", f"p={root}", "--source", "pseudo",
+                             "--jobs", jobs, "-o", str(tmp_path / "out")])
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    note = "pseudo02: no annotated beat inside the curve; skipped"
+    assert note in proc.stdout and note in (tmp_path / "out" / name / "report.txt").read_text()
+    rows = reports.rows_from_csv((tmp_path / "out" / name / "rows.csv").read_text())
+    assert sorted(row.track_id for row in rows) == ["pseudo01", "pseudo03"]

@@ -517,25 +517,27 @@ def run_suite_stages(dataset, source, names=None):
     return out
 
 
-# The resolved settings each experiment records with no flags. The five
-# experiments that sweep or bound the DBN decode from 30 BPM; peak-vs-dbn,
-# taxonomy and axis-table keep the stock 55 BPM floor.
-_RUN = {"jobs": 1, "trim": 0.0, "fps": 43.07, "sigma_frames": 2.0, "lambdas": None, "thresholds": None}
+# The settings each experiment reads, as it records them with no flags. All
+# but dataset-stats score tracks. The five experiments that sweep or bound
+# the DBN decode from 30 BPM; peak-vs-dbn, taxonomy and axis-table keep the
+# stock 55 BPM floor.
+_SCORED = {"jobs": 1, "trim": 0.0, "fps": 43.07, "sigma_frames": 2.0}
+_SWEEP = {"lambdas": None, "thresholds": None}
 _DBN_30 = {"min_bpm": 30.0, "max_bpm": 215.0, "transition_lambda": 100.0, "observation_lambda": 16,
            "no_correct": False}
 _DBN_55 = {**_DBN_30, "min_bpm": 55.0}
 _PEAKS = {"threshold": 0.5, "min_separation": 0.1}
 DEFAULT_CONFIGS = {
-    "bottleneck": {**_RUN, **_DBN_30, **_PEAKS},
-    "gt-bottleneck": {**_RUN, **_DBN_30},
-    "lambda-sweep": {**_RUN, **_DBN_30},
-    "threshold-sweep": {**_RUN, **_PEAKS},
-    "tempo-curve": {**_RUN, **_DBN_30, "tempo_window": 0.2},
-    "peak-vs-dbn": {**_RUN, **_DBN_55, **_PEAKS},
-    "taxonomy": {**_RUN, **_DBN_55, **_PEAKS},
-    "dataset-stats": {**_RUN},
-    "systems": {**_RUN, **_DBN_30, **_PEAKS, "tempo_window": 0.2},
-    "axis-table": {**_RUN, **_DBN_55, **_PEAKS, "tempo_window": 0.2},
+    "bottleneck": {**_SCORED, **_DBN_30, **_PEAKS},
+    "gt-bottleneck": {**_SCORED, **_DBN_30},
+    "lambda-sweep": {**_SCORED, **_SWEEP, **_DBN_30},
+    "threshold-sweep": {**_SCORED, **_SWEEP, **_PEAKS},
+    "tempo-curve": {**_SCORED, **_DBN_30, "tempo_window": 0.2, "tempo_file": [], "gt_tempo": False},
+    "peak-vs-dbn": {**_SCORED, **_DBN_55, **_PEAKS},
+    "taxonomy": {**_SCORED, **_DBN_55, **_PEAKS, "decoder": "peaks", "intersect_source": None},
+    "dataset-stats": {},
+    "systems": {**_SCORED, **_SWEEP, **_DBN_30, **_PEAKS, "tempo_window": 0.2},
+    "axis-table": {**_SCORED, **_DBN_55, **_PEAKS, "tempo_window": 0.2},
 }
 
 

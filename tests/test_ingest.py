@@ -176,17 +176,25 @@ def test_load_tags_bad_confidence_names_path(tmp_path):
     [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False)],
 )
 def test_load_tags_easy_values(tmp_path, value, expected):
+    """The booleans parse_bool reads (as no_correct does); in a tag file an
+    ``easy:`` line is an unrecognized tag like any other."""
+    assert ingest.parse_bool(value) is expected
     path = tmp_path / "trk.tags"
     path.write_text(f"slow tempo\neasy: {value}\n")
-    assert ingest.load_tags(path)[0].is_easy is expected
+    meta, residue = ingest.load_tags(path)
+    assert residue == [f"easy: {value}"] and meta.canonical_tags == ("slow_tempo",)
 
 
 @pytest.mark.parametrize("value", ["maybe", "ture", "2", "y"])
-def test_load_tags_bad_easy_value_names_path(tmp_path, value):
+def test_load_tags_bad_easy_value_names_path(tmp_path, caplog, value):
+    """parse_bool names a value it rejects; in a tag file the line is no
+    error, but an unrecognized tag warned about under its file's name."""
+    with pytest.raises(ValueError, match=f"'{value}' is not 1/true/yes/0/false/no"):
+        ingest.parse_bool(value)
     path = tmp_path / "trk.tags"
     path.write_text(f"slow tempo\neasy: {value}\n")
-    with pytest.raises(ParseError, match=f"{path}:2"):
-        ingest.load_tags(path)
+    assert ingest.load_tags(path)[1] == [f"easy: {value}"]
+    assert f"trk.tags: 1 unrecognized tag(s): ['easy: {value}']" in caplog.text
 
 
 # ---------------------------------------------------------------------------
