@@ -290,16 +290,15 @@ def cmd_decode(args) -> int:
     written = 0
     for track_id, path in _activation_paths(args.inputs).items():
         act = ingest.load_activation(path)
-        constraint = None
-        if args.dbn_constrained:
-            if track_id not in tempo:
-                print(f"warning: no tempo estimate for {track_id}, skipped", file=sys.stderr)
-                continue
-            constraint = dbn.TempoConstraint(center_bpm=tempo[track_id], window_fraction=window)
-        spec = experiments.DecoderSpec(config, constraint)
-        try:
-            beats = spec.decode(act)
-        except ToolkitError as exc:  # a BPM range that this activation's frame rate cannot hold
+        if args.dbn_constrained and track_id not in tempo:
+            print(f"warning: no tempo estimate for {track_id}, skipped", file=sys.stderr)
+            continue
+        try:  # a BPM range that is empty or that this activation's frame rate cannot hold
+            cfg = config
+            if args.dbn_constrained:
+                cfg = dbn.TempoConstraint(center_bpm=tempo[track_id], window_fraction=window).hold(config)
+            beats = peaks.pick_peaks(act, cfg) if args.peaks else dbn.decode(act, cfg)
+        except ToolkitError as exc:
             raise ToolkitError(f"{path}: {exc}") from None
         ingest.write_beats(beats, out_dir / f"{track_id}.beats")
         written += 1

@@ -100,6 +100,11 @@ class TempoConstraint:
             )
         return lo, hi
 
+    def hold(self, cfg: DbnConfig) -> DbnConfig:
+        """``cfg`` with its BPM range replaced by the effective window."""
+        lo, hi = self.effective_range()
+        return dataclasses.replace(cfg, min_bpm=lo, max_bpm=hi)
+
 
 class StateSpace:
     """Tempo x phase state space with a flat id layout.
@@ -264,9 +269,6 @@ def decode(act: ActivationCurve, cfg: DbnConfig = DbnConfig()) -> np.ndarray:
     return path_to_beats(path, space, act, cfg.correct_beats)
 
 
-def decode_constrained(
-    act: ActivationCurve, cfg: DbnConfig, constraint: TempoConstraint
-) -> np.ndarray:
+def decode_constrained(act: ActivationCurve, cfg: DbnConfig, constraint: TempoConstraint) -> np.ndarray:
     """Decode with the BPM range replaced by the constraint window."""
-    lo, hi = constraint.effective_range()
-    return decode(act, dataclasses.replace(cfg, min_bpm=lo, max_bpm=hi))
+    return decode(act, constraint.hold(cfg))

@@ -83,15 +83,21 @@ def _windows(frames: np.ndarray, n: int) -> np.ndarray:
 
 def act_at_gt(act: ActivationCurve, ref: BeatAnnotation) -> float:
     """Mean over annotated beats of the max activation within +/-2 frames."""
-    frames = _beat_frames(act, ref)
+    return _act_at_frames(act, _beat_frames(act, ref), ref.track_id)
+
+
+def _act_at_frames(act: ActivationCurve, frames: np.ndarray, track_id: str) -> float:
     if frames.size == 0:
-        raise NoOverlap(f"{ref.track_id}: no annotated beat inside the curve")
+        raise NoOverlap(f"{track_id}: no annotated beat inside the curve")
     return float(np.mean(act.values[_windows(frames, len(act.values))].max(axis=1)))
 
 
 def false_positive_activation(act: ActivationCurve, ref: BeatAnnotation) -> float:
     """Mean activation over frames farther than 2 frames from every beat."""
-    frames = _beat_frames(act, ref)
+    return _far_from_frames(act, _beat_frames(act, ref))
+
+
+def _far_from_frames(act: ActivationCurve, frames: np.ndarray) -> float:
     far = np.ones(len(act.values), dtype=bool)
     far[_windows(frames, len(act.values))] = False
     if not far.any():
@@ -141,13 +147,14 @@ def activation_entropy(act: ActivationCurve) -> float:
 
 
 def compute_diagnostics(act: ActivationCurve, ref: BeatAnnotation) -> ActivationDiagnostics:
+    frames = _beat_frames(act, ref)  # once: it logs the beats outside the curve
     return ActivationDiagnostics(
-        act_at_gt=act_at_gt(act, ref),
+        act_at_gt=_act_at_frames(act, frames, ref.track_id),
         max_activation=float(act.values.max()),
         peak_sharpness=peak_sharpness(act),
         periodicity_strength=periodicity_strength(act),
         entropy=activation_entropy(act),
-        false_positive_activation=false_positive_activation(act, ref),
+        false_positive_activation=_far_from_frames(act, frames),
     )
 
 

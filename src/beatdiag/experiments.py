@@ -3,19 +3,21 @@ decoding, bottleneck quantification, taxonomy runs, and figure-data export.
 
 Every experiment runs the same three steps:
 
-1. Spec. It declares, per track, the decoders to run as DecoderSpec values:
-   peak picking, the DBN, or the DBN held to a tempo window. A lambda or
-   threshold sweep is just one spec per grid value.
+1. Spec. It declares, per track, the decoders to run as their configs: a
+   PeakConfig picks peaks, a DbnConfig decodes with the DBN. A tempo window
+   becomes a DbnConfig's BPM range (``TempoConstraint.hold``) when the spec
+   is built. A lambda or threshold sweep is just one spec per grid value.
 2. Worker. ``score_track`` decodes one track's activation once per distinct
    spec, picking a threshold grid's peaks in one pass, and scores the
    distinct beat sequences together in one metrics pass. ``_map_tracks``
    runs it over the tracks of one activation source, optionally in a
-   process pool; the gt-synth source is synthesized inside the worker. The
-   scores of DBN decodes are cached per loaded Dataset, by track, source,
-   synth config, spec and eval config, so every stage of a run on one
-   dataset decodes each of them once; only the specs the cache lacks reach
-   the worker. The parent process owns the
-   cache, so results are the same at any ``jobs``.
+   process pool. Every source reaches it as a curve from ``_activation_of``,
+   which synthesizes a gt-synth curve once per dataset, track and synth
+   config. The scores of DBN decodes are cached per loaded Dataset, by
+   track, source, synth config, spec and eval config, so every stage of a
+   run on one dataset decodes each of them once; only the specs the cache
+   lacks reach the worker. The parent process owns both caches, so results
+   are the same at any ``jobs``.
 3. Fold. The experiment turns the per-track {spec: EvalResult} maps into a
    RunReport of per-track rows plus corpus-level summaries and tables.
 
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dbn, diagnostics, metrics, peaks
-from .errors import DegenerateInput, NoOverlap, ToolkitError
+from .errors import ConstraintError, DegenerateInput, NoOverlap, ToolkitError
 from .ingest import AXES, ActivationCurve, BeatAnnotation, Dataset
 from .reports import ReportRow, RunReport, csv_text
 
@@ -45,7 +47,6 @@ class SynthConfig:
 
     sigma_frames: float = 2.0
     fps: float = 43.07
-    tail_seconds: float = 1.0
 
     def __post_init__(self):
         if self.sigma_frames <= 0:
@@ -67,6 +68,7 @@ class SweepSpec:
 
 
 GT_SOURCE = "gt-synth"
+GT_TAIL_SECONDS = 1.0  # a synthesized curve runs this far past the last beat
 
 # The DBN floor lowered from 55 to 30 BPM, where slow tracks decode at their own tempo.
 SLOW_DBN = dbn.DbnConfig(min_bpm=30.0)
@@ -75,12 +77,12 @@ SLOW_DBN = dbn.DbnConfig(min_bpm=30.0)
 def synthesize_gt_activation(ref: BeatAnnotation, cfg: SynthConfig = SynthConfig()) -> ActivationCurve:
     """Gaussian peaks centered on the annotated beats, combined by max.
 
-    The curve runs one tail second past the last beat so trailing beats get
+    The curve runs GT_TAIL_SECONDS past the last beat so trailing beats get
     full support.
     """
     if len(ref.beats) == 0:
         raise ValueError(f"{ref.track_id}: cannot synthesize from an empty annotation")
-    n_frames = int(math.ceil((ref.beats[-1] + cfg.tail_seconds) * cfg.fps))
+    n_frames = int(math.ceil((ref.beats[-1] + GT_TAIL_SECONDS) * cfg.fps))
     values = np.zeros(n_frames)
     support = int(math.ceil(6 * cfg.sigma_frames))
     centers = ref.beats * cfg.fps
@@ -94,49 +96,28 @@ def synthesize_gt_activation(ref: BeatAnnotation, cfg: SynthConfig = SynthConfig
 
 
 # ---------------------------------------------------------------------------
-# Decoder specs and the track worker
+# The track worker
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DecoderSpec:
-    """One way to turn an activation into beats.
-
-    A PeakConfig means peak picking; a DbnConfig means DBN decoding, held to
-    ``constraint`` when one is given. Specs are hashable, and equal specs
-    are decoded once per track.
-    """
-
-    config: peaks.PeakConfig | dbn.DbnConfig
-    constraint: dbn.TempoConstraint | None = None
-
-    def decode(self, act: ActivationCurve) -> np.ndarray:
-        if isinstance(self.config, peaks.PeakConfig):
-            return peaks.pick_peaks(act, self.config)
-        if self.constraint is None:
-            return dbn.decode(act, self.config)
-        return dbn.decode_constrained(act, self.config, self.constraint)
 
 
 def score_track(payload) -> dict:
     """{spec: EvalResult} for one track, each distinct spec decoded once.
 
-    Peak specs are picked together, one suppression pass per threshold grid
-    (``peaks.pick_peaks_grid``), and the distinct beat arrays are scored in
-    one ``metrics.evaluate_many`` pass: specs that decode to equal beats
-    share one EvalResult.
+    A spec is a PeakConfig or a DbnConfig (``dbn.decode``), and equal specs
+    are equal configs, so two tempo windows held to one BPM range decode
+    once. Peak specs are picked together, one suppression pass per threshold
+    grid (``peaks.pick_peaks_grid``), and the distinct beat arrays are
+    scored in one ``metrics.evaluate_many`` pass: specs that decode to equal
+    beats share one EvalResult.
 
-    ``payload`` is (annotation, activation or None, synth_cfg, specs,
-    eval_cfg); without an activation the GT activation is synthesized. A
-    decoder error names the track and the activation's source.
+    ``payload`` is (annotation, activation, specs, eval_cfg). A decoder
+    error names the track and the activation's source.
     """
-    ref, act, synth_cfg, specs, eval_cfg = payload
-    if act is None:
-        act = synthesize_gt_activation(ref, synth_cfg)
+    ref, act, specs, eval_cfg = payload
     specs = dict.fromkeys(specs)
     try:
-        picks = peaks.pick_peaks_grid(act, [s.config for s in specs if isinstance(s.config, peaks.PeakConfig)])
-        beats = {spec: picks[spec.config] if spec.config in picks else spec.decode(act) for spec in specs}
+        picks = peaks.pick_peaks_grid(act, [spec for spec in specs if isinstance(spec, peaks.PeakConfig)])
+        beats = {spec: picks[spec] if spec in picks else dbn.decode(act, spec) for spec in specs}
     except ToolkitError as exc:
         raise ToolkitError(f"{ref.track_id} ({act.source_label}): {exc}") from None
     distinct = {b.tobytes(): b for b in beats.values()}
@@ -159,21 +140,36 @@ def _map_tracks(fn, items, jobs: int = 1) -> dict:
     return dict(sorted(results.items()))
 
 
-# Loaded Dataset -> {(track_id, source, synth_cfg or None, DBN spec, eval_cfg): EvalResult}.
+# Loaded Dataset -> {(track_id, source, synth_cfg or None, DbnConfig, eval_cfg): EvalResult}.
 # Peak picks are cheap to repeat, and a threshold sweep's would fill it.
 _DECODES = weakref.WeakKeyDictionary()
+# Loaded Dataset -> {(track_id, synth_cfg): synthesized GT curve}.
+_GT_CURVES = weakref.WeakKeyDictionary()
+
+
+def _activation_of(dataset: Dataset, record, source: str, synth_cfg: SynthConfig) -> ActivationCurve:
+    """The track's ``source`` curve; a gt-synth curve is synthesized once
+    per dataset, track and synth config."""
+    if source != GT_SOURCE:
+        return record.activations[source]
+    curves = _GT_CURVES.setdefault(dataset, {})
+    if (record.track_id, synth_cfg) not in curves:
+        curves[record.track_id, synth_cfg] = synthesize_gt_activation(record.annotation, synth_cfg)
+    return curves[record.track_id, synth_cfg]
 
 
 def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, jobs: int,
                   min_beats: int = 2):
     """Score the annotated tracks that carry ``source``, in one track mapping.
 
-    ``specs_of(record)`` lists the track's DecoderSpecs; DBN scores already
-    in the dataset's cache are not decoded again. Returns
-    [(record, {spec: EvalResult})] in track order, the ids of the tracks
-    without ``source``, and a note listing the tracks with fewer than
-    ``min_beats`` annotated beats left after ``eval_cfg``'s trim, which are
-    skipped too (None if none are).
+    ``specs_of(record)`` lists the track's specs (PeakConfigs and
+    DbnConfigs); the error of a tempo window it cannot hold names the track
+    and source. DBN scores already in the dataset's cache are not decoded
+    again; the other specs reach the worker with the track's curve from
+    ``_activation_of``. Returns [(record, {spec: EvalResult})] in track
+    order, the ids of the tracks without ``source``, and a note listing the
+    tracks with fewer than ``min_beats`` annotated beats left after
+    ``eval_cfg``'s trim, which are skipped too (None if none are).
     """
     cache = _DECODES.setdefault(dataset, {})
     synth_key = synth_cfg if source == GT_SOURCE else None
@@ -182,18 +178,18 @@ def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, 
         if len(metrics.trim_beats(record.annotation.beats, eval_cfg.trim_seconds)) < min_beats:
             short.append(record.track_id)
             continue
-        if source == GT_SOURCE:
-            act = None
-        elif source in record.activations:
-            act = record.activations[source]
-        else:
+        if source != GT_SOURCE and source not in record.activations:
             missing.append(record.track_id)
             continue
-        specs = specs_of(record)
+        try:
+            specs = specs_of(record)
+        except ConstraintError as exc:  # a tempo window with an empty BPM range
+            raise ToolkitError(f"{record.track_id} ({source}): {exc}") from None
         found.append((record, specs))
         todo = [spec for spec in specs if (record.track_id, source, synth_key, spec, eval_cfg) not in cache]
         if todo:
-            items.append((record.track_id, (record.annotation, act, synth_cfg, todo, eval_cfg)))
+            act = _activation_of(dataset, record, source, synth_cfg)
+            items.append((record.track_id, (record.annotation, act, todo, eval_cfg)))
     decoded = _map_tracks(score_track, items, jobs) if items else {}
     scored = []
     for record, specs in found:
@@ -201,7 +197,7 @@ def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, 
         for spec in specs:
             key = (record.track_id, source, synth_key, spec, eval_cfg)
             scores[spec] = cache[key] if key in cache else decoded[record.track_id][spec]
-            if isinstance(spec.config, dbn.DbnConfig):
+            if isinstance(spec, dbn.DbnConfig):
                 cache[key] = scores[spec]
         scored.append((record, scores))
     short_note = f"{len(short)} track(s) with <{min_beats} beats skipped: {short}" if short else None
@@ -215,22 +211,13 @@ def _note_skipped(report: RunReport, source: str, missing, short_note=None):
         report.notes.append(short_note)
 
 
-def _activation_of(record, source: str, synth_cfg: SynthConfig) -> ActivationCurve:
-    if source == GT_SOURCE:
-        return synthesize_gt_activation(record.annotation, synth_cfg)
-    return record.activations[source]
+def _lambda_grid(sweep: SweepSpec, dbn_cfg: dbn.DbnConfig) -> list:
+    return [dataclasses.replace(dbn_cfg, transition_lambda=float(lam)) for lam in sweep.lambdas]
 
 
-def _lambda_grid(sweep: SweepSpec, dbn_cfg: dbn.DbnConfig, constraint=None) -> list:
-    return [
-        DecoderSpec(dataclasses.replace(dbn_cfg, transition_lambda=float(lam)), constraint)
-        for lam in sweep.lambdas
-    ]
-
-
-def _gt_tempo_window(record, window: float) -> dbn.TempoConstraint:
+def _held_to_gt_tempo(record, window: float, dbn_cfg: dbn.DbnConfig) -> dbn.DbnConfig:
     bpm = diagnostics.tempo_stats(record.annotation).gt_bpm
-    return dbn.TempoConstraint(center_bpm=bpm, window_fraction=window)
+    return dbn.TempoConstraint(center_bpm=bpm, window_fraction=window).hold(dbn_cfg)
 
 
 def _sweep(grid, scores):
@@ -323,9 +310,8 @@ def run_gt_bottleneck(
     jobs: int = 1,
 ) -> RunReport:
     """Decode synthetic GT activations for every annotated track."""
-    spec = DecoderSpec(dbn_cfg)
-    scored, _, short = _score_source(dataset, GT_SOURCE, lambda rec: (spec,), eval_cfg, synth_cfg, jobs)
-    rows = [_row(rec, GT_SOURCE, _dbn_label(dbn_cfg), scores[spec]) for rec, scores in scored]
+    scored, _, short = _score_source(dataset, GT_SOURCE, lambda rec: (dbn_cfg,), eval_cfg, synth_cfg, jobs)
+    rows = [_row(rec, GT_SOURCE, _dbn_label(dbn_cfg), scores[dbn_cfg]) for rec, scores in scored]
     fs = [r.eval.f_measure for r in rows]
     report = RunReport(experiment="gt-bottleneck", rows=rows)
     report.summary = {
@@ -366,7 +352,6 @@ def run_bottleneck_table(
     report = RunReport(experiment="bottleneck")
     if source == GT_SOURCE:
         source = None  # the GT columns are always computed; nothing "real" to add
-    peak_spec, dbn_spec = DecoderSpec(peak_cfg), DecoderSpec(dbn_cfg)
     for name, dataset in datasets:
         stats = dataset_stats(dataset)
         gt = run_gt_bottleneck(dataset, synth_cfg, dbn_cfg, eval_cfg, jobs)
@@ -374,11 +359,11 @@ def run_bottleneck_table(
         report.notes.extend(f"{name}: {note}" for note in gt.notes)
         real_peak_f = real_dbn_f = None
         if source is not None:
-            scored, missing, _ = _score_source(dataset, source, lambda rec: (peak_spec, dbn_spec),
+            scored, missing, _ = _score_source(dataset, source, lambda rec: (peak_cfg, dbn_cfg),
                                                eval_cfg, synth_cfg, jobs)
             if scored:
-                real_peak_f = float(np.mean([scores[peak_spec].f_measure for _, scores in scored]))
-                real_dbn_f = float(np.mean([scores[dbn_spec].f_measure for _, scores in scored]))
+                real_peak_f = float(np.mean([scores[peak_cfg].f_measure for _, scores in scored]))
+                real_dbn_f = float(np.mean([scores[dbn_cfg].f_measure for _, scores in scored]))
             if missing:
                 report.notes.append(f"{name}: {len(missing)} track(s) missing '{source}'")
         gt_f = gt.summary["mean_f"]
@@ -424,7 +409,7 @@ def sweep_lambda(
 ) -> LambdaSweep:
     """Decode at every lambda; the F-optimal one wins, ties to the smaller."""
     grid = _lambda_grid(sweep, dbn_cfg)
-    results, best = _sweep(grid, score_track((ref, act, None, grid, eval_cfg)))
+    results, best = _sweep(grid, score_track((ref, act, grid, eval_cfg)))
     return LambdaSweep(
         lambdas=tuple(float(x) for x in sweep.lambdas),
         results=tuple(results),
@@ -492,16 +477,15 @@ def run_threshold_sweep(
     Every grid threshold picks with ``peak_cfg``'s minimum separation, and
     ``peak_cfg`` itself is the default the optimum is compared against.
     """
-    grid = [DecoderSpec(dataclasses.replace(peak_cfg, threshold=thr)) for thr in sweep.thresholds]
-    default = DecoderSpec(peak_cfg)
-    scored, missing, short = _score_source(dataset, source, lambda rec: [*grid, default],
+    grid = [dataclasses.replace(peak_cfg, threshold=thr) for thr in sweep.thresholds]
+    scored, missing, short = _score_source(dataset, source, lambda rec: [*grid, peak_cfg],
                                            eval_cfg, synth_cfg, jobs)
     report = RunReport(experiment="threshold-sweep")
     for rec, scores in scored:
         results, best = _sweep(grid, scores)
         report.rows.append(_row(rec, source, "per-track-optimal-threshold", results[best],
                                 best_threshold=float(sweep.thresholds[best]),
-                                baseline_f=scores[default].f_measure))
+                                baseline_f=scores[peak_cfg].f_measure))
     if report.rows:
         report.summary = {
             "n_tracks": len(report.rows),
@@ -531,13 +515,12 @@ def run_peak_vs_dbn(
     synth_cfg: SynthConfig = SynthConfig(),
 ) -> RunReport:
     """Effect of routing activations through the DBN instead of peak picking."""
-    dbn_spec, peak_spec = DecoderSpec(dbn_cfg), DecoderSpec(peak_cfg)
-    scored, missing, short = _score_source(dataset, source, lambda rec: (dbn_spec, peak_spec),
+    scored, missing, short = _score_source(dataset, source, lambda rec: (dbn_cfg, peak_cfg),
                                            eval_cfg, synth_cfg, jobs)
     report = RunReport(experiment="peak-vs-dbn")
     for rec, scores in scored:
-        dbn_f, peak_f = scores[dbn_spec].f_measure, scores[peak_spec].f_measure
-        report.rows.append(_row(rec, source, _dbn_label(dbn_cfg), scores[dbn_spec],
+        dbn_f, peak_f = scores[dbn_cfg].f_measure, scores[peak_cfg].f_measure
+        report.rows.append(_row(rec, source, _dbn_label(dbn_cfg), scores[dbn_cfg],
                                 baseline_f=peak_f, delta_f=dbn_f - peak_f))
     if report.rows:
         deltas = np.asarray([r.delta_f for r in report.rows])
@@ -598,17 +581,16 @@ def run_tempo_curve(
     special label ``gt-tempo`` derives per-track BPM from the annotation.
     The unconstrained decode is always included as the baseline series.
     """
-    unconstrained = DecoderSpec(dbn_cfg)
     held = {}  # track id -> {series index: spec}; series 0 is unconstrained
 
     def specs_of(rec):
-        specs = held[rec.track_id] = {0: unconstrained}
+        specs = held[rec.track_id] = {0: dbn_cfg}
         for i, (label, bpm_by_track) in enumerate(tempo_sources, start=1):
             if label == GT_TEMPO_SOURCE:
                 if len(rec.annotation) >= diagnostics.MIN_TEMPO_BEATS:
-                    specs[i] = DecoderSpec(dbn_cfg, _gt_tempo_window(rec, window))
+                    specs[i] = _held_to_gt_tempo(rec, window, dbn_cfg)
             elif bpm_by_track.get(rec.track_id) is not None:
-                specs[i] = DecoderSpec(dbn_cfg, dbn.TempoConstraint(bpm_by_track[rec.track_id], window))
+                specs[i] = dbn.TempoConstraint(bpm_by_track[rec.track_id], window).hold(dbn_cfg)
         return list(specs.values())
 
     scored, missing, short = _score_source(dataset, source, specs_of, eval_cfg, synth_cfg, jobs)
@@ -629,7 +611,7 @@ def run_tempo_curve(
             report.notes.append(f"tempo source '{label}': {skipped} track(s) without estimate")
     report.tables["tempo-curve"] = (TEMPO_CURVE_HEADER, series)
     if scored:
-        baseline = [scores[unconstrained] for _, scores in scored]
+        baseline = [scores[dbn_cfg] for _, scores in scored]
         report.summary = {
             "n_tracks": len(baseline),
             "unconstrained_mean_f": float(np.mean([r.f_measure for r in baseline])),
@@ -660,28 +642,27 @@ def run_systems_table(
     lambda, GT-tempo constraint combined with the optimal lambda, and the
     GT-activation upper bound.
     """
-    peak, fixed = DecoderSpec(peak_cfg), DecoderSpec(dbn_cfg)
     grid = _lambda_grid(sweep, dbn_cfg)
 
     def held_grid(rec):  # the lambda grid held to the GT tempo window
-        return _lambda_grid(sweep, dbn_cfg, _gt_tempo_window(rec, window))
+        return _lambda_grid(sweep, _held_to_gt_tempo(rec, window, dbn_cfg))
 
-    scored, missing, short = _score_source(dataset, source, lambda rec: [peak, fixed, *grid, *held_grid(rec)],
+    scored, missing, short = _score_source(dataset, source, lambda rec: [peak_cfg, dbn_cfg, *grid, *held_grid(rec)],
                                            eval_cfg, synth_cfg, jobs, diagnostics.MIN_TEMPO_BEATS)
     gt_scored = scored
     if source != GT_SOURCE:  # the GT upper bound decodes a second activation per track
         ids = {rec.track_id for rec, _ in scored}
-        gt_scored, _, _ = _score_source(dataset, GT_SOURCE, lambda rec: (fixed,) if rec.track_id in ids else (),
+        gt_scored, _, _ = _score_source(dataset, GT_SOURCE, lambda rec: (dbn_cfg,) if rec.track_id in ids else (),
                                         eval_cfg, synth_cfg, jobs)
         gt_scored = [(rec, scores) for rec, scores in gt_scored if rec.track_id in ids]
     optimal = [_sweep(grid, scores) for _, scores in scored]
     constrained = [_sweep(held_grid(rec), scores) for rec, scores in scored]
     configurations = (
-        ("peak-picking", [scores[peak] for _, scores in scored], None),
-        (f"dbn-lambda={dbn_cfg.transition_lambda:g}", [scores[fixed] for _, scores in scored], None),
+        ("peak-picking", [scores[peak_cfg] for _, scores in scored], None),
+        (f"dbn-lambda={dbn_cfg.transition_lambda:g}", [scores[dbn_cfg] for _, scores in scored], None),
         ("dbn-optimal-lambda", [r[i] for r, i in optimal], [i for _, i in optimal]),
         ("gt-tempo+optimal-lambda", [r[i] for r, i in constrained], [i for _, i in constrained]),
-        ("gt-activations+dbn", [scores[fixed] for _, scores in gt_scored], None),
+        ("gt-activations+dbn", [scores[dbn_cfg] for _, scores in gt_scored], None),
     )
     report = RunReport(experiment="systems")
     table = []
@@ -718,25 +699,21 @@ def run_axis_table(
     the F change from routing through the DBN with the fraction of tracks
     hurt, and the CMLt gain from constraining to the ground-truth tempo.
     """
-    peak, plain = DecoderSpec(peak_cfg), DecoderSpec(dbn_cfg)
-
-    def held(rec):  # the DBN held to the GT tempo window
-        return DecoderSpec(dbn_cfg, _gt_tempo_window(rec, window))
-
-    scored, missing, short = _score_source(dataset, source, lambda rec: (peak, plain, held(rec)),
+    scored, missing, short = _score_source(dataset, source,
+                                           lambda rec: (peak_cfg, dbn_cfg, _held_to_gt_tempo(rec, window, dbn_cfg)),
                                            eval_cfg, synth_cfg, jobs, diagnostics.MIN_TEMPO_BEATS)
     report = RunReport(experiment="axis-table")
     tracks = []  # (axes, act at GT, peak F, DBN F change, GT-tempo CMLt gain)
     for rec, scores in scored:
         try:
-            at_gt = diagnostics.act_at_gt(_activation_of(rec, source, synth_cfg), rec.annotation)
+            at_gt = diagnostics.act_at_gt(_activation_of(dataset, rec, source, synth_cfg), rec.annotation)
         except NoOverlap as exc:  # the curve ends before the first annotated beat
             report.notes.append(f"{exc}; skipped")
             continue
-        delta = scores[plain].f_measure - scores[peak].f_measure
-        cmlt_gain = scores[held(rec)].cmlt - scores[plain].cmlt
-        tracks.append((rec.metadata.axes, at_gt, scores[peak].f_measure, delta, cmlt_gain))
-        report.rows.append(_row(rec, source, "peak-picking", scores[peak], delta_f=delta))
+        delta = scores[dbn_cfg].f_measure - scores[peak_cfg].f_measure
+        cmlt_gain = scores[_held_to_gt_tempo(rec, window, dbn_cfg)].cmlt - scores[dbn_cfg].cmlt
+        tracks.append((rec.metadata.axes, at_gt, scores[peak_cfg].f_measure, delta, cmlt_gain))
+        report.rows.append(_row(rec, source, "peak-picking", scores[peak_cfg], delta_f=delta))
 
     header = ("axis", "side", "n", "act_at_gt", "rho_act_f", "delta_f_dbn", "pct_hurt", "delta_cmlt_gt_tempo")
     table = []
@@ -777,7 +754,6 @@ def run_taxonomy(
     dbn_cfg: dbn.DbnConfig = dbn.DbnConfig(),
     peak_cfg: peaks.PeakConfig = peaks.PeakConfig(),
     eval_cfg: metrics.EvalConfig = metrics.DEFAULT_EVAL,
-    taxonomy_cfg: diagnostics.TaxonomyConfig = diagnostics.TaxonomyConfig(),
     synth_cfg: SynthConfig = SynthConfig(),
     jobs: int = 1,
 ) -> RunReport:
@@ -787,7 +763,7 @@ def run_taxonomy(
     keeps its category only when both systems agree (the intersection view);
     disagreements are counted as ``mixed`` and left uncategorized.
     """
-    spec = DecoderSpec(peak_cfg if decoder == "peaks" else dbn_cfg)
+    spec = peak_cfg if decoder == "peaks" else dbn_cfg
     report = RunReport(experiment="taxonomy")
 
     def score(src):
@@ -804,13 +780,11 @@ def run_taxonomy(
         if result is None or (other_results is not None and rec.track_id not in other_results):
             continue
         row = _row(rec, source, config, eval=result)
-        category = diagnostics.classify_failure(result, taxonomy_cfg)
-        if other_results is not None and (
-            diagnostics.classify_failure(other_results[rec.track_id], taxonomy_cfg) != category
-        ):
+        category = diagnostics.classify_failure(result)
+        if other_results is not None and diagnostics.classify_failure(other_results[rec.track_id]) != category:
             counts["mixed"] += 1
         else:
-            act = _activation_of(rec, source, synth_cfg)
+            act = _activation_of(dataset, rec, source, synth_cfg)
             try:
                 row.diagnostics = diagnostics.compute_diagnostics(act, rec.annotation)
             except NoOverlap as exc:  # the curve ends before the first annotated beat
@@ -830,7 +804,10 @@ def run_taxonomy(
 # ---------------------------------------------------------------------------
 
 
-def emit_figure_data(dataset: Dataset, rows=None, tempo_curve=None, bin_width: float = 5.0):
+TEMPO_BIN_BPM = 5.0  # width of the tempo histogram's bins
+
+
+def emit_figure_data(dataset: Dataset, rows=None, tempo_curve=None):
     """CSV bundles for the three figure kinds; returns {filename: csv text}.
 
     (a) GT tempo histogram with a marker at the 55 BPM default minimum;
@@ -839,9 +816,9 @@ def emit_figure_data(dataset: Dataset, rows=None, tempo_curve=None, bin_width: f
     bpms = [diagnostics.tempo_stats(record.annotation).gt_bpm for record in _with_tempo(dataset)]
     histogram = []
     if bpms:
-        lo = math.floor(min(bpms) / bin_width) * bin_width
-        hi = math.ceil(max(bpms) / bin_width) * bin_width
-        edges = np.arange(lo, hi + bin_width, bin_width)
+        lo = math.floor(min(bpms) / TEMPO_BIN_BPM) * TEMPO_BIN_BPM
+        hi = math.ceil(max(bpms) / TEMPO_BIN_BPM) * TEMPO_BIN_BPM
+        edges = np.arange(lo, hi + TEMPO_BIN_BPM, TEMPO_BIN_BPM)
         counts, _ = np.histogram(bpms, bins=edges)
         for b_lo, b_hi, count in zip(edges[:-1], edges[1:], counts):
             histogram.append((f"{b_lo:g}", f"{b_hi:g}", int(count), int(b_hi <= 55.0)))

@@ -267,13 +267,7 @@ def write_run_report(report: RunReport, out_dir, config: dict | None = None) -> 
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = report.sorted_rows()
     (out_dir / "rows.csv").write_text(rows_to_csv(rows))
-    stats = []
-    if rows:
-        for group_by in GROUPINGS:
-            try:
-                stats.extend(aggregate(rows, group_by))
-            except ValueError:
-                continue
+    stats = [stat for group_by in GROUPINGS for stat in aggregate(rows, group_by)] if rows else []
     (out_dir / "aggregates.csv").write_text(aggregates_to_csv(stats))
     (out_dir / "report.txt").write_text(render_report_text(report))
     write_manifest(out_dir / "manifest.txt", config or {})

@@ -745,6 +745,17 @@ def test_cli_process_decoder_error_names_track_and_source(tmp_path, jobs):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_process_empty_tempo_window_names_track_and_source(tmp_path, jobs):
+    tempo = tmp_path / "tempo.csv"
+    tempo.write_text("track_id,bpm,source_label\npseudo01,10,est\n")  # 10 BPM +/- 20% lies below 30 BPM
+    proc = _run_cli_process(["experiment", "tempo-curve", "--dataset", f"p={PSEUDO_DIR}", "--source", "pseudo",
+                             "--tempo-file", f"est={tempo}", "--jobs", jobs, "-o", str(tmp_path / "out")])
+    assert proc.returncode == 1
+    assert "error: pseudo01 (pseudo): empty BPM range for center 10.0 +/- 20%" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("name", ["taxonomy", "axis-table"])
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_cli_process_skips_and_lists_track_whose_curve_holds_no_beat(tmp_path, name, jobs):

@@ -69,6 +69,13 @@ def test_false_positive_activation_small_for_gt_synthesis():
     assert diagnostics.false_positive_activation(act, ref) < 0.2
 
 
+def test_compute_diagnostics_reports_beats_outside_the_curve_once(caplog):
+    ref = BeatAnnotation(track_id="t", beats=np.array([0.5, 1.0, 3.0, 4.0]))
+    with caplog.at_level("WARNING", logger="beatdiag.diagnostics"):
+        diagnostics.compute_diagnostics(curve(np.full(100, 0.5)), ref)  # 2 s at 50 fps
+    assert [r.getMessage() for r in caplog.records] == ["t: 2 beat(s) outside the 100-frame curve skipped"]
+
+
 def test_peak_sharpness_impulse():
     values = np.zeros(21)
     values[10] = 1.0

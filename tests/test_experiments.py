@@ -280,14 +280,17 @@ def test_tempo_curve_missing_estimates_are_skipped_and_counted():
     assert any("partial" in n for n in report.notes)
 
 
-def test_tempo_curve_window_covering_range_equals_baseline():
+def test_tempo_curve_window_covering_range_equals_baseline(monkeypatch):
     ds = load_pseudo()
     cfg = dbn.DbnConfig(min_bpm=30.0, max_bpm=215.0)
     # center and window chosen so every track's effective range is [30, 215]
     source = ("cover", {r.track_id: 122.5 for r in ds.annotated()})
+    calls = count_decodes(monkeypatch)
     report = experiments.run_tempo_curve(ds, "pseudo", [source], window=0.76, dbn_cfg=cfg)
     header, series = report.tables["tempo-curve"]
     assert series[0][2:5] == series[1][2:5]
+    # the held window resolves to the baseline's config: one decode per track
+    assert sum(calls.values()) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +623,23 @@ def test_systems_table_gt_row_uses_the_decode_cache(monkeypatch):
     calls.clear()
     assert_same_report(warm, experiments.run_systems_table(load_pseudo(), "pseudo", spec))
     assert sum(calls.values()) == 3 * 5
+
+
+def test_gt_curves_are_synthesized_once_per_dataset_track_and_config(monkeypatch):
+    calls = Counter()
+    synthesize = experiments.synthesize_gt_activation
+
+    def counting_synthesize(ref, cfg=SynthConfig()):
+        calls[ref.track_id, cfg] += 1
+        return synthesize(ref, cfg)
+
+    monkeypatch.setattr(experiments, "synthesize_gt_activation", counting_synthesize)
+    ds = load_pseudo()
+    experiments.run_gt_bottleneck(ds)
+    experiments.run_taxonomy(ds, experiments.GT_SOURCE, decoder="dbn")  # diagnostics read the curve too
+    experiments.run_axis_table(ds, experiments.GT_SOURCE)
+    assert sum(calls.values()) == 3
+    assert set(calls.values()) == {1}
 
 
 # ---------------------------------------------------------------------------
