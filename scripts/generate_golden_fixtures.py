@@ -8,6 +8,7 @@ library (per-variation denominators max(#ref, #est), strict tolerance
 comparisons, forward-looking intervals at sequence starts, one-shot
 annotation usage). F-measure expectations come from an exhaustive bitmask
 matching oracle. Run once; re-running reproduces the identical file.
+Needs scipy, which the package's ``test`` extra installs.
 """
 
 import json

@@ -3,7 +3,7 @@
 from ._version import __version__
 from .dbn import DbnConfig, TempoConstraint, decode, decode_constrained
 from .errors import ToolkitError
-from .experiments import SweepSpec, SynthConfig, synthesize_gt_activation
+from .experiments import SynthConfig, synthesize_gt_activation
 from .ingest import (
     ActivationCurve,
     BeatAnnotation,
@@ -26,7 +26,6 @@ __all__ = [
     "EvalConfig",
     "EvalResult",
     "PeakConfig",
-    "SweepSpec",
     "SynthConfig",
     "TempoConstraint",
     "ToolkitError",

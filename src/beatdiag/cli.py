@@ -117,10 +117,15 @@ class Settings:
         return self._checked(lambda: dbn.TempoConstraint(
             dbn.CONSTRAINT_MIN_BPM, self.get("tempo_window", default)).window_fraction)
 
-    def sweep_spec(self, base: experiments.SweepSpec) -> experiments.SweepSpec:
+    def grid(self, key: str, default: tuple) -> tuple:
+        """The ``key`` grid (lambdas or thresholds): non-empty, positive, ascending."""
         def build():
-            grids = {key: self.get(key, None, cast=float_list) for key in ("lambdas", "thresholds")}
-            return dataclasses.replace(base, **{key: _floats(text) for key, text in grids.items() if text})
+            text = self.get(key, None, cast=float_list)
+            grid = _floats(text) if text else default
+            arr = np.asarray(grid, dtype=float)
+            if arr.size == 0 or arr.min() <= 0 or np.any(np.diff(arr) <= 0):
+                raise ValueError(f"{key} must be non-empty, positive, ascending")
+            return grid
 
         return self._checked(build)
 
@@ -265,10 +270,6 @@ def _parse_labeled(pairs, what) -> list[tuple[str, str]]:
     return out
 
 
-def _tempo_map(path) -> dict:
-    return {e.track_id: e.bpm for e in ingest.load_tempo_estimates(path)}
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -283,7 +284,7 @@ def cmd_decode(args) -> int:
         tempo_file = settings.get("tempo_file", None, cast=str)
         if not tempo_file:
             raise ToolkitError("--dbn-constrained requires --tempo-file")
-        tempo = _tempo_map(tempo_file)
+        tempo = ingest.load_tempo_estimates(tempo_file)
     settings.reject_unread(f"decode --{mode}")
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -381,7 +382,7 @@ def _datasets_from_args(args) -> list:
 def _tempo_sources(settings) -> list:
     """The --tempo-file sources in order, then gt-tempo if asked for or if none is given."""
     files = settings.get("tempo_file", [], cast=str)
-    sources = [(label, _tempo_map(path)) for label, path in _parse_labeled(files, "--tempo-file")]
+    sources = [(label, ingest.load_tempo_estimates(path)) for label, path in _parse_labeled(files, "--tempo-file")]
     if settings.get("gt_tempo", False, cast=ingest.parse_bool) or not sources:
         sources.append((experiments.GT_TEMPO_SOURCE, {}))
     return sources
@@ -416,7 +417,9 @@ def run_experiment(args, datasets) -> reports.RunReport:
     resolvers = {
         "dataset": lambda _: datasets[0][1], "datasets": lambda _: datasets, "source": lambda _: source,
         "dbn_cfg": settings.config, "peak_cfg": settings.config, "eval_cfg": settings.config,
-        "synth_cfg": settings.config, "sweep": settings.sweep_spec, "window": settings.tempo_window,
+        "synth_cfg": settings.config, "window": settings.tempo_window,
+        "lambdas": lambda default: settings.grid("lambdas", default),
+        "thresholds": lambda default: settings.grid("thresholds", default),
         "tempo_sources": lambda _: _tempo_sources(settings),
         "jobs": lambda default: settings.get("jobs", default, cast=int),
         "decoder": lambda default: settings.get("decoder", default, cast=str),

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegenerateInput, InsufficientReference, NoOverlap
 from .ingest import ActivationCurve, BeatAnnotation
 from .metrics import EvalResult
-from .peaks import PeakConfig, pick_peaks
+from .peaks import PeakConfig, _peak_frames
 
 log = logging.getLogger(__name__)
 
@@ -25,6 +25,13 @@ GT_NEIGHBORHOOD_FRAMES = 2  # +/- window around each annotated beat
 SHARPNESS_OFFSET_FRAMES = 3
 PERIODICITY_BPM_RANGE = (30.0, 215.0)
 MIN_TEMPO_BEATS = 3  # annotated beats that tempo statistics need
+
+# Failure taxonomy thresholds (classify_failure).
+GOOD_F = 0.8
+TOTAL_FAILURE_F = 0.3  # a total failure is below both of these
+TOTAL_FAILURE_AMLT = 0.3
+OCTAVE_GAP = 0.25  # AMLt - F
+CONTINUITY_GAP = 0.2  # CMLt - CMLc
 
 
 @dataclass(frozen=True)
@@ -35,15 +42,6 @@ class ActivationDiagnostics:
     periodicity_strength: float
     entropy: float
     false_positive_activation: float
-
-
-@dataclass(frozen=True)
-class TaxonomyConfig:
-    good_f: float = 0.8
-    octave_gap: float = 0.25
-    continuity_gap: float = 0.2
-    total_f: float = 0.3
-    total_amlt: float = 0.3
 
 
 class FailureCategory(str, Enum):
@@ -108,10 +106,9 @@ def _far_from_frames(act: ActivationCurve, frames: np.ndarray) -> float:
 def peak_sharpness(act: ActivationCurve) -> float:
     """Mean peak prominence over a 3-frame offset; 0 when no peaks."""
     values = act.values
-    peak_times = pick_peaks(act, PeakConfig(threshold=0.1, min_separation=0.0))
-    if peak_times.size == 0:
+    frames = _peak_frames(act, PeakConfig(threshold=0.1, min_separation=0.0))
+    if frames.size == 0:
         return 0.0
-    frames = np.round(peak_times * act.fps).astype(int)
     before = values[np.maximum(frames - SHARPNESS_OFFSET_FRAMES, 0)]
     after = values[np.minimum(frames + SHARPNESS_OFFSET_FRAMES, len(values) - 1)]
     sharpness = values[frames] - 0.5 * (before + after)
@@ -158,18 +155,18 @@ def compute_diagnostics(act: ActivationCurve, ref: BeatAnnotation) -> Activation
     )
 
 
-def classify_failure(result: EvalResult, cfg: TaxonomyConfig = TaxonomyConfig()) -> FailureCategory:
+def classify_failure(result: EvalResult) -> FailureCategory:
     """Assign exactly one failure category; precedence is fixed.
 
     good -> total failure -> octave error -> continuity error -> other.
     """
-    if result.f_measure >= cfg.good_f:
+    if result.f_measure >= GOOD_F:
         return FailureCategory.GOOD
-    if result.f_measure < cfg.total_f and result.amlt < cfg.total_amlt:
+    if result.f_measure < TOTAL_FAILURE_F and result.amlt < TOTAL_FAILURE_AMLT:
         return FailureCategory.TOTAL_FAILURE
-    if result.amlt - result.f_measure > cfg.octave_gap:
+    if result.amlt - result.f_measure > OCTAVE_GAP:
         return FailureCategory.OCTAVE_ERROR
-    if result.cmlt - result.cmlc > cfg.continuity_gap:
+    if result.cmlt - result.cmlc > CONTINUITY_GAP:
         return FailureCategory.CONTINUITY_ERROR
     return FailureCategory.OTHER
 
@@ -187,8 +184,8 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def spearman(x, y) -> tuple[float, float]:
-    """Spearman rank correlation with average ranks and a t-test p-value."""
+def spearman(x, y) -> float:
+    """Spearman rank correlation, with average ranks for ties."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.size < 3:
@@ -201,16 +198,7 @@ def spearman(x, y) -> tuple[float, float]:
     if denom == 0.0:
         raise DegenerateInput("zero rank variance")
     rho = float(np.dot(rx, ry) / denom)
-    rho = float(np.clip(rho, -1.0, 1.0))
-    n = x.size
-    if abs(rho) == 1.0:
-        return rho, 0.0
-    # imported here: scipy.stats is most of the package's import time
-    from scipy import stats as scipy_stats
-
-    t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-    p = 2.0 * float(scipy_stats.t.sf(abs(t), df=n - 2))
-    return rho, p
+    return float(np.clip(rho, -1.0, 1.0))
 
 
 def tempo_stats(ref: BeatAnnotation) -> TempoStats:

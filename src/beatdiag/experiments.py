@@ -55,18 +55,7 @@ class SynthConfig:
             raise ValueError("fps must be positive")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    lambdas: tuple = (1, 2, 5, 10, 20, 30, 50, 80, 100, 150, 200, 300, 500)
-    thresholds: tuple = peaks.DEFAULT_THRESHOLD_GRID
-
-    def __post_init__(self):
-        for name, grid in (("lambdas", self.lambdas), ("thresholds", self.thresholds)):
-            arr = np.asarray(grid, dtype=float)
-            if arr.size == 0 or arr.min() <= 0 or np.any(np.diff(arr) <= 0):
-                raise ValueError(f"{name} must be non-empty, positive, ascending")
-
-
+LAMBDA_GRID = (1, 2, 5, 10, 20, 30, 50, 80, 100, 150, 200, 300, 500)  # transition lambdas a sweep tries
 GT_SOURCE = "gt-synth"
 GT_TAIL_SECONDS = 1.0  # a synthesized curve runs this far past the last beat
 
@@ -163,17 +152,17 @@ def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, 
     """Score the annotated tracks that carry ``source``, in one track mapping.
 
     ``specs_of(record)`` lists the track's specs (PeakConfigs and
-    DbnConfigs); the error of a tempo window it cannot hold names the track
-    and source. DBN scores already in the dataset's cache are not decoded
+    DbnConfigs). DBN scores already in the dataset's cache are not decoded
     again; the other specs reach the worker with the track's curve from
     ``_activation_of``. Returns [(record, {spec: EvalResult})] in track
-    order, the ids of the tracks without ``source``, and a note listing the
-    tracks with fewer than ``min_beats`` annotated beats left after
-    ``eval_cfg``'s trim, which are skipped too (None if none are).
+    order, the ids of the tracks without ``source``, and notes on the other
+    tracks skipped: those with fewer than ``min_beats`` annotated beats left
+    after ``eval_cfg``'s trim, then each whose tempo window (a
+    ``ConstraintError`` from ``specs_of``) holds no BPM range.
     """
     cache = _DECODES.setdefault(dataset, {})
     synth_key = synth_cfg if source == GT_SOURCE else None
-    found, items, missing, short = [], [], [], []
+    found, items, missing, short, notes = [], [], [], [], []
     for record in dataset.annotated():
         if len(metrics.trim_beats(record.annotation.beats, eval_cfg.trim_seconds)) < min_beats:
             short.append(record.track_id)
@@ -183,8 +172,9 @@ def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, 
             continue
         try:
             specs = specs_of(record)
-        except ConstraintError as exc:  # a tempo window with an empty BPM range
-            raise ToolkitError(f"{record.track_id} ({source}): {exc}") from None
+        except ConstraintError as exc:
+            notes.append(f"{record.track_id}: {exc}; skipped")
+            continue
         found.append((record, specs))
         todo = [spec for spec in specs if (record.track_id, source, synth_key, spec, eval_cfg) not in cache]
         if todo:
@@ -200,19 +190,19 @@ def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, 
             if isinstance(spec, dbn.DbnConfig):
                 cache[key] = scores[spec]
         scored.append((record, scores))
-    short_note = f"{len(short)} track(s) with <{min_beats} beats skipped: {short}" if short else None
-    return scored, missing, short_note
+    if short:
+        notes.insert(0, f"{len(short)} track(s) with <{min_beats} beats skipped: {short}")
+    return scored, missing, notes
 
 
-def _note_skipped(report: RunReport, source: str, missing, short_note=None):
+def _note_skipped(report: RunReport, source: str, missing, notes):
     if missing:
         report.notes.append(f"{len(missing)} track(s) missing '{source}' skipped")
-    if short_note:
-        report.notes.append(short_note)
+    report.notes.extend(notes)
 
 
-def _lambda_grid(sweep: SweepSpec, dbn_cfg: dbn.DbnConfig) -> list:
-    return [dataclasses.replace(dbn_cfg, transition_lambda=float(lam)) for lam in sweep.lambdas]
+def _lambda_grid(lambdas, dbn_cfg: dbn.DbnConfig) -> list:
+    return [dataclasses.replace(dbn_cfg, transition_lambda=float(lam)) for lam in lambdas]
 
 
 def _held_to_gt_tempo(record, window: float, dbn_cfg: dbn.DbnConfig) -> dbn.DbnConfig:
@@ -310,7 +300,7 @@ def run_gt_bottleneck(
     jobs: int = 1,
 ) -> RunReport:
     """Decode synthetic GT activations for every annotated track."""
-    scored, _, short = _score_source(dataset, GT_SOURCE, lambda rec: (dbn_cfg,), eval_cfg, synth_cfg, jobs)
+    scored, _, notes = _score_source(dataset, GT_SOURCE, lambda rec: (dbn_cfg,), eval_cfg, synth_cfg, jobs)
     rows = [_row(rec, GT_SOURCE, _dbn_label(dbn_cfg), scores[dbn_cfg]) for rec, scores in scored]
     fs = [r.eval.f_measure for r in rows]
     report = RunReport(experiment="gt-bottleneck", rows=rows)
@@ -321,7 +311,7 @@ def run_gt_bottleneck(
         "mean_amlt": float(np.mean([r.eval.amlt for r in rows])) if rows else float("nan"),
         "n_below_f_0.5": int(sum(f < 0.5 for f in fs)),
     }
-    _note_skipped(report, GT_SOURCE, (), short)
+    _note_skipped(report, GT_SOURCE, (), notes)
     return report
 
 
@@ -403,17 +393,17 @@ class LambdaSweep:
 def sweep_lambda(
     act: ActivationCurve,
     ref: BeatAnnotation,
-    sweep: SweepSpec = SweepSpec(),
+    lambdas=LAMBDA_GRID,
     dbn_cfg: dbn.DbnConfig = SLOW_DBN,
     eval_cfg: metrics.EvalConfig = metrics.DEFAULT_EVAL,
 ) -> LambdaSweep:
     """Decode at every lambda; the F-optimal one wins, ties to the smaller."""
-    grid = _lambda_grid(sweep, dbn_cfg)
+    grid = _lambda_grid(lambdas, dbn_cfg)
     results, best = _sweep(grid, score_track((ref, act, grid, eval_cfg)))
     return LambdaSweep(
-        lambdas=tuple(float(x) for x in sweep.lambdas),
+        lambdas=tuple(float(x) for x in lambdas),
         results=tuple(results),
-        best_lambda=float(sweep.lambdas[best]),
+        best_lambda=float(lambdas[best]),
         best_result=results[best],
     )
 
@@ -421,24 +411,24 @@ def sweep_lambda(
 def run_lambda_sweep(
     dataset: Dataset,
     source: str,
-    sweep: SweepSpec = SweepSpec(),
+    lambdas=LAMBDA_GRID,
     dbn_cfg: dbn.DbnConfig = SLOW_DBN,
     eval_cfg: metrics.EvalConfig = metrics.DEFAULT_EVAL,
     synth_cfg: SynthConfig = SynthConfig(),
     jobs: int = 1,
 ) -> RunReport:
     """Per-track lambda sweep over a corpus, plus the best fixed lambda."""
-    grid = _lambda_grid(sweep, dbn_cfg)
-    scored, missing, short = _score_source(dataset, source, lambda rec: grid, eval_cfg, synth_cfg, jobs)
+    grid = _lambda_grid(lambdas, dbn_cfg)
+    scored, missing, notes = _score_source(dataset, source, lambda rec: grid, eval_cfg, synth_cfg, jobs)
     sweeps = [_sweep(grid, scores) for _, scores in scored]
     report = RunReport(experiment="lambda-sweep")
     for (rec, _), (results, best) in zip(scored, sweeps):
         report.rows.append(_row(rec, source, "per-track-optimal-lambda", results[best],
-                                best_lambda=float(sweep.lambdas[best])))
+                                best_lambda=float(lambdas[best])))
     if sweeps:
         per_lambda = [
             (f"{lam:g}", *_mean_cells([results[i] for results, _ in sweeps], ("f_measure", "cmlt")))
-            for i, lam in enumerate(sweep.lambdas)
+            for i, lam in enumerate(lambdas)
         ]
         fixed_means = [float(r[1]) for r in per_lambda]
         best_fixed_i = int(np.argmax(fixed_means))
@@ -448,13 +438,13 @@ def run_lambda_sweep(
             "n_tracks": len(sweeps),
             "optimal_mean_f": float(np.mean([r.f_measure for r in optimal])),
             "optimal_mean_cmlt": float(np.mean([r.cmlt for r in optimal])),
-            "best_fixed_lambda": float(sweep.lambdas[best_fixed_i]),
+            "best_fixed_lambda": float(lambdas[best_fixed_i]),
             "best_fixed_mean_f": fixed_means[best_fixed_i],
             "median_optimal_lambda": float(np.median(best_lams)),
-            "frac_preferring_min_lambda": float(np.mean([b == sweep.lambdas[0] for b in best_lams])),
+            "frac_preferring_min_lambda": float(np.mean([b == lambdas[0] for b in best_lams])),
         }
         report.tables["per-lambda"] = (("lambda", "mean_f", "mean_cmlt"), per_lambda)
-    _note_skipped(report, source, missing, short)
+    _note_skipped(report, source, missing, notes)
     return report
 
 
@@ -466,7 +456,7 @@ def run_lambda_sweep(
 def run_threshold_sweep(
     dataset: Dataset,
     source: str,
-    sweep: SweepSpec = SweepSpec(),
+    thresholds=peaks.DEFAULT_THRESHOLD_GRID,
     eval_cfg: metrics.EvalConfig = metrics.DEFAULT_EVAL,
     peak_cfg: peaks.PeakConfig = peaks.PeakConfig(),
     jobs: int = 1,
@@ -477,14 +467,14 @@ def run_threshold_sweep(
     Every grid threshold picks with ``peak_cfg``'s minimum separation, and
     ``peak_cfg`` itself is the default the optimum is compared against.
     """
-    grid = [dataclasses.replace(peak_cfg, threshold=thr) for thr in sweep.thresholds]
-    scored, missing, short = _score_source(dataset, source, lambda rec: [*grid, peak_cfg],
+    grid = [dataclasses.replace(peak_cfg, threshold=thr) for thr in thresholds]
+    scored, missing, notes = _score_source(dataset, source, lambda rec: [*grid, peak_cfg],
                                            eval_cfg, synth_cfg, jobs)
     report = RunReport(experiment="threshold-sweep")
     for rec, scores in scored:
         results, best = _sweep(grid, scores)
         report.rows.append(_row(rec, source, "per-track-optimal-threshold", results[best],
-                                best_threshold=float(sweep.thresholds[best]),
+                                best_threshold=float(thresholds[best]),
                                 baseline_f=scores[peak_cfg].f_measure))
     if report.rows:
         report.summary = {
@@ -493,7 +483,7 @@ def run_threshold_sweep(
             "default_threshold": peak_cfg.threshold,
             "default_mean_f": float(np.mean([r.baseline_f for r in report.rows])),
         }
-    _note_skipped(report, source, missing, short)
+    _note_skipped(report, source, missing, notes)
     return report
 
 
@@ -515,7 +505,7 @@ def run_peak_vs_dbn(
     synth_cfg: SynthConfig = SynthConfig(),
 ) -> RunReport:
     """Effect of routing activations through the DBN instead of peak picking."""
-    scored, missing, short = _score_source(dataset, source, lambda rec: (dbn_cfg, peak_cfg),
+    scored, missing, notes = _score_source(dataset, source, lambda rec: (dbn_cfg, peak_cfg),
                                            eval_cfg, synth_cfg, jobs)
     report = RunReport(experiment="peak-vs-dbn")
     for rec, scores in scored:
@@ -534,7 +524,7 @@ def run_peak_vs_dbn(
             "n_unchanged": int((np.abs(deltas) <= HURT_MARGIN).sum()),
         }
         report.tables["per-axis"] = _axis_delta_table(report.rows)
-    _note_skipped(report, source, missing, short)
+    _note_skipped(report, source, missing, notes)
     return report
 
 
@@ -582,18 +572,22 @@ def run_tempo_curve(
     The unconstrained decode is always included as the baseline series.
     """
     held = {}  # track id -> {series index: spec}; series 0 is unconstrained
+    unheld = {}  # series index -> [why a track's window holds no BPM range]
 
     def specs_of(rec):
         specs = held[rec.track_id] = {0: dbn_cfg}
         for i, (label, bpm_by_track) in enumerate(tempo_sources, start=1):
-            if label == GT_TEMPO_SOURCE:
-                if len(rec.annotation) >= diagnostics.MIN_TEMPO_BEATS:
-                    specs[i] = _held_to_gt_tempo(rec, window, dbn_cfg)
-            elif bpm_by_track.get(rec.track_id) is not None:
-                specs[i] = dbn.TempoConstraint(bpm_by_track[rec.track_id], window).hold(dbn_cfg)
+            try:
+                if label == GT_TEMPO_SOURCE:
+                    if len(rec.annotation) >= diagnostics.MIN_TEMPO_BEATS:
+                        specs[i] = _held_to_gt_tempo(rec, window, dbn_cfg)
+                elif bpm_by_track.get(rec.track_id) is not None:
+                    specs[i] = dbn.TempoConstraint(bpm_by_track[rec.track_id], window).hold(dbn_cfg)
+            except ConstraintError as exc:
+                unheld.setdefault(i, []).append(f"{rec.track_id}: {exc}")
         return list(specs.values())
 
-    scored, missing, short = _score_source(dataset, source, specs_of, eval_cfg, synth_cfg, jobs)
+    scored, missing, notes = _score_source(dataset, source, specs_of, eval_cfg, synth_cfg, jobs)
     report = RunReport(experiment="tempo-curve")
     series = []
     labels = [("unconstrained", "unconstrained")]
@@ -607,8 +601,10 @@ def run_tempo_curve(
         skipped = len(scored) - len(results)
         if results:
             series.append((label, len(results), *_mean_cells(results), skipped))
-        if skipped:
-            report.notes.append(f"tempo source '{label}': {skipped} track(s) without estimate")
+        reasons = unheld.get(i, [])
+        if skipped > len(reasons):
+            report.notes.append(f"tempo source '{label}': {skipped - len(reasons)} track(s) without estimate")
+        report.notes.extend(f"tempo source '{label}': {reason}; skipped" for reason in reasons)
     report.tables["tempo-curve"] = (TEMPO_CURVE_HEADER, series)
     if scored:
         baseline = [scores[dbn_cfg] for _, scores in scored]
@@ -617,7 +613,7 @@ def run_tempo_curve(
             "unconstrained_mean_f": float(np.mean([r.f_measure for r in baseline])),
             "unconstrained_mean_cmlt": float(np.mean([r.cmlt for r in baseline])),
         }
-    _note_skipped(report, source, missing, short)
+    _note_skipped(report, source, missing, notes)
     return report
 
 
@@ -629,7 +625,7 @@ def run_tempo_curve(
 def run_systems_table(
     dataset: Dataset,
     source: str,
-    sweep: SweepSpec = SweepSpec(),
+    lambdas=LAMBDA_GRID,
     dbn_cfg: dbn.DbnConfig = SLOW_DBN,
     peak_cfg: peaks.PeakConfig = peaks.PeakConfig(),
     eval_cfg: metrics.EvalConfig = metrics.DEFAULT_EVAL,
@@ -642,12 +638,12 @@ def run_systems_table(
     lambda, GT-tempo constraint combined with the optimal lambda, and the
     GT-activation upper bound.
     """
-    grid = _lambda_grid(sweep, dbn_cfg)
+    grid = _lambda_grid(lambdas, dbn_cfg)
 
     def held_grid(rec):  # the lambda grid held to the GT tempo window
-        return _lambda_grid(sweep, _held_to_gt_tempo(rec, window, dbn_cfg))
+        return _lambda_grid(lambdas, _held_to_gt_tempo(rec, window, dbn_cfg))
 
-    scored, missing, short = _score_source(dataset, source, lambda rec: [peak_cfg, dbn_cfg, *grid, *held_grid(rec)],
+    scored, missing, notes = _score_source(dataset, source, lambda rec: [peak_cfg, dbn_cfg, *grid, *held_grid(rec)],
                                            eval_cfg, synth_cfg, jobs, diagnostics.MIN_TEMPO_BEATS)
     gt_scored = scored
     if source != GT_SOURCE:  # the GT upper bound decodes a second activation per track
@@ -668,12 +664,12 @@ def run_systems_table(
     table = []
     for label, results, best in configurations:
         for j, ((rec, _), result) in enumerate(zip(scored, results)):
-            best_lambda = None if best is None else float(sweep.lambdas[best[j]])
+            best_lambda = None if best is None else float(lambdas[best[j]])
             report.rows.append(_row(rec, source, label, result, best_lambda=best_lambda))
         table.append((label, *_mean_cells(results)))
     report.tables["systems"] = (("configuration", "mean_f", "mean_cmlt", "mean_amlt"), table)
     report.summary = {"n_tracks": len(scored)}
-    _note_skipped(report, source, missing, short)
+    _note_skipped(report, source, missing, notes)
     return report
 
 
@@ -699,7 +695,7 @@ def run_axis_table(
     the F change from routing through the DBN with the fraction of tracks
     hurt, and the CMLt gain from constraining to the ground-truth tempo.
     """
-    scored, missing, short = _score_source(dataset, source,
+    scored, missing, notes = _score_source(dataset, source,
                                            lambda rec: (peak_cfg, dbn_cfg, _held_to_gt_tempo(rec, window, dbn_cfg)),
                                            eval_cfg, synth_cfg, jobs, diagnostics.MIN_TEMPO_BEATS)
     report = RunReport(experiment="axis-table")
@@ -725,8 +721,7 @@ def run_axis_table(
                 continue
             at_gts, peak_fs, deltas, cmlt_gains = zip(*members)
             try:
-                rho, _ = diagnostics.spearman(at_gts, peak_fs)
-                rho_text = f"{rho:+.3f}"
+                rho_text = f"{diagnostics.spearman(at_gts, peak_fs):+.3f}"
             except DegenerateInput:
                 rho_text = ""
             table.append((
@@ -737,7 +732,7 @@ def run_axis_table(
             ))
     report.tables["axis-table"] = (header, table)
     report.summary = {"n_tracks": len(tracks)}
-    _note_skipped(report, source, missing, short)
+    _note_skipped(report, source, missing, notes)
     return report
 
 
@@ -767,8 +762,8 @@ def run_taxonomy(
     report = RunReport(experiment="taxonomy")
 
     def score(src):
-        scored, missing, short = _score_source(dataset, src, lambda rec: (spec,), eval_cfg, synth_cfg, jobs)
-        _note_skipped(report, src, missing, short if src == source else None)
+        scored, missing, notes = _score_source(dataset, src, lambda rec: (spec,), eval_cfg, synth_cfg, jobs)
+        _note_skipped(report, src, missing, notes if src == source else ())
         return {rec.track_id: scores[spec] for rec, scores in scored}
 
     primary_results = score(source)

@@ -117,17 +117,6 @@ class ActivationCurve:
 
 
 @dataclass(frozen=True)
-class TempoEstimate:
-    track_id: str
-    bpm: float
-    source_label: str
-
-    def __post_init__(self):
-        if not 0 < self.bpm < math.inf:  # NaN fails too
-            raise ParseError(f"{self.track_id}: bpm must be positive and finite, got {self.bpm}")
-
-
-@dataclass(frozen=True)
 class AxisMap:
     """Canonical-tag vocabulary plus tag -> difficulty-axis assignment."""
 
@@ -512,10 +501,11 @@ def write_activation(act: ActivationCurve, path, binary: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def load_tempo_estimates(path) -> list[TempoEstimate]:
-    """Read a ``track_id,bpm,source_label`` CSV (header row required)."""
+def load_tempo_estimates(path) -> dict:
+    """{track_id: bpm} from a ``track_id,bpm,source_label`` CSV (header row
+    required), one row per track."""
     path = Path(path)
-    estimates = []
+    estimates, first_line = {}, {}
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     required = {"track_id", "bpm", "source_label"}
     try:
@@ -532,15 +522,12 @@ def load_tempo_estimates(path) -> list[TempoEstimate]:
             bpm = float(row["bpm"])
         except ValueError:
             raise ParseError(f"{path}:{lineno}: bad bpm {row['bpm']!r}") from None
-        if not 0 < bpm < math.inf:
+        if not 0 < bpm < math.inf:  # NaN fails too
             raise ParseError(f"{path}:{lineno}: bpm must be positive and finite, got {row['bpm']!r}")
-        estimates.append(
-            TempoEstimate(
-                track_id=row["track_id"].strip().lower(),
-                bpm=bpm,
-                source_label=row["source_label"].strip(),
-            )
-        )
+        track_id = row["track_id"].strip().lower()
+        if track_id in estimates:
+            raise ParseError(f"{path}:{lineno}: track {track_id!r} repeated, first on line {first_line[track_id]}")
+        estimates[track_id], first_line[track_id] = bpm, lineno
     return estimates
 
 

@@ -49,8 +49,8 @@ def _candidate_peaks(values: np.ndarray) -> np.ndarray:
     return starts[peak]
 
 
-def pick_peaks(act: ActivationCurve, cfg: PeakConfig = PeakConfig()) -> np.ndarray:
-    """Beat times (seconds) from thresholded local maxima.
+def _peak_frames(act: ActivationCurve, cfg: PeakConfig) -> np.ndarray:
+    """Sorted frames of the thresholded local maxima that survive suppression.
 
     Among peaks closer than ``min_separation`` the higher one wins; equal
     heights keep the earlier frame.
@@ -59,20 +59,23 @@ def pick_peaks(act: ActivationCurve, cfg: PeakConfig = PeakConfig()) -> np.ndarr
     candidates = _candidate_peaks(values)
     candidates = candidates[values[candidates] >= cfg.threshold]
     min_gap = cfg.min_separation * act.fps
-    if min_gap > 0 and len(candidates) > 1:
-        kept: list[int] = []
-        # Highest first, ties by earlier frame.
-        for frame in candidates[np.lexsort((candidates, -values[candidates]))].tolist():
-            pos = bisect.bisect_left(kept, frame)
-            before = kept[pos - 1] if pos > 0 else None
-            after = kept[pos] if pos < len(kept) else None
-            if before is not None and frame - before < min_gap:
-                continue
-            if after is not None and after - frame < min_gap:
-                continue
-            kept.insert(pos, frame)
-        candidates = kept
-    return np.sort(np.asarray(candidates, dtype=float)) / act.fps
+    if min_gap <= 0 or len(candidates) <= 1:
+        return candidates
+    kept: list[int] = []  # sorted
+    # Highest first, ties by earlier frame.
+    for frame in candidates[np.lexsort((candidates, -values[candidates]))].tolist():
+        pos = bisect.bisect_left(kept, frame)
+        if pos > 0 and frame - kept[pos - 1] < min_gap:
+            continue
+        if pos < len(kept) and kept[pos] - frame < min_gap:
+            continue
+        kept.insert(pos, frame)
+    return np.asarray(kept, dtype=np.intp)
+
+
+def pick_peaks(act: ActivationCurve, cfg: PeakConfig = PeakConfig()) -> np.ndarray:
+    """Beat times (seconds) from thresholded local maxima (``_peak_frames``)."""
+    return _peak_frames(act, cfg) / act.fps
 
 
 def pick_peaks_grid(act: ActivationCurve, configs) -> dict:
@@ -81,22 +84,17 @@ def pick_peaks_grid(act: ActivationCurve, configs) -> dict:
     One suppression pass per ``min_separation``, at the group's lowest
     threshold. The pass visits candidates highest first, so those at or
     above any higher threshold are a prefix of its visit order and get the
-    same decisions: each threshold's picks are the returned beats whose
-    frame reaches it, bit-identical to a pass at that threshold.
+    same decisions: each threshold's picks are the pass's frames that reach
+    it, the same frames as a pass at that threshold.
     """
-    # A beat's frame is read back as rint(beat * fps), which is exact while
-    # frame / fps is a normal, finite float; outside this range of fps, pick
-    # each threshold on its own.
-    if not 1e-250 < act.fps < 1e250:
-        return {cfg: pick_peaks(act, cfg) for cfg in configs}
     groups = {}
     for cfg in configs:
         groups.setdefault(cfg.min_separation, []).append(cfg)
     picks = {}
     for group in groups.values():
-        beats = pick_peaks(act, min(group, key=lambda cfg: cfg.threshold))
-        heights = act.values[np.rint(beats * act.fps).astype(np.intp)]
-        picks.update((cfg, beats[heights >= cfg.threshold]) for cfg in group)
+        frames = _peak_frames(act, min(group, key=lambda cfg: cfg.threshold))
+        heights = act.values[frames]
+        picks.update((cfg, frames[heights >= cfg.threshold] / act.fps) for cfg in group)
     return picks
 
 

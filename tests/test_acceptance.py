@@ -20,7 +20,7 @@ import pytest
 
 from beatdiag import dbn, diagnostics, experiments, ingest, metrics, reports
 from beatdiag.diagnostics import FailureCategory
-from beatdiag.experiments import SweepSpec, SynthConfig, synthesize_gt_activation
+from beatdiag.experiments import SynthConfig, synthesize_gt_activation
 from beatdiag.ingest import ActivationCurve, BeatAnnotation, DatasetLayout
 from conftest import DATA_DIR, PSEUDO_DIR
 from oracles import dense_model, dense_viterbi_score, f_measure_oracle, score_path
@@ -313,11 +313,11 @@ def test_c6_sweep_dominance_everywhere():
     threshold_violations = 0
     n_tracks = 0
     for name, ds, source in _test_corpora():
-        lam_report = experiments.run_lambda_sweep(ds, source, SweepSpec())
+        lam_report = experiments.run_lambda_sweep(ds, source)
         fixed_lambda_f = {}
         for record in ds.annotated():
             act = record.activations[source]
-            for lam in SweepSpec().lambdas:
+            for lam in experiments.LAMBDA_GRID:
                 cfg = dbn.DbnConfig(min_bpm=30.0, transition_lambda=float(lam))
                 est = dbn.decode(act, cfg)
                 f = metrics.f_measure(est, record.annotation.beats)

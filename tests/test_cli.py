@@ -1,3 +1,4 @@
+import csv
 import shutil
 import struct
 
@@ -381,9 +382,13 @@ DECODE_UNREAD = [*(("decode --peaks", flag) for flag in (*_DBN_FLAGS, "--tempo-w
 
 
 def test_unread_pair_counts():
-    """Of 17 such flags, the ten experiments read 92 (experiment, flag)
-    pairs, and decode's three modes 14 of their 27 (mode, flag) pairs."""
-    assert (len(EXPERIMENT_UNREAD), len(DECODE_UNREAD)) == (170 - 92, 27 - 14)
+    """Of 17 such flags, the ten experiments read 89 (experiment, flag)
+    pairs, and decode's three modes 14 of their 27 (mode, flag) pairs. Each
+    sweep reads its own grid only: lambda-sweep and systems --lambdas,
+    threshold-sweep --thresholds."""
+    assert (len(EXPERIMENT_UNREAD), len(DECODE_UNREAD)) == (170 - 89, 27 - 14)
+    assert {("lambda-sweep", "--thresholds"), ("systems", "--thresholds"),
+            ("threshold-sweep", "--lambdas")} <= set(EXPERIMENT_UNREAD)
 
 
 @pytest.mark.parametrize("command,flag", [
@@ -458,6 +463,19 @@ def test_import_cli_leaves_scipy_stats_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_axis_table_run_leaves_scipy_unloaded(tmp_path):
+    import subprocess
+    import sys
+
+    code = ("import sys\nfrom beatdiag import cli\n"
+            f"code = cli.main(['experiment', 'axis-table', '--dataset', 'p={PSEUDO_DIR}', '--source', 'pseudo',"
+            f" '-o', r'{tmp_path / 'out'}'])\n"
+            "print(code, 'scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_import_cli_leaves_process_pool_unloaded():
@@ -665,6 +683,9 @@ def _bad_cli_input(tmp_path, case):
         return ["experiment", name, "--dataset", f"p={PSEUDO_DIR}", "--source", "pseudo", "--config", str(cfg),
                 "-o", str(tmp_path / "out")]
 
+    if case == "bad-config-grid":
+        cfg.write_text("# grid\nthresholds=0.5,0.3\n")
+        return experiment("threshold-sweep"), f"{cfg}:2: thresholds: thresholds must be non-empty, positive, ascending"
     if case == "bad-config-threshold":
         cfg.write_text("threshold=1.5\n")
         return experiment("threshold-sweep"), f"{cfg}:1: threshold: threshold must be in (0, 1)"
@@ -711,8 +732,8 @@ def _bad_cli_input(tmp_path, case):
 
 @pytest.mark.parametrize("case", ["missing-rows", "no-track-id", "bad-value", "bad-count", "non-utf8-rows",
                                   "missing-config", "bad-config-value", "bad-config-range", "bad-config-list",
-                                  "bad-config-threshold", "bad-config-separation", "bad-config-window",
-                                  "bad-config-window-nan", "bad-flag-window", "bad-config-key",
+                                  "bad-config-grid", "bad-config-threshold", "bad-config-separation",
+                                  "bad-config-window", "bad-config-window-nan", "bad-flag-window", "bad-config-key",
                                   "bad-config-flag-key", "bad-config-repeat", "bad-config-bool", "decode-low-fps",
                                   "decode-empty-range"])
 def test_cli_process_rejects_bad_report_and_config_input_with_its_path(tmp_path, case):
@@ -747,13 +768,47 @@ def test_cli_process_decoder_error_names_track_and_source(tmp_path, jobs):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_cli_process_empty_tempo_window_names_track_and_source(tmp_path, jobs):
+    """A tempo estimate whose window holds no BPM range leaves its track out
+    of that tempo source's series only, counted in n_skipped and named in a
+    note."""
     tempo = tmp_path / "tempo.csv"
-    tempo.write_text("track_id,bpm,source_label\npseudo01,10,est\n")  # 10 BPM +/- 20% lies below 30 BPM
+    tempo.write_text("track_id,bpm,source_label\npseudo01,10,est\npseudo02,70,est\n")  # 10 BPM +/- 20% < 30 BPM
     proc = _run_cli_process(["experiment", "tempo-curve", "--dataset", f"p={PSEUDO_DIR}", "--source", "pseudo",
                              "--tempo-file", f"est={tempo}", "--jobs", jobs, "-o", str(tmp_path / "out")])
-    assert proc.returncode == 1
-    assert "error: pseudo01 (pseudo): empty BPM range for center 10.0 +/- 20%" in proc.stderr
+    assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    run_dir = tmp_path / "out" / "tempo-curve"
+    notes = ["tempo source 'est': 1 track(s) without estimate",
+             "tempo source 'est': pseudo01: empty BPM range for center 10.0 +/- 20%; skipped"]
+    for note in notes:
+        assert note in proc.stdout and note in (run_dir / "report.txt").read_text()
+    series = {row[0]: row for row in csv.reader((run_dir / "fig_tempo_curve.csv").read_text().splitlines()[1:])}
+    assert (series["unconstrained"][1], series["unconstrained"][-1]) == ("3", "0")
+    assert (series["est"][1], series["est"][-1]) == ("1", "2")
+    rows = reports.rows_from_csv((run_dir / "rows.csv").read_text())
+    assert sorted(row.track_id for row in rows if row.config == "constrained[est]") == ["pseudo02"]
+
+
+@pytest.mark.parametrize("name", ["tempo-curve", "systems", "axis-table"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_process_skips_and_lists_track_whose_gt_tempo_window_is_empty(tmp_path, name, jobs):
+    """An annotation at 300 BPM: +/- 20% lies above the 215 BPM bound."""
+    root = tmp_path / "pseudo"
+    shutil.copytree(PSEUDO_DIR, root)
+    (root / "beats" / "pseudo03.beats").write_text("".join(f"{0.5 + 0.2 * i:.3f}\n" for i in range(100)))
+    proc = _run_cli_process(["experiment", name, "--dataset", f"p={root}", "--source", "pseudo",
+                             "--jobs", jobs, "-o", str(tmp_path / "out")])
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    note = "pseudo03: empty BPM range for center 300.00000000000006 +/- 20%; skipped"
+    if name == "tempo-curve":
+        note = f"tempo source 'gt-tempo': {note}"
+    assert note in proc.stdout and note in (tmp_path / "out" / name / "report.txt").read_text()
+    rows = reports.rows_from_csv((tmp_path / "out" / name / "rows.csv").read_text())
+    held = {"tempo-curve": "constrained[gt-tempo]", "systems": "gt-tempo+optimal-lambda"}.get(name, "peak-picking")
+    assert sorted(row.track_id for row in rows if row.config == held) == ["pseudo01", "pseudo02"]
+    if name == "tempo-curve":  # the unconstrained series keeps the track
+        assert "pseudo03" in {row.track_id for row in rows if row.config == "unconstrained"}
 
 
 @pytest.mark.parametrize("name", ["taxonomy", "axis-table"])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beatdiag import cli, dbn, experiments, ingest, metrics, peaks, reports
-from beatdiag.experiments import SweepSpec, SynthConfig, synthesize_gt_activation
+from beatdiag.experiments import SynthConfig, synthesize_gt_activation
 from beatdiag.ingest import BeatAnnotation, DatasetLayout
 from conftest import PSEUDO_DIR, TESTS_DIR, make_grid_annotation
 
@@ -47,12 +47,12 @@ def test_synthesize_overlap_combines_by_max():
 
 
 def test_default_lambda_grid_is_the_thirteen_point_grid():
-    spec = SweepSpec()
-    assert len(spec.lambdas) == 13
-    assert spec.lambdas[0] == 1
-    assert spec.lambdas[-1] == 500
+    grid = experiments.LAMBDA_GRID
+    assert len(grid) == 13
+    assert grid[0] == 1
+    assert grid[-1] == 500
     for named in (1, 2, 5, 20, 30, 100, 500):
-        assert named in spec.lambdas
+        assert named in grid
 
 
 @given(ibi_frames=st.integers(20, 100), start_frame=st.integers(10, 30), n=st.integers(16, 40))
@@ -160,10 +160,9 @@ def test_bottleneck_table_annotations_only():
 
 def test_sweep_lambda_dominance_per_track():
     ds = load_pseudo()
-    spec = SweepSpec(lambdas=(1, 5, 100, 500))
     for record in ds.annotated():
         act = record.activations["pseudo"]
-        sweep = experiments.sweep_lambda(act, record.annotation, spec)
+        sweep = experiments.sweep_lambda(act, record.annotation, (1, 5, 100, 500))
         for lam, res in zip(sweep.lambdas, sweep.results):
             assert sweep.best_result.f_measure >= res.f_measure - 1e-12
         assert sweep.best_lambda in sweep.lambdas
@@ -172,15 +171,14 @@ def test_sweep_lambda_dominance_per_track():
 def test_sweep_lambda_tie_prefers_smaller():
     ref = make_grid_annotation(bpm=75, start=0.5, duration=20.0)
     act = synthesize_gt_activation(ref, SynthConfig(fps=50.0))
-    sweep = experiments.sweep_lambda(act, ref, SweepSpec(lambdas=(50, 100)))
+    sweep = experiments.sweep_lambda(act, ref, (50, 100))
     if sweep.results[0].f_measure == sweep.results[1].f_measure:
         assert sweep.best_lambda == 50
 
 
 def test_run_lambda_sweep_report():
     ds = load_pseudo()
-    spec = SweepSpec(lambdas=(1, 100))
-    report = experiments.run_lambda_sweep(ds, "pseudo", spec)
+    report = experiments.run_lambda_sweep(ds, "pseudo", (1, 100))
     assert report.summary["n_tracks"] == 3
     assert report.summary["optimal_mean_f"] >= report.summary["best_fixed_mean_f"] - 1e-12
     assert len(report.rows) == 3
@@ -198,24 +196,24 @@ def test_run_threshold_sweep_report():
 def test_threshold_sweep_picks_once_per_track_and_scores_each_beat_array_once(monkeypatch):
     ds = load_pseudo()
     scored, picked = [], Counter()
-    evaluate_many, pick = metrics.evaluate_many, peaks.pick_peaks
+    evaluate_many, pick = metrics.evaluate_many, peaks._peak_frames
 
     def counting_evaluate_many(ests, ref, cfg=metrics.DEFAULT_EVAL):
         scored.append((ref.tobytes(), [est.tobytes() for est in ests]))
         return evaluate_many(ests, ref, cfg)
 
-    def counting_pick(act, cfg=peaks.PeakConfig()):
+    def counting_pick(act, cfg):  # every suppression pass
         picked[act.values.tobytes()] += 1
         return pick(act, cfg)
 
     monkeypatch.setattr(metrics, "evaluate_many", counting_evaluate_many)
-    monkeypatch.setattr(peaks, "pick_peaks", counting_pick)
+    monkeypatch.setattr(peaks, "_peak_frames", counting_pick)
     report = experiments.run_threshold_sweep(ds, "pseudo")
     monkeypatch.undo()
     assert len(picked) == 3 and set(picked.values()) == {1}
     assert len(scored) == 3 and len({ref for ref, _ in scored}) == 3  # one call per track
     assert all(len(set(ests)) == len(ests) for _, ests in scored)  # no two arrays equal
-    grid = [*SweepSpec().thresholds, 0.5]
+    grid = [*peaks.DEFAULT_THRESHOLD_GRID, 0.5]
     for row in report.rows:
         rec = ds[row.track_id]
         act = rec.activations["pseudo"]
@@ -327,8 +325,7 @@ def test_taxonomy_intersection_mode():
 
 def test_systems_table_configurations():
     ds = load_pseudo()
-    spec = SweepSpec(lambdas=(1, 100))
-    report = experiments.run_systems_table(ds, "pseudo", spec)
+    report = experiments.run_systems_table(ds, "pseudo", (1, 100))
     header, table = report.tables["systems"]
     configs = [row[0] for row in table]
     assert configs == [
@@ -348,7 +345,7 @@ def test_systems_table_configurations():
 
 def test_systems_table_constrained_rows_have_lambda():
     ds = load_pseudo()
-    report = experiments.run_systems_table(ds, "pseudo", SweepSpec(lambdas=(1, 100)))
+    report = experiments.run_systems_table(ds, "pseudo", (1, 100))
     constrained = [r for r in report.rows if r.config == "gt-tempo+optimal-lambda"]
     assert len(constrained) == 3
     assert all(r.best_lambda in (1.0, 100.0) for r in constrained)
@@ -439,7 +436,7 @@ def test_write_run_report_files(tmp_path):
 EXPERIMENT_CALLS = {
     "bottleneck": lambda ds, jobs: experiments.run_bottleneck_table([("pseudo", ds)], "pseudo", jobs=jobs),
     "lambda-sweep": lambda ds, jobs: experiments.run_lambda_sweep(
-        ds, "pseudo", SweepSpec(lambdas=(1, 100)), jobs=jobs),
+        ds, "pseudo", (1, 100), jobs=jobs),
     "threshold-sweep": lambda ds, jobs: experiments.run_threshold_sweep(ds, "pseudo", jobs=jobs),
     "tempo-curve": lambda ds, jobs: experiments.run_tempo_curve(
         ds, "pseudo", [("partial", {"pseudo01": 96.0}), (experiments.GT_TEMPO_SOURCE, {})], jobs=jobs),
@@ -448,7 +445,7 @@ EXPERIMENT_CALLS = {
         ds, "pseudo", intersect_source=experiments.GT_SOURCE, jobs=jobs),
     "dataset-stats": lambda ds, jobs: experiments.dataset_stats(ds),  # runs no pool
     "systems": lambda ds, jobs: experiments.run_systems_table(
-        ds, "pseudo", SweepSpec(lambdas=(1, 100)), jobs=jobs),
+        ds, "pseudo", (1, 100), jobs=jobs),
     "axis-table": lambda ds, jobs: experiments.run_axis_table(ds, "pseudo", jobs=jobs),
 }
 
@@ -525,7 +522,6 @@ def run_suite_stages(dataset, source, names=None):
 # the DBN decode from 30 BPM; peak-vs-dbn, taxonomy and axis-table keep the
 # stock 55 BPM floor.
 _SCORED = {"jobs": 1, "trim": 0.0, "fps": 43.07, "sigma_frames": 2.0}
-_SWEEP = {"lambdas": None, "thresholds": None}
 _DBN_30 = {"min_bpm": 30.0, "max_bpm": 215.0, "transition_lambda": 100.0, "observation_lambda": 16,
            "no_correct": False}
 _DBN_55 = {**_DBN_30, "min_bpm": 55.0}
@@ -533,13 +529,13 @@ _PEAKS = {"threshold": 0.5, "min_separation": 0.1}
 DEFAULT_CONFIGS = {
     "bottleneck": {**_SCORED, **_DBN_30, **_PEAKS},
     "gt-bottleneck": {**_SCORED, **_DBN_30},
-    "lambda-sweep": {**_SCORED, **_SWEEP, **_DBN_30},
-    "threshold-sweep": {**_SCORED, **_SWEEP, **_PEAKS},
+    "lambda-sweep": {**_SCORED, "lambdas": None, **_DBN_30},
+    "threshold-sweep": {**_SCORED, "thresholds": None, **_PEAKS},
     "tempo-curve": {**_SCORED, **_DBN_30, "tempo_window": 0.2, "tempo_file": [], "gt_tempo": False},
     "peak-vs-dbn": {**_SCORED, **_DBN_55, **_PEAKS},
     "taxonomy": {**_SCORED, **_DBN_55, **_PEAKS, "decoder": "peaks", "intersect_source": None},
     "dataset-stats": {},
-    "systems": {**_SCORED, **_SWEEP, **_DBN_30, **_PEAKS, "tempo_window": 0.2},
+    "systems": {**_SCORED, "lambdas": None, **_DBN_30, **_PEAKS, "tempo_window": 0.2},
     "axis-table": {**_SCORED, **_DBN_55, **_PEAKS, "tempo_window": 0.2},
 }
 
@@ -592,10 +588,9 @@ def test_decode_cache_keeps_synth_configs_and_sources_apart(monkeypatch):
     assert_same_report(warm, experiments.run_gt_bottleneck(load_pseudo(), coarse))
     # gt-bottleneck's spec on the real activations: same spec, other source
     calls.clear()
-    grid = SweepSpec(lambdas=(100,))
-    real = experiments.run_lambda_sweep(ds, "pseudo", grid)
+    real = experiments.run_lambda_sweep(ds, "pseudo", (100,))
     assert sum(calls.values()) == 3
-    assert_same_report(real, experiments.run_lambda_sweep(load_pseudo(), "pseudo", grid))
+    assert_same_report(real, experiments.run_lambda_sweep(load_pseudo(), "pseudo", (100,)))
 
 
 def test_decode_cache_keeps_eval_configs_apart(monkeypatch):
@@ -612,7 +607,7 @@ def test_decode_cache_keeps_eval_configs_apart(monkeypatch):
 
 
 def test_systems_table_gt_row_uses_the_decode_cache(monkeypatch):
-    spec = SweepSpec(lambdas=(1, 100))
+    spec = (1, 100)
     ds = load_pseudo()
     experiments.run_gt_bottleneck(ds)
     calls = count_decodes(monkeypatch)

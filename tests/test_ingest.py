@@ -296,10 +296,7 @@ def test_text_activation_round_trip(tmp_path):
 def test_load_tempo_estimates(tmp_path):
     path = tmp_path / "tempo.csv"
     path.write_text("track_id,bpm,source_label\nTrk_A,72.5,headtempo\n")
-    (est,) = ingest.load_tempo_estimates(path)
-    assert est.track_id == "trk_a"
-    assert est.bpm == 72.5
-    assert est.source_label == "headtempo"
+    assert ingest.load_tempo_estimates(path) == {"trk_a": 72.5}
 
 
 def test_load_tempo_estimates_requires_header(tmp_path):
@@ -332,9 +329,19 @@ def test_load_tempo_estimates_line_numbers_count_blank_lines(tmp_path):
 
 
 @pytest.mark.parametrize("bpm", [float("nan"), float("inf"), 0.0])
-def test_tempo_estimate_rejects_non_finite_bpm(bpm):
-    with pytest.raises(ParseError):
-        ingest.TempoEstimate(track_id="a", bpm=bpm, source_label="x")
+def test_tempo_estimate_rejects_non_finite_bpm(tmp_path, bpm):
+    path = tmp_path / "tempo.csv"
+    path.write_text(f"track_id,bpm,source_label\na,{bpm},x\n")
+    with pytest.raises(ParseError, match=f"{path}:2: bpm must be positive and finite"):
+        ingest.load_tempo_estimates(path)
+
+
+def test_load_tempo_estimates_rejects_a_repeated_track(tmp_path):
+    # the second row used to win without a word: pseudo01 decoded at 60 BPM
+    path = tmp_path / "tempo.csv"
+    path.write_text("track_id,bpm,source_label\npseudo01,120,est\n\nPseudo01,60,est\n")
+    with pytest.raises(ParseError, match=f"{path}:4: track 'pseudo01' repeated, first on line 2"):
+        ingest.load_tempo_estimates(path)
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +619,9 @@ def test_load_tempo_estimates_any_text(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "any_x.csv"
     path.write_text(text, encoding="utf-8")
     estimates = _load_or_none(ingest.load_tempo_estimates, path)
-    for est in estimates or ():
-        assert isinstance(est, ingest.TempoEstimate)
-        assert 0 < est.bpm < np.inf
+    for track_id, bpm in (estimates or {}).items():
+        assert isinstance(track_id, str) and isinstance(bpm, float)
+        assert 0 < bpm < np.inf
 
 
 def _as_bytes(texts):

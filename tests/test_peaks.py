@@ -140,7 +140,7 @@ def test_pick_peaks_matches_oracle(values, threshold, min_sep, fps):
         st.one_of(st.sampled_from([0.05, 0.25, 0.5, 0.75, 0.98]), st.floats(0.01, 0.99)), min_size=1, max_size=6
     ),
     min_sep=st.one_of(st.sampled_from([0.02, 0.05, 0.1, 0.3]), st.floats(0.001, 0.5)),
-    fps=st.sampled_from([10.0, 43.07, 50.0, 100.0, 1e-300]),
+    fps=st.sampled_from([10.0, 43.07, 50.0, 100.0, 1e-300, 1e300]),
 )
 @example(  # 29 / 50 * 50 and 57 / 50 * 50 round to just below the frame
     values=np.where(np.isin(np.arange(60), [29, 57]), 0.9, 0.0), thresholds=[0.5], min_sep=0.1, fps=50.0
@@ -148,7 +148,8 @@ def test_pick_peaks_matches_oracle(values, threshold, min_sep, fps):
 @settings(max_examples=400)
 def test_pick_peaks_grid_matches_pick_peaks(values, thresholds, min_sep, fps):
     # The sampled thresholds equal the quantised curves' levels, so picks
-    # exactly at a threshold are covered; fps 1e-300 takes the per-threshold path.
+    # exactly at a threshold are covered. At fps 1e-300 and 1e300 a beat time
+    # times fps need not give back its frame; the grid filters frames, not times.
     act = curve(values, fps=fps)
     cfgs = [peaks.PeakConfig(thr, sep) for sep in (0.0, min_sep) for thr in thresholds]
     got = peaks.pick_peaks_grid(act, cfgs)
