@@ -31,6 +31,25 @@ source. The step once did the max-plus as one broadcasting ``np.add`` and
 the gather as a row/column index pair; each sum is still score plus log
 transition, bit for bit (IEEE addition commutes), and numpy runs the copy
 and the same-shape add faster than the broadcasting add.
+
+A lambda changes only the K x K transition matrix, so one pass decodes a
+grid of L lambdas (``decode_grid``). The scores are one flat array of L
+copies of the S slots, lambda l's at l*S, and the max-plus buffer stacks L
+blocks of K rows, (L*K, K), against the L transition matrices stacked the
+same way; the back pointers are (T, L*K). The beat-region slot indices are
+laid out for all L copies at once, every copy's wrap slots first, so each
+frame still makes one slot advance, one gather of the wrap slots, one
+broadcast copy, one add, one row argmax, one flat gather at row start plus
+source, and the observation adds, whatever L is. With L = 1 the index
+arrays carry no offset and every step is the single decode's. Every score
+sees the same additions in the same order, and each row's argmax is the
+same first max over the same K candidates, so each lambda's path and score
+bits are those of its own decode. A pass holds T*L*K back-pointer bytes,
+8*L*K*K of max-plus buffer and 8*L*S of scores: a grid splits into the
+fewest near-equal passes whose buffers fit GRID_PASS_BYTES, one lambda at a
+time when a single lambda exceeds it (a 10-minute track at 100 fps). The
+budget keeps the buffers near the cache: a 13-lambda grid on a 40 s track
+at K = 75 runs as 7 + 6.
 """
 
 from __future__ import annotations
@@ -53,6 +72,10 @@ CONSTRAINT_MAX_BPM = 215.0
 
 # Default half-width of a tempo window, as a fraction of its center BPM.
 TEMPO_WINDOW = 0.20
+
+# Bytes a lambda grid's forward pass may hold in its lambda-scaled buffers;
+# a larger grid decodes in several passes.
+GRID_PASS_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -77,6 +100,11 @@ class DbnConfig:
             raise ValueError("transition_lambda must be positive")
         if self.observation_lambda < 2:
             raise ValueError("observation_lambda must be >= 2")
+
+    def grid_key(self) -> DbnConfig:
+        """This config with transition_lambda blanked: configs with one key
+        share a state space and decode together in ``decode_grid``."""
+        return dataclasses.replace(self, transition_lambda=1.0)
 
 
 @dataclass(frozen=True)
@@ -166,14 +194,38 @@ def observation_log_probs(act: ActivationCurve, space: StateSpace) -> np.ndarray
     return out
 
 
-def _viterbi_in_space(
-    act: ActivationCurve, space: StateSpace, transition_lambda: float
-) -> tuple[np.ndarray, float]:
-    # wrap_into[k', k] = log p(k -> k'): row k' holds the candidates of target tempo k'
-    wrap_into = np.ascontiguousarray(transition_log_probs(space, transition_lambda).T)
+def _pointer_type(n_tempi: int) -> np.dtype:
+    return np.min_scalar_type(n_tempi - 1)
+
+
+def _pass_sizes(n_lambdas: int, space: StateSpace, n_frames: int) -> list[int]:
+    """Lambdas per pass: the fewest near-equal passes whose lambda-scaled
+    buffers (back pointers, max-plus buffer, scores) fit GRID_PASS_BYTES,
+    with at least one lambda in each."""
+    n_tempi, n_states = space.num_tempi, space.num_states
+    per_lambda = n_frames * n_tempi * _pointer_type(n_tempi).itemsize + 8 * n_tempi * n_tempi + 8 * n_states
+    n_passes = -(-n_lambdas // max(1, GRID_PASS_BYTES // per_lambda))
+    return [n_lambdas // n_passes + (i < n_lambdas % n_passes) for i in range(n_passes)]
+
+
+def _viterbi_in_space(act: ActivationCurve, space: StateSpace, lambdas) -> list[tuple[np.ndarray, float]]:
+    """(path, log score) for each transition lambda, in order, in as few
+    forward passes as GRID_PASS_BYTES allows."""
     obs = observation_log_probs(act, space)
-    n_frames = len(act.values)
-    n_tempi = space.num_tempi
+    out, lambdas = [], list(lambdas)
+    for size in _pass_sizes(len(lambdas), space, len(obs)):
+        out += _viterbi_pass(obs, space, lambdas[len(out):len(out) + size])
+    return out
+
+
+def _viterbi_pass(obs: np.ndarray, space: StateSpace, lambdas: list) -> list[tuple[np.ndarray, float]]:
+    n_lambdas, n_tempi, n_states = len(lambdas), space.num_tempi, space.num_states
+    n_frames = len(obs)
+    # wrap_into[l*K + k', k] = log p(k -> k') under lambda l: row l*K + k'
+    # holds the candidates of target tempo k' in lambda l's copy
+    wrap_into = np.empty((n_lambdas * n_tempi, n_tempi))
+    for block, lam in zip(wrap_into.reshape(n_lambdas, n_tempi, n_tempi), lambdas):
+        block[...] = transition_log_probs(space, lam).T
     first = space.first_states
     ring_base = np.repeat(first, space.intervals)
     is_beat = space.is_beat_state
@@ -184,29 +236,40 @@ def _viterbi_in_space(
         return ring_base + (t - space.state_phase) % space.state_interval
 
     # Beat-region states phase-major, so the first K are the phase-0 states in
-    # tempo order: their slots double as the slots of the wrap.
+    # tempo order: their slots double as the slots of the wrap. Lambda l's
+    # copy of slot i is l*S + i; every copy's wrap slots come first.
     beat_states = np.flatnonzero(is_beat)
     beat_states = beat_states[np.argsort(space.state_phase[beat_states], kind="stable")]
-    slots = ring_slots(0)[beat_states]
-    beat_base = ring_base[beat_states]
-    beat_end = beat_base + space.state_interval[beat_states]
+    offsets = np.arange(n_lambdas)[:, np.newaxis] * n_states
 
-    delta = np.empty(space.num_states)
-    delta[ring_slots(0)] = np.where(is_beat, obs[0, 1], obs[0, 0]) - np.log(space.num_states)
-    # Back pointers are only needed at phase wraps: wrap_from[t, k] is the
-    # tempo index active at t-1 when tempo k starts a new beat at frame t.
-    wrap_from = np.empty((n_frames, n_tempi), dtype=np.min_scalar_type(n_tempi - 1))
-    candidates = np.empty((n_tempi, n_tempi))
-    src = np.empty(n_tempi, dtype=np.intp)
-    # candidates[k', src[k']] is cand_flat[row_start[k'] + src[k']]
+    def per_lambda(beat_slots):
+        copies = beat_slots + offsets
+        return np.concatenate((copies[:, :n_tempi].ravel(), copies[:, n_tempi:].ravel()))
+
+    slots = per_lambda(ring_slots(0)[beat_states])
+    beat_base = per_lambda(ring_base[beat_states])
+    beat_end = per_lambda(ring_base[beat_states] + space.state_interval[beat_states])
+
+    delta = np.empty(n_lambdas * n_states)
+    delta.reshape(n_lambdas, n_states)[:, ring_slots(0)] = np.where(is_beat, obs[0, 1], obs[0, 0]) - np.log(n_states)
+    # Back pointers are only needed at phase wraps: wrap_from[t, l*K + k] is
+    # the tempo index active at t-1 when tempo k starts a new beat at frame t.
+    wrap_from = np.empty((n_frames, n_lambdas * n_tempi), dtype=_pointer_type(n_tempi))
+    candidates = np.empty((n_lambdas * n_tempi, n_tempi))
+    src = np.empty(n_lambdas * n_tempi, dtype=np.intp)
+    # candidates[r, src[r]] is cand_flat[row_start[r] + src[r]]
     cand_flat = candidates.ravel()
-    row_start = np.arange(n_tempi) * n_tempi
-    wrap_slots = slots[:n_tempi]
+    row_start = np.arange(n_lambdas * n_tempi) * n_tempi
+    wrap_slots = slots[:n_lambdas * n_tempi]
+    # every row of a lambda's K x K block holds that lambda's source scores:
+    # the gather through this view of the wrap slots comes out (L, 1, K)
+    cand_blocks = candidates.reshape(n_lambdas, n_tempi, n_tempi)
+    wrap_sources = wrap_slots.reshape(n_lambdas, 1, n_tempi)
     for t in range(1, n_frames):
         slots += 1  # one frame on: every slot moves one step round its ring
         np.copyto(slots, beat_base, where=slots == beat_end)
         # last phase at t-1 and phase 0 at t share a slot: read, then overwrite
-        np.copyto(candidates, delta[wrap_slots])  # every row: the source scores
+        np.copyto(cand_blocks, delta[wrap_sources])
         candidates += wrap_into
         candidates.argmax(axis=1, out=src)  # first max -> lowest source tempo
         wrap_from[t] = src
@@ -215,14 +278,20 @@ def _viterbi_in_space(
         delta += obs[t, 0]
         in_beat += obs[t, 1]
         delta[slots] = in_beat
-    final = delta[ring_slots(n_frames - 1)]  # back to flat state order
+    final_slots = ring_slots(n_frames - 1)  # back to flat state order
+    return [_backtrack(delta[l * n_states + final_slots], wrap_from[:, l * n_tempi:(l + 1) * n_tempi], space)
+            for l in range(n_lambdas)]
+
+
+def _backtrack(final: np.ndarray, wrap_from: np.ndarray, space: StateSpace) -> tuple[np.ndarray, float]:
+    """The path ending in the best final state, one slice per beat, walking
+    back through the wrap pointers."""
     end = int(final.argmax())
     log_prob = float(final[end])
-
-    # one slice per beat, walking back through the wrap pointers
-    path = np.empty(n_frames, dtype=np.int64)
+    first = space.first_states
+    path = np.empty(len(wrap_from), dtype=np.int64)
     k = int(np.searchsorted(first, end, side="right")) - 1
-    t, phase = n_frames - 1, end - int(first[k])
+    t, phase = len(wrap_from) - 1, end - int(first[k])
     while True:
         beat_start = t - phase  # negative when the first beat began before frame 0
         lo = max(beat_start, 0)
@@ -236,7 +305,7 @@ def _viterbi_in_space(
 def viterbi(act: ActivationCurve, cfg: DbnConfig = DbnConfig()) -> tuple[np.ndarray, float]:
     """Exact MAP state path for the activation, plus its log score."""
     space = build_state_space(cfg, act.fps)
-    return _viterbi_in_space(act, space, cfg.transition_lambda)
+    return _viterbi_in_space(act, space, [cfg.transition_lambda])[0]
 
 
 def path_to_beats(
@@ -262,11 +331,23 @@ def path_to_beats(
     return frames / space.fps
 
 
+def decode_grid(act: ActivationCurve, cfgs) -> dict:
+    """{cfg: decode(act, cfg)} for configs that differ only in
+    transition_lambda, decoded in one state space and as few forward passes
+    as GRID_PASS_BYTES allows."""
+    cfgs = list(dict.fromkeys(cfgs))
+    if len({cfg.grid_key() for cfg in cfgs}) > 1:
+        raise ValueError("decode_grid needs configs that differ only in transition_lambda")
+    if not cfgs:
+        return {}
+    space = build_state_space(cfgs[0], act.fps)
+    decodes = _viterbi_in_space(act, space, [cfg.transition_lambda for cfg in cfgs])
+    return {cfg: path_to_beats(path, space, act, cfg.correct_beats) for cfg, (path, _) in zip(cfgs, decodes)}
+
+
 def decode(act: ActivationCurve, cfg: DbnConfig = DbnConfig()) -> np.ndarray:
     """Decode an activation curve into beat times (seconds)."""
-    space = build_state_space(cfg, act.fps)
-    path, _ = _viterbi_in_space(act, space, cfg.transition_lambda)
-    return path_to_beats(path, space, act, cfg.correct_beats)
+    return decode_grid(act, [cfg])[cfg]
 
 
 def decode_constrained(act: ActivationCurve, cfg: DbnConfig, constraint: TempoConstraint) -> np.ndarray:

@@ -8,8 +8,10 @@ Every experiment runs the same three steps:
    becomes a DbnConfig's BPM range (``TempoConstraint.hold``) when the spec
    is built. A lambda or threshold sweep is just one spec per grid value.
 2. Worker. ``score_track`` decodes one track's activation once per distinct
-   spec, picking a threshold grid's peaks in one pass, and scores the
-   distinct beat sequences together in one metrics pass. ``_map_tracks``
+   spec: a threshold grid's peaks are picked in one pass, and a lambda grid
+   decodes in one Viterbi pass (``dbn.decode_grid``, which splits a grid
+   into a few passes only to bound memory). It scores the distinct beat
+   sequences together in one metrics pass. ``_map_tracks``
    runs it over the tracks of one activation source, optionally in a
    process pool. Every source reaches it as a curve from ``_activation_of``,
    which synthesizes a gt-synth curve once per dataset, track and synth
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dbn, diagnostics, metrics, peaks
-from .errors import ConstraintError, DegenerateInput, NoOverlap, ToolkitError
+from .errors import ConstraintError, DegenerateInput, NoOverlap, StateSpaceError, ToolkitError
 from .ingest import AXES, ActivationCurve, BeatAnnotation, Dataset
 from .reports import ReportRow, RunReport, csv_text
 
@@ -92,26 +94,33 @@ def synthesize_gt_activation(ref: BeatAnnotation, cfg: SynthConfig = SynthConfig
 def score_track(payload) -> dict:
     """{spec: EvalResult} for one track, each distinct spec decoded once.
 
-    A spec is a PeakConfig or a DbnConfig (``dbn.decode``), and equal specs
-    are equal configs, so two tempo windows held to one BPM range decode
-    once. Peak specs are picked together, one suppression pass per threshold
-    grid (``peaks.pick_peaks_grid``), and the distinct beat arrays are
-    scored in one ``metrics.evaluate_many`` pass: specs that decode to equal
-    beats share one EvalResult.
+    A spec is a PeakConfig or a DbnConfig, and equal specs are equal
+    configs, so two tempo windows held to one BPM range decode once. Peak
+    specs are picked together, one suppression pass per threshold grid
+    (``peaks.pick_peaks_grid``); DbnConfigs that differ only in
+    transition_lambda decode together as one lambda grid
+    (``dbn.decode_grid``). The distinct beat arrays are scored in one
+    ``metrics.evaluate_many`` pass: specs that decode to equal beats share
+    one EvalResult.
 
     ``payload`` is (annotation, activation, specs, eval_cfg). A decoder
     error names the track and the activation's source.
     """
     ref, act, specs, eval_cfg = payload
     specs = dict.fromkeys(specs)
+    grids = {}
+    for spec in specs:
+        if isinstance(spec, dbn.DbnConfig):
+            grids.setdefault(spec.grid_key(), []).append(spec)
     try:
-        picks = peaks.pick_peaks_grid(act, [spec for spec in specs if isinstance(spec, peaks.PeakConfig)])
-        beats = {spec: picks[spec] if spec in picks else dbn.decode(act, spec) for spec in specs}
+        decoded = peaks.pick_peaks_grid(act, [spec for spec in specs if isinstance(spec, peaks.PeakConfig)])
+        for grid in grids.values():
+            decoded.update(dbn.decode_grid(act, grid))
     except ToolkitError as exc:
         raise ToolkitError(f"{ref.track_id} ({act.source_label}): {exc}") from None
-    distinct = {b.tobytes(): b for b in beats.values()}
+    distinct = {b.tobytes(): b for b in decoded.values()}
     results = dict(zip(distinct, metrics.evaluate_many(list(distinct.values()), ref.beats, eval_cfg)))
-    return {spec: results[b.tobytes()] for spec, b in beats.items()}
+    return {spec: results[decoded[spec].tobytes()] for spec in specs}
 
 
 def _map_tracks(fn, items, jobs: int = 1) -> dict:
@@ -158,11 +167,13 @@ def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, 
     order, the ids of the tracks without ``source``, and notes on the other
     tracks skipped: those with fewer than ``min_beats`` annotated beats left
     after ``eval_cfg``'s trim, then each whose tempo window (a
-    ``ConstraintError`` from ``specs_of``) holds no BPM range.
+    ``ConstraintError`` from ``specs_of``) holds no BPM range, and each with
+    a DbnConfig that has no state space at the curve's fps. That last check
+    runs before any decode, so one such track never ends the run.
     """
     cache = _DECODES.setdefault(dataset, {})
     synth_key = synth_cfg if source == GT_SOURCE else None
-    found, items, missing, short, notes = [], [], [], [], []
+    found, items, missing, short, notes, spaces = [], [], [], [], [], {}
     for record in dataset.annotated():
         if len(metrics.trim_beats(record.annotation.beats, eval_cfg.trim_seconds)) < min_beats:
             short.append(record.track_id)
@@ -174,6 +185,12 @@ def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, 
             specs = specs_of(record)
         except ConstraintError as exc:
             notes.append(f"{record.track_id}: {exc}; skipped")
+            continue
+        fps = synth_cfg.fps if source == GT_SOURCE else record.activations[source].fps
+        why = next(filter(None, (_no_state_space(spaces, spec, fps) for spec in specs
+                                 if isinstance(spec, dbn.DbnConfig))), None)
+        if why:
+            notes.append(f"{record.track_id} ({source}): {why}; skipped")
             continue
         found.append((record, specs))
         todo = [spec for spec in specs if (record.track_id, source, synth_key, spec, eval_cfg) not in cache]
@@ -193,6 +210,19 @@ def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, 
     if short:
         notes.insert(0, f"{len(short)} track(s) with <{min_beats} beats skipped: {short}")
     return scored, missing, notes
+
+
+def _no_state_space(spaces: dict, cfg: dbn.DbnConfig, fps: float) -> str:
+    """Why ``cfg`` has no state space at ``fps``, or "", kept in ``spaces``
+    per fps and config with its lambda blanked."""
+    key = (cfg.grid_key(), fps)
+    if key not in spaces:
+        try:
+            dbn.build_state_space(cfg, fps)
+            spaces[key] = ""
+        except StateSpaceError as exc:
+            spaces[key] = str(exc)
+    return spaces[key]
 
 
 def _note_skipped(report: RunReport, source: str, missing, notes):
@@ -228,16 +258,9 @@ def _row(record, system: str, config: str, result: metrics.EvalResult | None = N
     tempo = None
     if record.annotation is not None and len(record.annotation.beats) >= diagnostics.MIN_TEMPO_BEATS:
         tempo = diagnostics.tempo_stats(record.annotation)
-    row = ReportRow(
-        track_id=record.track_id,
-        system=system,
-        config=config,
-        tempo=tempo,
-        axes=meta.axes,
-        confidence=meta.annotator_confidence,
-        tag_count=len(meta.canonical_tags) if meta.canonical_tags else 0,
-        **fields,
-    )
+    row = ReportRow(track_id=record.track_id, system=system, config=config, tempo=tempo, axes=meta.axes,
+                    confidence=meta.annotator_confidence,
+                    tag_count=len(meta.canonical_tags) if meta.canonical_tags else 0, **fields)
     if result is not None:
         row.eval = result
         row.category = diagnostics.classify_failure(result)
@@ -349,8 +372,10 @@ def run_bottleneck_table(
         report.notes.extend(f"{name}: {note}" for note in gt.notes)
         real_peak_f = real_dbn_f = None
         if source is not None:
-            scored, missing, _ = _score_source(dataset, source, lambda rec: (peak_cfg, dbn_cfg),
-                                               eval_cfg, synth_cfg, jobs)
+            scored, missing, notes = _score_source(dataset, source, lambda rec: (peak_cfg, dbn_cfg),
+                                                   eval_cfg, synth_cfg, jobs)
+            # the short-track note repeats gt-bottleneck's
+            report.notes.extend(f"{name}: {note}" for note in notes if note not in gt.notes)
             if scored:
                 real_peak_f = float(np.mean([scores[peak_cfg].f_measure for _, scores in scored]))
                 real_dbn_f = float(np.mean([scores[dbn_cfg].f_measure for _, scores in scored]))
@@ -358,17 +383,8 @@ def run_bottleneck_table(
                 report.notes.append(f"{name}: {len(missing)} track(s) missing '{source}'")
         gt_f = gt.summary["mean_f"]
         gap = None if real_dbn_f is None else gt_f - real_dbn_f
-        table_rows.append(
-            (
-                name,
-                stats.summary.get("n_tracks", 0),
-                _fmt3(stats.summary.get("median_ibi_cv")),
-                _fmt3(real_peak_f),
-                _fmt3(real_dbn_f),
-                _fmt3(gt_f),
-                _fmt3(gap),
-            )
-        )
+        table_rows.append((name, stats.summary.get("n_tracks", 0), _fmt3(stats.summary.get("median_ibi_cv")),
+                           _fmt3(real_peak_f), _fmt3(real_dbn_f), _fmt3(gt_f), _fmt3(gap)))
     report.tables["bottleneck"] = (header, table_rows)
     return report
 
@@ -648,9 +664,12 @@ def run_systems_table(
     gt_scored = scored
     if source != GT_SOURCE:  # the GT upper bound decodes a second activation per track
         ids = {rec.track_id for rec, _ in scored}
-        gt_scored, _, _ = _score_source(dataset, GT_SOURCE, lambda rec: (dbn_cfg,) if rec.track_id in ids else (),
-                                        eval_cfg, synth_cfg, jobs)
+        gt_scored, _, gt_notes = _score_source(dataset, GT_SOURCE, lambda rec: (dbn_cfg,) if rec.track_id in ids else (),
+                                               eval_cfg, synth_cfg, jobs, diagnostics.MIN_TEMPO_BEATS)
+        notes += [note for note in gt_notes if note not in notes]  # the short-track note is the same
         gt_scored = [(rec, scores) for rec, scores in gt_scored if rec.track_id in ids]
+        gt_ids = {rec.track_id for rec, _ in gt_scored}  # less a track whose GT curve cannot be decoded
+        scored = [(rec, scores) for rec, scores in scored if rec.track_id in gt_ids]
     optimal = [_sweep(grid, scores) for _, scores in scored]
     constrained = [_sweep(held_grid(rec), scores) for rec, scores in scored]
     configurations = (
@@ -818,18 +837,10 @@ def emit_figure_data(dataset: Dataset, rows=None, tempo_curve=None):
         for b_lo, b_hi, count in zip(edges[:-1], edges[1:], counts):
             histogram.append((f"{b_lo:g}", f"{b_hi:g}", int(count), int(b_hi <= 55.0)))
 
-    scatter = []
-    for row in sorted(rows or [], key=lambda r: r.track_id):
-        if row.diagnostics is None or row.eval is None:
-            continue
-        scatter.append(
-            (
-                row.track_id,
-                f"{row.diagnostics.act_at_gt:.6f}",
-                f"{row.eval.f_measure:.6f}",
-                str(row.category) if row.category else "",
-            )
-        )
+    scatter = [(row.track_id, f"{row.diagnostics.act_at_gt:.6f}", f"{row.eval.f_measure:.6f}",
+                str(row.category) if row.category else "")
+               for row in sorted(rows or [], key=lambda r: r.track_id)
+               if row.diagnostics is not None and row.eval is not None]
     return {
         "fig_tempo_histogram.csv": csv_text(("bin_lo", "bin_hi", "count", "below_default_min_bpm"),
                                             histogram),

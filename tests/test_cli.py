@@ -758,12 +758,18 @@ def _probe_root(tmp_path, probe):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_cli_process_decoder_error_names_track_and_source(tmp_path, jobs):
+    """A track whose curve the DBN cannot decode is skipped and named, by
+    track and source, before any decode; the run goes on."""
     root = _probe_root(tmp_path, "fps2")
     proc = _run_cli_process(["experiment", "peak-vs-dbn", "--dataset", f"p={root}", "--source", "pseudo",
                              "--jobs", jobs, "-o", str(tmp_path / "out")])
-    assert proc.returncode == 1
-    assert "error: pseudo01 (pseudo): fps 2.0 too low for max_bpm 215.0" in proc.stderr
+    assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    note = "pseudo01 (pseudo): fps 2.0 too low for max_bpm 215.0 (beat period 1 < 2 frames); skipped"
+    run_dir = tmp_path / "out" / "peak-vs-dbn"
+    assert note in proc.stdout and note in (run_dir / "report.txt").read_text()
+    rows = reports.rows_from_csv((run_dir / "rows.csv").read_text())
+    assert sorted(row.track_id for row in rows) == ["pseudo02", "pseudo03"]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from beatdiag import dbn, ingest, metrics
 from beatdiag.errors import ConstraintError, StateSpaceError
-from beatdiag.experiments import SynthConfig, synthesize_gt_activation
+from beatdiag.experiments import LAMBDA_GRID, SynthConfig, synthesize_gt_activation
 from beatdiag.ingest import ActivationCurve
 from conftest import PSEUDO_DIR, make_grid_annotation, make_pulse_activation
 from oracles import dense_model, dense_viterbi_score, enumerate_paths_score, score_path, viterbi_ring_oracle
@@ -284,6 +285,74 @@ def test_viterbi_step_matches_ring_oracle(kind, n_frames, seed, fps, tau_min, n_
     want_path, want_logp = viterbi_ring_oracle(act, space, transition_lambda)
     assert np.array_equal(path, want_path)
     assert float.hex(logp) == float.hex(want_logp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "quantised", "sparse", "0.0"]),
+    n_frames=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    fps=st.sampled_from([20.0, 43.07, 50.0, 100.0]),
+    tau_min=st.integers(2, 30),
+    n_tempi=st.integers(1, 60),
+    lambdas=st.lists(st.sampled_from(LAMBDA_GRID), min_size=1, max_size=7),
+    per_pass=st.integers(0, 7),
+)
+@example(kind="random", n_frames=9, seed=1, fps=50.0, tau_min=12, n_tempi=5, lambdas=[100], per_pass=0)  # T < tau_min
+@example(kind="quantised", n_frames=150, seed=0, fps=20.0, tau_min=3, n_tempi=20, lambdas=[10, 1, 10, 500, 10],
+         per_pass=2)  # duplicate lambdas, across pass splits
+def test_lambda_grid_matches_ring_oracle_per_lambda(kind, n_frames, seed, fps, tau_min, n_tempi, lambdas, per_pass):
+    """Each lambda of a grid decodes as alone: the same path and score bits
+    as the oracle, also when the grid is split into passes of ``per_pass``
+    lambdas (0: the default budget)."""
+    cfgs = [dbn.DbnConfig(min_bpm=60.0 * fps / (tau_min + n_tempi - 1), max_bpm=60.0 * fps / tau_min,
+                          transition_lambda=float(lam)) for lam in lambdas]
+    space = dbn.build_state_space(cfgs[0], fps)
+    act = curve(_activation_values(kind, n_frames, seed), fps=fps)
+    with pytest.MonkeyPatch.context() as mp:
+        if per_pass:  # a budget that holds per_pass lambdas and no more
+            mp.setattr(dbn, "GRID_PASS_BYTES", 1)  # still one lambda per pass
+            assert dbn._pass_sizes(len(lambdas), space, n_frames) == [1] * len(lambdas)
+            per_lambda = n_frames * n_tempi + 8 * n_tempi**2 + 8 * space.num_states
+            mp.setattr(dbn, "GRID_PASS_BYTES", per_pass * per_lambda + per_lambda - 1)
+            sizes = dbn._pass_sizes(len(lambdas), space, n_frames)
+            assert len(sizes) == -(-len(lambdas) // per_pass) and sum(sizes) == len(lambdas)
+            assert max(sizes) - min(sizes) <= 1
+        decodes = dbn._viterbi_in_space(act, space, [cfg.transition_lambda for cfg in cfgs])
+        beats = dbn.decode_grid(act, cfgs)
+    assert len(decodes) == len(cfgs) and set(beats) == set(cfgs)
+    for cfg, (path, logp) in zip(cfgs, decodes):
+        want_path, want_logp = viterbi_ring_oracle(act, space, cfg.transition_lambda)
+        assert np.array_equal(path, want_path)
+        assert float.hex(logp) == float.hex(want_logp)
+        assert np.array_equal(beats[cfg], dbn.path_to_beats(want_path, space, act, cfg.correct_beats))
+
+
+def test_lambda_grid_pass_sizes():
+    # a 40 s track at 43.07 fps from 30 BPM (K = 75): 13 lambdas in two passes
+    space = dbn.build_state_space(dbn.DbnConfig(min_bpm=30.0), 43.07)
+    assert space.num_tempi == 75
+    assert dbn._pass_sizes(13, space, 1723) == [7, 6]
+    assert dbn._pass_sizes(1, space, 1723) == [1]
+    assert dbn._pass_sizes(0, space, 1723) == []
+    # a 10-minute track at 100 fps (K = 173): its back pointers alone exceed the budget
+    space = dbn.build_state_space(dbn.DbnConfig(min_bpm=30.0), 100.0)
+    assert space.num_tempi == 173
+    assert dbn._pass_sizes(13, space, 60000) == [1] * 13
+
+
+def test_decode_grid_of_one_is_decode():
+    act, cfg = golden_case("pseudo:pseudo01,30,100")
+    assert np.array_equal(dbn.decode_grid(act, [cfg])[cfg], dbn.decode(act, cfg))
+    assert dbn.decode_grid(act, []) == {}
+
+
+@pytest.mark.parametrize("other", [{"min_bpm": 40.0}, {"max_bpm": 200.0}, {"observation_lambda": 8},
+                                   {"correct_beats": False}])
+def test_decode_grid_rejects_configs_that_differ_in_more_than_lambda(other):
+    cfg = dbn.DbnConfig(min_bpm=30.0)
+    with pytest.raises(ValueError, match="differ only in transition_lambda"):
+        dbn.decode_grid(curve(np.full(100, 0.5)), [cfg, dataclasses.replace(cfg, transition_lambda=5.0, **other)])
 
 
 # ---------------------------------------------------------------------------

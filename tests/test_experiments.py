@@ -1,6 +1,9 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -547,15 +550,21 @@ def test_each_experiment_resolves_its_default_config():
 
 
 def count_decodes(monkeypatch) -> Counter:
-    """Count dbn.decode calls, keyed by activation and config, from now on."""
+    """Count DBN decodes, keyed by activation and config, from now on.
+
+    Each distinct config of a ``dbn.decode_grid`` call counts once. Lambda
+    grids decode there, and ``dbn.decode`` is the grid of one, so this
+    counts the decodes of both.
+    """
     calls = Counter()
-    decode = dbn.decode
+    decode_grid = dbn.decode_grid
 
-    def counting_decode(act, cfg=dbn.DbnConfig()):
-        calls[act.values.tobytes(), act.fps, cfg] += 1
-        return decode(act, cfg)
+    def counting_decode_grid(act, cfgs):
+        cfgs = list(dict.fromkeys(cfgs))
+        calls.update((act.values.tobytes(), act.fps, cfg) for cfg in cfgs)
+        return decode_grid(act, cfgs)
 
-    monkeypatch.setattr(dbn, "decode", counting_decode)
+    monkeypatch.setattr(dbn, "decode_grid", counting_decode_grid)
     return calls
 
 
@@ -618,6 +627,45 @@ def test_systems_table_gt_row_uses_the_decode_cache(monkeypatch):
     calls.clear()
     assert_same_report(warm, experiments.run_systems_table(load_pseudo(), "pseudo", spec))
     assert sum(calls.values()) == 3 * 5
+
+
+def test_systems_table_decodes_each_lambda_grid_in_one_call(monkeypatch):
+    calls = []
+    decode_grid = dbn.decode_grid
+
+    def recording_decode_grid(act, cfgs):
+        calls.append((act.values.tobytes(), list(cfgs)))
+        return decode_grid(act, cfgs)
+
+    monkeypatch.setattr(dbn, "decode_grid", recording_decode_grid)
+    ds = load_pseudo()
+    report = experiments.run_systems_table(ds, "pseudo")
+    assert report.summary["n_tracks"] == 3
+    for rec in ds.annotated():
+        held = experiments._held_to_gt_tempo(rec, dbn.TEMPO_WINDOW, experiments.SLOW_DBN)
+        grids = [cfgs for values, cfgs in calls if values == rec.activations["pseudo"].values.tobytes()]
+        # the free grid (with the fixed lambda-100 row among it), then the GT-held grid
+        assert [{cfg.grid_key() for cfg in cfgs} for cfgs in grids] == [{experiments.SLOW_DBN.grid_key()},
+                                                                         {held.grid_key()}]
+        assert [sorted(cfg.transition_lambda for cfg in cfgs) for cfgs in grids] == [list(experiments.LAMBDA_GRID)] * 2
+    assert len(calls) == 3 * 3  # and one GT decode per track
+
+
+@pytest.mark.parametrize("source", ["pseudo", experiments.GT_SOURCE])
+def test_suite_report_files_same_at_any_jobs(tmp_path, source):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(TESTS_DIR.parent / "src"),
+                                                                     os.environ.get("PYTHONPATH")]))}
+    files = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        subprocess.run([sys.executable, str(TESTS_DIR.parent / "scripts" / "run_smc_suite.py"), str(PSEUDO_DIR),
+                        "--source", source, "--jobs", jobs, "-o", str(out)], env=env, check=True,
+                       capture_output=True)
+        # a manifest records the jobs setting itself
+        files.append({path.relative_to(out).as_posix(): path.read_bytes().replace(f"jobs={jobs}\n".encode(), b"")
+                      for path in sorted(out.rglob("*")) if path.is_file()})
+    assert {name.split("/")[0] for name in files[0]} == set(_suite_stages(source))
+    assert files[0] == files[1]
 
 
 def test_gt_curves_are_synthesized_once_per_dataset_track_and_config(monkeypatch):
