@@ -50,6 +50,14 @@ fewest near-equal passes whose buffers fit GRID_PASS_BYTES, one lambda at a
 time when a single lambda exceeds it (a 10-minute track at 100 fps). The
 budget keeps the buffers near the cache: a 13-lambda grid on a 40 s track
 at K = 75 runs as 7 + 6.
+
+``decode_grid`` takes any configs and groups them by ``space_key``: the
+integer period range and observation lambda they give at the curve's fps.
+Configs with one key have one state space, and so one observation table,
+and each transition lambda one transition matrix: one pass decodes the
+group, one copy per distinct lambda, and correct_beats acts only after the
+pass, in ``path_to_beats``. BPM ranges that differ but round to the same
+periods (two tempo windows a fraction of a BPM apart) share their copies.
 """
 
 from __future__ import annotations
@@ -101,11 +109,6 @@ class DbnConfig:
         if self.observation_lambda < 2:
             raise ValueError("observation_lambda must be >= 2")
 
-    def grid_key(self) -> DbnConfig:
-        """This config with transition_lambda blanked: configs with one key
-        share a state space and decode together in ``decode_grid``."""
-        return dataclasses.replace(self, transition_lambda=1.0)
-
 
 @dataclass(frozen=True)
 class TempoConstraint:
@@ -156,8 +159,9 @@ class StateSpace:
         self.is_beat_state = self.state_phase < np.repeat(self.beat_region_sizes, self.intervals)
 
 
-def build_state_space(cfg: DbnConfig, fps: float) -> StateSpace:
-    """All integer beat periods representable inside the configured BPM range."""
+def space_key(cfg: DbnConfig, fps: float) -> tuple[int, int, int]:
+    """(tau_min, tau_max, observation_lambda) of ``cfg``'s state space at
+    ``fps``: configs with one key decode in the same space."""
     tau_min = int(round(60.0 * fps / cfg.max_bpm))
     tau_max = int(round(60.0 * fps / cfg.min_bpm))
     if tau_min < 2:
@@ -166,8 +170,13 @@ def build_state_space(cfg: DbnConfig, fps: float) -> StateSpace:
         )
     if tau_max < tau_min:
         raise StateSpaceError(f"empty interval range [{tau_min}, {tau_max}]")
-    intervals = np.arange(tau_min, tau_max + 1)
-    return StateSpace(fps, intervals, cfg.observation_lambda)
+    return tau_min, tau_max, cfg.observation_lambda
+
+
+def build_state_space(cfg: DbnConfig, fps: float) -> StateSpace:
+    """All integer beat periods representable inside the configured BPM range."""
+    tau_min, tau_max, observation_lambda = space_key(cfg, fps)
+    return StateSpace(fps, np.arange(tau_min, tau_max + 1), observation_lambda)
 
 
 def transition_log_probs(space: StateSpace, transition_lambda: float) -> np.ndarray:
@@ -332,17 +341,24 @@ def path_to_beats(
 
 
 def decode_grid(act: ActivationCurve, cfgs) -> dict:
-    """{cfg: decode(act, cfg)} for configs that differ only in
-    transition_lambda, decoded in one state space and as few forward passes
-    as GRID_PASS_BYTES allows."""
-    cfgs = list(dict.fromkeys(cfgs))
-    if len({cfg.grid_key() for cfg in cfgs}) > 1:
-        raise ValueError("decode_grid needs configs that differ only in transition_lambda")
-    if not cfgs:
-        return {}
-    space = build_state_space(cfgs[0], act.fps)
-    decodes = _viterbi_in_space(act, space, [cfg.transition_lambda for cfg in cfgs])
-    return {cfg: path_to_beats(path, space, act, cfg.correct_beats) for cfg, (path, _) in zip(cfgs, decodes)}
+    """{cfg: decode(act, cfg)} for any configs.
+
+    Configs with one ``space_key`` at act.fps decode in one state space,
+    one copy per distinct transition_lambda, in as few forward passes as
+    GRID_PASS_BYTES allows. Every key is computed first, so a config with
+    no state space raises StateSpaceError before any pass runs.
+    """
+    groups = {}
+    for cfg in dict.fromkeys(cfgs):
+        groups.setdefault(space_key(cfg, act.fps), []).append(cfg)
+    beats = {}
+    for group in groups.values():
+        space = build_state_space(group[0], act.fps)
+        lambdas = list(dict.fromkeys(cfg.transition_lambda for cfg in group))
+        paths = dict(zip(lambdas, _viterbi_in_space(act, space, lambdas)))
+        beats.update((cfg, path_to_beats(paths[cfg.transition_lambda][0], space, act, cfg.correct_beats))
+                     for cfg in group)
+    return beats
 
 
 def decode(act: ActivationCurve, cfg: DbnConfig = DbnConfig()) -> np.ndarray:

@@ -8,17 +8,17 @@ Every experiment runs the same three steps:
    becomes a DbnConfig's BPM range (``TempoConstraint.hold``) when the spec
    is built. A lambda or threshold sweep is just one spec per grid value.
 2. Worker. ``score_track`` decodes one track's activation once per distinct
-   spec: a threshold grid's peaks are picked in one pass, and a lambda grid
-   decodes in one Viterbi pass (``dbn.decode_grid``, which splits a grid
-   into a few passes only to bound memory). It scores the distinct beat
-   sequences together in one metrics pass. ``_map_tracks``
-   runs it over the tracks of one activation source, optionally in a
-   process pool. Every source reaches it as a curve from ``_activation_of``,
-   which synthesizes a gt-synth curve once per dataset, track and synth
-   config. The scores of DBN decodes are cached per loaded Dataset, by
-   track, source, synth config, spec and eval config, so every stage of a
-   run on one dataset decodes each of them once; only the specs the cache
-   lacks reach the worker. The parent process owns both caches, so results
+   spec: a threshold grid's peaks are picked in one pass, and the DBN specs
+   go to one ``dbn.decode_grid`` call, which decodes the specs that share a
+   state space in one Viterbi pass (split into a few passes only to bound
+   memory). It scores the distinct beat sequences together in one metrics
+   pass. ``_map_tracks`` runs it over the tracks of one activation source,
+   optionally in a process pool. Every source reaches it as a curve from
+   ``_activation_of``, which synthesizes a gt-synth curve once per dataset,
+   track and synth config. The scores of DBN decodes are cached per loaded
+   Dataset, by track, source, synth config, spec and eval config, so every
+   stage of a run on one dataset decodes each of them once; only the specs
+   the cache lacks reach the worker. The parent process owns both caches, so results
    are the same at any ``jobs``.
 3. Fold. The experiment turns the per-track {spec: EvalResult} maps into a
    RunReport of per-track rows plus corpus-level summaries and tables.
@@ -97,25 +97,19 @@ def score_track(payload) -> dict:
     A spec is a PeakConfig or a DbnConfig, and equal specs are equal
     configs, so two tempo windows held to one BPM range decode once. Peak
     specs are picked together, one suppression pass per threshold grid
-    (``peaks.pick_peaks_grid``); DbnConfigs that differ only in
-    transition_lambda decode together as one lambda grid
-    (``dbn.decode_grid``). The distinct beat arrays are scored in one
-    ``metrics.evaluate_many`` pass: specs that decode to equal beats share
-    one EvalResult.
+    (``peaks.pick_peaks_grid``); the DbnConfigs decode in one
+    ``dbn.decode_grid`` call, one pass per state space. The distinct beat
+    arrays are scored in one ``metrics.evaluate_many`` pass: specs that
+    decode to equal beats share one EvalResult.
 
     ``payload`` is (annotation, activation, specs, eval_cfg). A decoder
     error names the track and the activation's source.
     """
     ref, act, specs, eval_cfg = payload
     specs = dict.fromkeys(specs)
-    grids = {}
-    for spec in specs:
-        if isinstance(spec, dbn.DbnConfig):
-            grids.setdefault(spec.grid_key(), []).append(spec)
     try:
         decoded = peaks.pick_peaks_grid(act, [spec for spec in specs if isinstance(spec, peaks.PeakConfig)])
-        for grid in grids.values():
-            decoded.update(dbn.decode_grid(act, grid))
+        decoded.update(dbn.decode_grid(act, [spec for spec in specs if isinstance(spec, dbn.DbnConfig)]))
     except ToolkitError as exc:
         raise ToolkitError(f"{ref.track_id} ({act.source_label}): {exc}") from None
     distinct = {b.tobytes(): b for b in decoded.values()}
@@ -124,18 +118,15 @@ def score_track(payload) -> dict:
 
 
 def _map_tracks(fn, items, jobs: int = 1) -> dict:
-    """Apply fn to (track_id, payload) pairs; results keyed and sorted by id."""
-    items = sorted(items, key=lambda kv: kv[0])
+    """Apply fn to (track_id, payload) pairs; results keyed by id, in item order."""
     if jobs <= 1:
-        results = {tid: fn(payload) for tid, payload in items}
-    else:
-        # imported here: multiprocessing costs every process that never forks a pool
-        from concurrent.futures import ProcessPoolExecutor
+        return {tid: fn(payload) for tid, payload in items}
+    # imported here: multiprocessing costs every process that never forks a pool
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outputs = pool.map(fn, [payload for _, payload in items], chunksize=1)
-            results = {tid: out for (tid, _), out in zip(items, outputs)}
-    return dict(sorted(results.items()))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        outputs = pool.map(fn, [payload for _, payload in items], chunksize=1)
+        return {tid: out for (tid, _), out in zip(items, outputs)}
 
 
 # Loaded Dataset -> {(track_id, source, synth_cfg or None, DbnConfig, eval_cfg): EvalResult}.
@@ -168,12 +159,13 @@ def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, 
     tracks skipped: those with fewer than ``min_beats`` annotated beats left
     after ``eval_cfg``'s trim, then each whose tempo window (a
     ``ConstraintError`` from ``specs_of``) holds no BPM range, and each with
-    a DbnConfig that has no state space at the curve's fps. That last check
-    runs before any decode, so one such track never ends the run.
+    a DbnConfig that has no state space at the curve's fps
+    (``dbn.space_key``). That last check runs before any decode, so one such
+    track never ends the run.
     """
     cache = _DECODES.setdefault(dataset, {})
     synth_key = synth_cfg if source == GT_SOURCE else None
-    found, items, missing, short, notes, spaces = [], [], [], [], [], {}
+    found, items, missing, short, notes = [], [], [], [], []
     for record in dataset.annotated():
         if len(metrics.trim_beats(record.annotation.beats, eval_cfg.trim_seconds)) < min_beats:
             short.append(record.track_id)
@@ -187,10 +179,12 @@ def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, 
             notes.append(f"{record.track_id}: {exc}; skipped")
             continue
         fps = synth_cfg.fps if source == GT_SOURCE else record.activations[source].fps
-        why = next(filter(None, (_no_state_space(spaces, spec, fps) for spec in specs
-                                 if isinstance(spec, dbn.DbnConfig))), None)
-        if why:
-            notes.append(f"{record.track_id} ({source}): {why}; skipped")
+        try:
+            for spec in specs:
+                if isinstance(spec, dbn.DbnConfig):
+                    dbn.space_key(spec, fps)
+        except StateSpaceError as exc:
+            notes.append(f"{record.track_id} ({source}): {exc}; skipped")
             continue
         found.append((record, specs))
         todo = [spec for spec in specs if (record.track_id, source, synth_key, spec, eval_cfg) not in cache]
@@ -210,19 +204,6 @@ def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, 
     if short:
         notes.insert(0, f"{len(short)} track(s) with <{min_beats} beats skipped: {short}")
     return scored, missing, notes
-
-
-def _no_state_space(spaces: dict, cfg: dbn.DbnConfig, fps: float) -> str:
-    """Why ``cfg`` has no state space at ``fps``, or "", kept in ``spaces``
-    per fps and config with its lambda blanked."""
-    key = (cfg.grid_key(), fps)
-    if key not in spaces:
-        try:
-            dbn.build_state_space(cfg, fps)
-            spaces[key] = ""
-        except StateSpaceError as exc:
-            spaces[key] = str(exc)
-    return spaces[key]
 
 
 def _note_skipped(report: RunReport, source: str, missing, notes):
@@ -274,7 +255,8 @@ def _with_tempo(dataset: Dataset) -> list:
 
 
 def _mean_cells(results, fields=("f_measure", "cmlt", "amlt")) -> tuple:
-    return tuple(f"{np.mean([getattr(r, name) for r in results]):.3f}" for name in fields)
+    """Mean of each field as a table cell; empty cells when there is no result."""
+    return tuple(_fmt3(np.mean([getattr(r, name) for r in results]) if results else None) for name in fields)
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +309,11 @@ def run_gt_bottleneck(
     rows = [_row(rec, GT_SOURCE, _dbn_label(dbn_cfg), scores[dbn_cfg]) for rec, scores in scored]
     fs = [r.eval.f_measure for r in rows]
     report = RunReport(experiment="gt-bottleneck", rows=rows)
-    report.summary = {
-        "n_tracks": len(rows),
-        "mean_f": float(np.mean(fs)) if fs else float("nan"),
-        "mean_cmlt": float(np.mean([r.eval.cmlt for r in rows])) if rows else float("nan"),
-        "mean_amlt": float(np.mean([r.eval.amlt for r in rows])) if rows else float("nan"),
-        "n_below_f_0.5": int(sum(f < 0.5 for f in fs)),
-    }
+    report.summary = {"n_tracks": len(rows)}
+    if rows:
+        report.summary.update(mean_f=float(np.mean(fs)), mean_cmlt=float(np.mean([r.eval.cmlt for r in rows])),
+                              mean_amlt=float(np.mean([r.eval.amlt for r in rows])))
+    report.summary["n_below_f_0.5"] = int(sum(f < 0.5 for f in fs))
     _note_skipped(report, GT_SOURCE, (), notes)
     return report
 
@@ -347,7 +327,7 @@ def _dbn_label(cfg: dbn.DbnConfig) -> str:
 
 def run_bottleneck_table(
     datasets,
-    source: str | None = None,
+    source: str = GT_SOURCE,
     synth_cfg: SynthConfig = SynthConfig(),
     dbn_cfg: dbn.DbnConfig = SLOW_DBN,
     peak_cfg: peaks.PeakConfig = peaks.PeakConfig(),
@@ -363,15 +343,13 @@ def run_bottleneck_table(
     header = ("dataset", "n", "median_ibi_cv", "real_peak_f", "real_dbn_f", "gt_dbn_f", "gap")
     table_rows = []
     report = RunReport(experiment="bottleneck")
-    if source == GT_SOURCE:
-        source = None  # the GT columns are always computed; nothing "real" to add
     for name, dataset in datasets:
         stats = dataset_stats(dataset)
         gt = run_gt_bottleneck(dataset, synth_cfg, dbn_cfg, eval_cfg, jobs)
         report.rows.extend(gt.rows)
         report.notes.extend(f"{name}: {note}" for note in gt.notes)
         real_peak_f = real_dbn_f = None
-        if source is not None:
+        if source != GT_SOURCE:  # the GT column is always computed; nothing "real" to add
             scored, missing, notes = _score_source(dataset, source, lambda rec: (peak_cfg, dbn_cfg),
                                                    eval_cfg, synth_cfg, jobs)
             # the short-track note repeats gt-bottleneck's
@@ -381,8 +359,8 @@ def run_bottleneck_table(
                 real_dbn_f = float(np.mean([scores[dbn_cfg].f_measure for _, scores in scored]))
             if missing:
                 report.notes.append(f"{name}: {len(missing)} track(s) missing '{source}'")
-        gt_f = gt.summary["mean_f"]
-        gap = None if real_dbn_f is None else gt_f - real_dbn_f
+        gt_f = gt.summary.get("mean_f")
+        gap = None if real_dbn_f is None or gt_f is None else gt_f - real_dbn_f
         table_rows.append((name, stats.summary.get("n_tracks", 0), _fmt3(stats.summary.get("median_ibi_cv")),
                            _fmt3(real_peak_f), _fmt3(real_dbn_f), _fmt3(gt_f), _fmt3(gap)))
     report.tables["bottleneck"] = (header, table_rows)

@@ -14,6 +14,7 @@ sys.path.insert(0, str(TESTS_DIR))
 # tree, as pytest's own ``pythonpath`` setting does for this process.
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(TESTS_DIR.parent / "src"), os.environ.get("PYTHONPATH")]))
 
+from beatdiag import dbn  # noqa: E402
 from beatdiag.ingest import ActivationCurve, BeatAnnotation  # noqa: E402
 
 
@@ -44,3 +45,20 @@ def make_pulse_activation(beats, fps: float = 50.0, duration: float | None = Non
         np.maximum(values[lo:hi], np.exp(-((t[lo:hi] - c) ** 2) / (2 * sigma**2)),
                    out=values[lo:hi])
     return ActivationCurve(values=values, fps=fps, source_label=label)
+
+
+def record_passes(monkeypatch) -> list:
+    """(activation bytes, state space key, lambdas) of each
+    ``dbn._viterbi_in_space`` call from now on: one per state space that
+    ``dbn.decode_grid`` decodes in."""
+    calls = []
+    viterbi_in_space = dbn._viterbi_in_space
+
+    def recording(act, space, lambdas):
+        lambdas = list(lambdas)
+        key = (int(space.intervals[0]), int(space.intervals[-1]), space.observation_lambda)
+        calls.append((act.values.tobytes(), key, lambdas))
+        return viterbi_in_space(act, space, lambdas)
+
+    monkeypatch.setattr(dbn, "_viterbi_in_space", recording)
+    return calls

@@ -501,6 +501,30 @@ def test_traced_functions_exist():
     assert missing == []
 
 
+def test_traced_systems_run_writes_the_untraced_files(tmp_path):
+    """The benchmark tracer, installed around a systems run, records spans
+    and leaves the report files as an untraced run writes them."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TESTS_DIR.parent / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    argv = ["experiment", "systems", "--dataset", f"p={PSEUDO_DIR}", "--source", "pseudo", "--lambdas", "1,100",
+            "--jobs", "1", "-o"]
+    assert run([*argv, str(tmp_path / "plain")]) == 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert run([*argv, str(tmp_path / "traced")]) == 0
+    finally:
+        tracer.uninstall()
+    plain, traced = ({path.relative_to(root).as_posix(): path.read_bytes() for path in root.rglob("*") if path.is_file()}
+                     for root in (tmp_path / "plain", tmp_path / "traced"))
+    assert plain and plain == traced
+    names = {span[0] for span in tracer.spans}
+    assert {"experiments.run_systems_table", "dbn.build_state_space"} <= names
+
+
 def test_decode_binary_activations(tmp_path):
     ref = make_grid_annotation(bpm=75, start=0.5, duration=15.0, track_id="bin0")
     act = synthesize_gt_activation(ref, SynthConfig(fps=50.0))

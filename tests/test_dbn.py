@@ -10,7 +10,7 @@ from beatdiag import dbn, ingest, metrics
 from beatdiag.errors import ConstraintError, StateSpaceError
 from beatdiag.experiments import LAMBDA_GRID, SynthConfig, synthesize_gt_activation
 from beatdiag.ingest import ActivationCurve
-from conftest import PSEUDO_DIR, make_grid_annotation, make_pulse_activation
+from conftest import PSEUDO_DIR, make_grid_annotation, make_pulse_activation, record_passes
 from oracles import dense_model, dense_viterbi_score, enumerate_paths_score, score_path, viterbi_ring_oracle
 
 
@@ -349,10 +349,72 @@ def test_decode_grid_of_one_is_decode():
 
 @pytest.mark.parametrize("other", [{"min_bpm": 40.0}, {"max_bpm": 200.0}, {"observation_lambda": 8},
                                    {"correct_beats": False}])
-def test_decode_grid_rejects_configs_that_differ_in_more_than_lambda(other):
+def test_decode_grid_decodes_configs_that_differ_in_more_than_lambda(other, monkeypatch):
+    act = make_pulse_activation(np.arange(0.5, 8.0, 0.6))
     cfg = dbn.DbnConfig(min_bpm=30.0)
-    with pytest.raises(ValueError, match="differ only in transition_lambda"):
-        dbn.decode_grid(curve(np.full(100, 0.5)), [cfg, dataclasses.replace(cfg, transition_lambda=5.0, **other)])
+    pair = [cfg, dataclasses.replace(cfg, transition_lambda=5.0, **other)]
+    want = {c: dbn.decode(act, c) for c in pair}
+    calls = record_passes(monkeypatch)
+    beats = dbn.decode_grid(act, pair)
+    assert set(beats) == set(pair)
+    for c in pair:
+        assert beats[c].tobytes() == want[c].tobytes()
+    # correct_beats acts after the pass: that pair shares one space and one pass
+    assert len(calls) == (1 if other == {"correct_beats": False} else 2)
+    assert [lam for _, _, lambdas in calls for lam in lambdas] == [100.0, 5.0]
+
+
+def test_decode_grid_checks_every_config_before_any_pass(monkeypatch):
+    calls = record_passes(monkeypatch)
+    with pytest.raises(StateSpaceError, match="too low for max_bpm"):
+        dbn.decode_grid(curve(np.full(100, 0.5), fps=5.0), [dbn.DbnConfig(max_bpm=60.0), dbn.DbnConfig()])
+    assert calls == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "quantised", "sparse"]),
+    n_frames=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+    fps=st.sampled_from([20.0, 43.07, 50.0]),
+    # few ranges, so that configs often share one
+    specs=st.lists(st.tuples(st.sampled_from([2, 3, 9]),  # tau_min
+                             st.sampled_from([1, 3, 6]),  # tempi
+                             st.sampled_from([1.0, 1.001, 0.999]),  # BPM nudge that rounds away
+                             st.sampled_from([2, 8, 16]),
+                             st.booleans(),
+                             st.sampled_from(LAMBDA_GRID)), min_size=1, max_size=6),
+    pass_bytes=st.sampled_from([None, 1, 4000]),
+)
+@example(kind="quantised", n_frames=120, seed=0, fps=20.0,
+         specs=[(9, 6, 1.0, 2, True, 10), (9, 6, 1.001, 2, False, 10), (9, 6, 0.999, 2, True, 500),
+                (9, 6, 1.0, 8, True, 10), (3, 3, 1.0, 2, True, 1), (9, 6, 1.0, 2, True, 10)],
+         pass_bytes=1)  # nudged ranges share a space; duplicates; a forced split
+def test_decode_grid_groups_any_configs_by_state_space(kind, n_frames, seed, fps, specs, pass_bytes):
+    """Mixed configs in one call: each decodes as alone and as the oracle,
+    in one ``_viterbi_in_space`` call per state space carrying its
+    distinct lambdas in first-seen order."""
+    cfgs = [dbn.DbnConfig(min_bpm=60.0 * fps / (tau_min + n_tempi - 1) * nudge, max_bpm=60.0 * fps / tau_min * nudge,
+                          transition_lambda=float(lam), observation_lambda=obs, correct_beats=correct)
+            for tau_min, n_tempi, nudge, obs, correct, lam in specs]
+    act = curve(_activation_values(kind, n_frames, seed), fps=fps)
+    groups = {}
+    for cfg in dict.fromkeys(cfgs):
+        groups.setdefault(dbn.space_key(cfg, fps), []).append(cfg.transition_lambda)
+    with pytest.MonkeyPatch.context() as mp:
+        if pass_bytes is not None:
+            mp.setattr(dbn, "GRID_PASS_BYTES", pass_bytes)
+        calls = record_passes(mp)
+        beats = dbn.decode_grid(act, cfgs)
+        assert [call[1:] for call in calls] == [(key, list(dict.fromkeys(lambdas))) for key, lambdas in groups.items()]
+    assert set(beats) == set(cfgs)
+    for cfg in cfgs:
+        tau_min, tau_max, _ = dbn.space_key(cfg, fps)
+        space = dbn.build_state_space(cfg, fps)
+        assert list(space.intervals) == list(range(tau_min, tau_max + 1))
+        want_path, _ = viterbi_ring_oracle(act, space, cfg.transition_lambda)
+        assert beats[cfg].tobytes() == dbn.path_to_beats(want_path, space, act, cfg.correct_beats).tobytes()
+        assert beats[cfg].tobytes() == dbn.decode(act, cfg).tobytes()
 
 
 # ---------------------------------------------------------------------------

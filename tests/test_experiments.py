@@ -2,8 +2,10 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from beatdiag import cli, dbn, experiments, ingest, metrics, peaks, reports
 from beatdiag.experiments import SynthConfig, synthesize_gt_activation
 from beatdiag.ingest import BeatAnnotation, DatasetLayout
-from conftest import PSEUDO_DIR, TESTS_DIR, make_grid_annotation
+from conftest import PSEUDO_DIR, TESTS_DIR, make_grid_annotation, record_passes
 
 
 def load_pseudo():
@@ -147,7 +149,7 @@ def test_bottleneck_table_gap_definition():
 
 def test_bottleneck_table_annotations_only():
     ds = load_pseudo()
-    report = experiments.run_bottleneck_table([("pseudo", ds)], source=None)
+    report = experiments.run_bottleneck_table([("pseudo", ds)], source=experiments.GT_SOURCE)
     header, rows = report.tables["bottleneck"]
     row = dict(zip(header, rows[0]))
     assert row["real_peak_f"] == ""
@@ -629,26 +631,61 @@ def test_systems_table_gt_row_uses_the_decode_cache(monkeypatch):
     assert sum(calls.values()) == 3 * 5
 
 
-def test_systems_table_decodes_each_lambda_grid_in_one_call(monkeypatch):
-    calls = []
-    decode_grid = dbn.decode_grid
-
-    def recording_decode_grid(act, cfgs):
-        calls.append((act.values.tobytes(), list(cfgs)))
-        return decode_grid(act, cfgs)
-
-    monkeypatch.setattr(dbn, "decode_grid", recording_decode_grid)
+def test_systems_table_decodes_each_state_space_in_one_call(monkeypatch):
+    calls = record_passes(monkeypatch)
     ds = load_pseudo()
     report = experiments.run_systems_table(ds, "pseudo")
     assert report.summary["n_tracks"] == 3
     for rec in ds.annotated():
+        act = rec.activations["pseudo"]
         held = experiments._held_to_gt_tempo(rec, dbn.TEMPO_WINDOW, experiments.SLOW_DBN)
-        grids = [cfgs for values, cfgs in calls if values == rec.activations["pseudo"].values.tobytes()]
+        passes = [(key, lambdas) for values, key, lambdas in calls if values == act.values.tobytes()]
         # the free grid (with the fixed lambda-100 row among it), then the GT-held grid
-        assert [{cfg.grid_key() for cfg in cfgs} for cfgs in grids] == [{experiments.SLOW_DBN.grid_key()},
-                                                                         {held.grid_key()}]
-        assert [sorted(cfg.transition_lambda for cfg in cfgs) for cfgs in grids] == [list(experiments.LAMBDA_GRID)] * 2
-    assert len(calls) == 3 * 3  # and one GT decode per track
+        assert [key for key, _ in passes] == [dbn.space_key(experiments.SLOW_DBN, act.fps), dbn.space_key(held, act.fps)]
+        assert [sorted(lambdas) for _, lambdas in passes] == [list(experiments.LAMBDA_GRID)] * 2
+    # 3 tracks x 2 real spaces x 13 lambdas, and one GT copy per track
+    assert len(calls) == 3 * 3
+    assert sum(len(lambdas) for _, _, lambdas in calls) == 3 * 2 * 13 + 3
+
+
+def test_tempo_curve_windows_with_one_state_space_share_a_pass(monkeypatch):
+    # 120.0 and 120.3 BPM windows hold different BPM ranges that round to
+    # the same periods: one constrained pass per track, not two
+    sources = [(f"t{i}", dict.fromkeys(("pseudo01", "pseudo02", "pseudo03"), bpm))
+               for i, bpm in enumerate((120.0, 120.3))]
+    calls = record_passes(monkeypatch)
+    report = experiments.run_tempo_curve(load_pseudo(), "pseudo", sources)
+    assert len(calls) == 3 * 2
+    rows = {}
+    for row in report.rows:
+        rows.setdefault(row.track_id, {})[row.config] = row.eval
+    assert len(rows) == 3
+    for by_config in rows.values():
+        assert by_config["constrained[t0]"] == by_config["constrained[t1]"]
+    series = {row[0]: row[1:] for row in report.tables["tempo-curve"][1]}
+    assert series["t0"] == series["t1"]
+
+
+ZERO_TRACK_RUNS = {
+    "systems-trim": ["systems", "--trim", "1000"],
+    "bottleneck-trim": ["bottleneck", "--trim", "1000"],
+    "gt-bottleneck-trim": ["gt-bottleneck", "--trim", "1000"],
+    "systems-fps2": ["systems", "--fps", "2"],  # every GT curve is undecodable
+    "bottleneck-fps2": ["bottleneck", "--fps", "2"],  # a real column and no GT one
+}
+
+
+@pytest.mark.parametrize("name", ZERO_TRACK_RUNS)
+def test_zero_track_reports_have_empty_cells(name, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["experiment", *ZERO_TRACK_RUNS[name], "--dataset", f"p={PSEUDO_DIR}", "--source", "pseudo",
+                         "-o", str(tmp_path)]) == 0
+    assert not re.search(r"\bnan\b", capsys.readouterr().out)
+    written = [path for path in tmp_path.rglob("*") if path.suffix in (".txt", ".csv")]
+    assert any(path.name == "report.txt" for path in written)
+    for path in written:
+        assert not re.search(r"\bnan\b", path.read_text()), path.name
 
 
 @pytest.mark.parametrize("source", ["pseudo", experiments.GT_SOURCE])
