@@ -32,32 +32,50 @@ the gather as a row/column index pair; each sum is still score plus log
 transition, bit for bit (IEEE addition commutes), and numpy runs the copy
 and the same-shape add faster than the broadcasting add.
 
-A lambda changes only the K x K transition matrix, so one pass decodes a
-grid of L lambdas (``decode_grid``). The scores are one flat array of L
-copies of the S slots, lambda l's at l*S, and the max-plus buffer stacks L
-blocks of K rows, (L*K, K), against the L transition matrices stacked the
-same way; the back pointers are (T, L*K). The beat-region slot indices are
-laid out for all L copies at once, every copy's wrap slots first, so each
-frame still makes one slot advance, one gather of the wrap slots, one
-broadcast copy, one add, one row argmax, one flat gather at row start plus
-source, and the observation adds, whatever L is. With L = 1 the index
-arrays carry no offset and every step is the single decode's. Every score
-sees the same additions in the same order, and each row's argmax is the
-same first max over the same K candidates, so each lambda's path and score
-bits are those of its own decode. A pass holds T*L*K back-pointer bytes,
-8*L*K*K of max-plus buffer and 8*L*S of scores: a grid splits into the
-fewest near-equal passes whose buffers fit GRID_PASS_BYTES, one lambda at a
-time when a single lambda exceeds it (a 10-minute track at 100 fps). The
-budget keeps the buffers near the cache: a 13-lambda grid on a 40 s track
-at K = 75 runs as 7 + 6.
+One pass decodes any list of copies, and a copy is (observations, state
+space, transition lambda): the lambdas of a grid, the tracks of a batch,
+the tempo windows of a tempo curve. Each copy gets a block of
+stride = max S + 1 score slots, copy c's at c*stride; the last slot of a
+block is a sink that holds -inf. The max-plus buffer stacks C blocks of
+K rows, (C*K, K), for the pass's largest K, against the C transition
+matrices stacked the same way, each padded with -inf rows and columns; a
+padded tempo's wrap slot is its block's sink, and the back pointers are
+(T, C*K). The beat-region slot indices are laid out for all copies at
+once, every copy's K wrap slots first, so each frame makes one slot
+advance, one gather of the wrap slots, one broadcast copy, one add, one
+row argmax, one flat gather at row start plus source, and the
+observation adds, whatever C is. When every copy shares one observation
+table (a lambda grid, a single decode) those are scalar adds, as in a
+single decode; otherwise the non-beat add is one (C, 1) column into the
+(C, stride) view of the scores and the beat add one gather of the
+frame's beat densities by each beat slot's copy. A copy shorter than the
+pass takes its final scores at its own last frame and sees zeros after.
+-inf never beats a finite score and the padded columns come after the
+real ones, so the first-max tie rule is unchanged and no NaN can arise:
+every score sees the same additions in the same order, and each row's
+argmax is the same first max over the same candidates, so each copy's
+path and score bits are those of its own decode.
 
-``decode_grid`` takes any configs and groups them by ``space_key``: the
-integer period range and observation lambda they give at the curve's fps.
-Configs with one key have one state space, and so one observation table,
-and each transition lambda one transition matrix: one pass decodes the
-group, one copy per distinct lambda, and correct_beats acts only after the
-pass, in ``path_to_beats``. BPM ranges that differ but round to the same
-periods (two tempo windows a fraction of a BPM apart) share their copies.
+A copy holds T*K back-pointer bytes, 8*K*K of max-plus buffer, 8*S of
+scores and, when the pass mixes observation tables, 16*T of its own
+observations, all at the pass's largest T, K and S. ``_viterbi_grids``
+takes one (activation, state space, lambdas) grid per activation and
+space: a grid whose copies do not fit GRID_PASS_BYTES splits into the
+fewest near-equal passes of its own (a 13-lambda grid on a 40 s track at
+K = 75 runs as 7 + 6, a 10-minute track at 100 fps one lambda at a time);
+the other grids, in order of K, fill shared passes whole, and a pass
+takes in a grid of larger K only while the padding adds fewer than
+PASS_CELLS max-plus cells per frame. One grid never spreads over shared
+passes.
+
+``decode_batch`` takes (activation, configs) requests and keys each
+config by ``space_key``: the integer period range and observation lambda
+it gives at the curve's fps. Configs with one key have one state space,
+and so one observation table, and each transition lambda one transition
+matrix: one copy decodes each distinct (activation, key, lambda), and
+correct_beats acts only after the pass, in ``path_to_beats``. BPM ranges
+that differ but round to the same periods (two tempo windows a fraction
+of a BPM apart) share their copies. ``decode_grid`` is the batch of one.
 """
 
 from __future__ import annotations
@@ -81,9 +99,14 @@ CONSTRAINT_MAX_BPM = 215.0
 # Default half-width of a tempo window, as a fraction of its center BPM.
 TEMPO_WINDOW = 0.20
 
-# Bytes a lambda grid's forward pass may hold in its lambda-scaled buffers;
-# a larger grid decodes in several passes.
+# Bytes a forward pass may hold in its per-copy buffers; a larger grid
+# decodes in several passes.
 GRID_PASS_BYTES = 2 << 20
+
+# Max-plus cells per frame that cost about what a pass's own per-frame numpy
+# calls cost (about 7 us against 1.7 ns a cell at K = 75): a pass takes in a
+# grid of larger K only while padding its copies to that K adds fewer cells.
+PASS_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -207,73 +230,145 @@ def _pointer_type(n_tempi: int) -> np.dtype:
     return np.min_scalar_type(n_tempi - 1)
 
 
+def _copy_bytes(n_tempi: int, n_states: int, n_frames: int, own_obs: bool) -> int:
+    """Bytes one copy adds to a pass of this size: back pointers, max-plus
+    buffer and scores, and its observation columns when it has its own."""
+    return (n_frames * n_tempi * _pointer_type(n_tempi).itemsize + 8 * n_tempi * n_tempi + 8 * n_states
+            + 16 * n_frames * own_obs)
+
+
 def _pass_sizes(n_lambdas: int, space: StateSpace, n_frames: int) -> list[int]:
     """Lambdas per pass: the fewest near-equal passes whose lambda-scaled
     buffers (back pointers, max-plus buffer, scores) fit GRID_PASS_BYTES,
     with at least one lambda in each."""
-    n_tempi, n_states = space.num_tempi, space.num_states
-    per_lambda = n_frames * n_tempi * _pointer_type(n_tempi).itemsize + 8 * n_tempi * n_tempi + 8 * n_states
+    per_lambda = _copy_bytes(space.num_tempi, space.num_states, n_frames, False)
     n_passes = -(-n_lambdas // max(1, GRID_PASS_BYTES // per_lambda))
     return [n_lambdas // n_passes + (i < n_lambdas % n_passes) for i in range(n_passes)]
 
 
+def _pass_bytes(copies) -> int:
+    """Bytes of one pass over (act, space, ...) copies, each padded to the
+    largest space and the longest curve."""
+    n_tempi = max(space.num_tempi for _, space, *_ in copies)
+    n_states = max(space.num_states for _, space, *_ in copies)
+    n_frames = max(len(act.values) for act, *_ in copies)
+    own_obs = len({(id(act), space.observation_lambda) for act, space, *_ in copies}) > 1
+    return len(copies) * _copy_bytes(n_tempi, n_states, n_frames, own_obs)
+
+
 def _viterbi_in_space(act: ActivationCurve, space: StateSpace, lambdas) -> list[tuple[np.ndarray, float]]:
-    """(path, log score) for each transition lambda, in order, in as few
-    forward passes as GRID_PASS_BYTES allows."""
-    obs = observation_log_probs(act, space)
-    out, lambdas = [], list(lambdas)
-    for size in _pass_sizes(len(lambdas), space, len(obs)):
-        out += _viterbi_pass(obs, space, lambdas[len(out):len(out) + size])
-    return out
+    """(path, log score) for each transition lambda, in order."""
+    decoded = dict(_viterbi_grids([(act, space, lambdas)]))
+    return [decoded[0, j] for j in range(len(decoded))]
 
 
-def _viterbi_pass(obs: np.ndarray, space: StateSpace, lambdas: list) -> list[tuple[np.ndarray, float]]:
-    n_lambdas, n_tempi, n_states = len(lambdas), space.num_tempi, space.num_states
-    n_frames = len(obs)
-    # wrap_into[l*K + k', k] = log p(k -> k') under lambda l: row l*K + k'
-    # holds the candidates of target tempo k' in lambda l's copy
-    wrap_into = np.empty((n_lambdas * n_tempi, n_tempi))
-    for block, lam in zip(wrap_into.reshape(n_lambdas, n_tempi, n_tempi), lambdas):
-        block[...] = transition_log_probs(space, lam).T
-    first = space.first_states
-    ring_base = np.repeat(first, space.intervals)
-    is_beat = space.is_beat_state
+def _viterbi_grids(grids):
+    """Yield ((g, j), (path, log score)) for lambda j of each (act, space,
+    lambdas) grid g, pass by pass, in as few forward passes as
+    GRID_PASS_BYTES allows.
 
-    def ring_slots(t):
+    A grid too large for one pass splits into near-equal passes of its own.
+    The other grids, in order of K, fill passes whole, up to GRID_PASS_BYTES
+    and PASS_CELLS of padding: one track's grid never spreads over passes
+    that it shares.
+    """
+    passes, units = [], []
+    for g, (act, space, lambdas) in enumerate(grids):
+        copies = [(act, space, lam, (g, j)) for j, lam in enumerate(lambdas)]
+        sizes = _pass_sizes(len(copies), space, len(act.values))
+        if len(sizes) > 1:
+            passes += [copies[sum(sizes[:i]):sum(sizes[:i + 1])] for i in range(len(sizes))]
+        elif copies:
+            units.append(copies)
+    packed = []
+    for unit in sorted(units, key=lambda unit: unit[0][1].num_tempi):
+        if packed and (len(packed) * (unit[0][1].num_tempi ** 2 - packed[-1][1].num_tempi ** 2) > PASS_CELLS
+                       or _pass_bytes(packed + unit) > GRID_PASS_BYTES):
+            passes.append(packed)
+            packed = []
+        packed = packed + unit
+    passes += [packed] if packed else []
+    for copies in passes:
+        yield from zip((copy[3] for copy in copies), _viterbi_pass(copies))
+
+
+def _viterbi_pass(copies) -> list[tuple[np.ndarray, float]]:
+    """(path, log score) of each (act, space, lambda, ...) copy, in one
+    forward pass; the module docstring gives the layout."""
+    tables = {}
+    for act, space, *_ in copies:
+        if (id(act), space.observation_lambda) not in tables:
+            tables[id(act), space.observation_lambda] = observation_log_probs(act, space)
+    obs_of = [tables[id(act), space.observation_lambda] for act, space, *_ in copies]
+    n_copies = len(copies)
+    spaces = [space for _, space, *_ in copies]
+    n_tempi = max(space.num_tempi for space in spaces)
+    stride = max(space.num_states for space in spaces) + 1  # the last slot of a block is its sink
+    lengths = [len(obs) for obs in obs_of]
+    n_frames = max(lengths)
+    # wrap_into[c*K + k', k] = log p(k -> k') in copy c: row c*K + k' holds
+    # the candidates of target tempo k'; padded rows and columns are -inf
+    wrap_into = np.full((n_copies * n_tempi, n_tempi), -np.inf)
+    for block, (_, space, lam, *_) in zip(wrap_into.reshape(n_copies, n_tempi, n_tempi), copies):
+        block[:space.num_tempi, :space.num_tempi] = transition_log_probs(space, lam).T
+
+    def ring_slots(space, t):
         # ring slot of each flat state (tempo k, phase p) at frame t:
         # first_k + (t - p) mod tau_k, i.e. keyed by the frame its beat started
-        return ring_base + (t - space.state_phase) % space.state_interval
+        return np.repeat(space.first_states, space.intervals) + (t - space.state_phase) % space.state_interval
 
     # Beat-region states phase-major, so the first K are the phase-0 states in
-    # tempo order: their slots double as the slots of the wrap. Lambda l's
-    # copy of slot i is l*S + i; every copy's wrap slots come first.
-    beat_states = np.flatnonzero(is_beat)
-    beat_states = beat_states[np.argsort(space.state_phase[beat_states], kind="stable")]
-    offsets = np.arange(n_lambdas)[:, np.newaxis] * n_states
-
-    def per_lambda(beat_slots):
-        copies = beat_slots + offsets
-        return np.concatenate((copies[:, :n_tempi].ravel(), copies[:, n_tempi:].ravel()))
-
-    slots = per_lambda(ring_slots(0)[beat_states])
-    beat_base = per_lambda(ring_base[beat_states])
-    beat_end = per_lambda(ring_base[beat_states] + space.state_interval[beat_states])
-
-    delta = np.empty(n_lambdas * n_states)
-    delta.reshape(n_lambdas, n_states)[:, ring_slots(0)] = np.where(is_beat, obs[0, 1], obs[0, 0]) - np.log(n_states)
-    # Back pointers are only needed at phase wraps: wrap_from[t, l*K + k] is
+    # tempo order: their slots double as the slots of the wrap. Copy c's slot
+    # i is c*stride + i; every copy's K wrap slots come first, a padded tempo's
+    # at the sink, which never leaves it.
+    wrap, rest = [], []
+    delta = np.full(n_copies * stride, -np.inf)
+    for obs, space, base in zip(obs_of, spaces, range(0, n_copies * stride, stride)):
+        k = space.num_tempi
+        beat_states = np.flatnonzero(space.is_beat_state)
+        beat_states = beat_states[np.argsort(space.state_phase[beat_states], kind="stable")]
+        start = np.repeat(space.first_states, space.intervals)[beat_states] + base
+        stop = start + space.state_interval[beat_states]
+        at_0 = ring_slots(space, 0)
+        slot = at_0[beat_states] + base
+        sink = np.full(n_tempi - k, base + stride - 1)
+        wrap.append((np.concatenate((slot[:k], sink)), np.concatenate((start[:k], sink)),
+                     np.concatenate((stop[:k], sink + 1))))
+        rest.append((slot[k:], start[k:], stop[k:]))
+        delta[base + at_0] = np.where(space.is_beat_state, obs[0, 1], obs[0, 0]) - np.log(space.num_states)
+    slots, beat_base, beat_end = (np.concatenate(column) for column in zip(*wrap, *rest))
+    shared = len(tables) == 1
+    obs = obs_of[0]
+    if not shared:  # per-copy observations, zero past a copy's last frame
+        obs0, obs1 = np.zeros((n_frames, n_copies, 1)), np.zeros((n_frames, n_copies))
+        for c, own in enumerate(obs_of):
+            obs0[:len(own), c, 0], obs1[:len(own), c] = own.T
+        slot_copy = slots // stride  # a slot never leaves its copy's block
+        blocks = delta.reshape(n_copies, stride)
+    # Back pointers are only needed at phase wraps: wrap_from[t, c*K + k] is
     # the tempo index active at t-1 when tempo k starts a new beat at frame t.
-    wrap_from = np.empty((n_frames, n_lambdas * n_tempi), dtype=_pointer_type(n_tempi))
-    candidates = np.empty((n_lambdas * n_tempi, n_tempi))
-    src = np.empty(n_lambdas * n_tempi, dtype=np.intp)
+    wrap_from = np.empty((n_frames, n_copies * n_tempi), dtype=_pointer_type(n_tempi))
+    candidates = np.empty((n_copies * n_tempi, n_tempi))
+    src = np.empty(n_copies * n_tempi, dtype=np.intp)
     # candidates[r, src[r]] is cand_flat[row_start[r] + src[r]]
     cand_flat = candidates.ravel()
-    row_start = np.arange(n_lambdas * n_tempi) * n_tempi
-    wrap_slots = slots[:n_lambdas * n_tempi]
-    # every row of a lambda's K x K block holds that lambda's source scores:
-    # the gather through this view of the wrap slots comes out (L, 1, K)
-    cand_blocks = candidates.reshape(n_lambdas, n_tempi, n_tempi)
-    wrap_sources = wrap_slots.reshape(n_lambdas, 1, n_tempi)
+    row_start = np.arange(n_copies * n_tempi) * n_tempi
+    wrap_slots = slots[:n_copies * n_tempi]
+    # every row of a copy's K x K block holds that copy's source scores: the
+    # gather through this view of the wrap slots comes out (C, 1, K)
+    cand_blocks = candidates.reshape(n_copies, n_tempi, n_tempi)
+    wrap_sources = wrap_slots.reshape(n_copies, 1, n_tempi)
+    ends = {}
+    for c, length in enumerate(lengths):
+        ends.setdefault(length - 1, []).append(c)
+    finals = [None] * n_copies
+
+    def keep_finals(t):
+        for c in ends[t]:  # back to flat state order
+            finals[c] = delta[c * stride + ring_slots(spaces[c], t)]
+
+    if 0 in ends:
+        keep_finals(0)
     for t in range(1, n_frames):
         slots += 1  # one frame on: every slot moves one step round its ring
         np.copyto(slots, beat_base, where=slots == beat_end)
@@ -284,12 +379,17 @@ def _viterbi_pass(obs: np.ndarray, space: StateSpace, lambdas: list) -> list[tup
         wrap_from[t] = src
         delta[wrap_slots] = cand_flat[row_start + src]
         in_beat = delta[slots]
-        delta += obs[t, 0]
-        in_beat += obs[t, 1]
+        if shared:
+            delta += obs[t, 0]
+            in_beat += obs[t, 1]
+        else:
+            blocks += obs0[t]
+            in_beat += obs1[t][slot_copy]
         delta[slots] = in_beat
-    final_slots = ring_slots(n_frames - 1)  # back to flat state order
-    return [_backtrack(delta[l * n_states + final_slots], wrap_from[:, l * n_tempi:(l + 1) * n_tempi], space)
-            for l in range(n_lambdas)]
+        if t in ends:
+            keep_finals(t)
+    return [_backtrack(final, wrap_from[:length, c * n_tempi:c * n_tempi + space.num_tempi], space)
+            for c, (final, length, space) in enumerate(zip(finals, lengths, spaces))]
 
 
 def _backtrack(final: np.ndarray, wrap_from: np.ndarray, space: StateSpace) -> tuple[np.ndarray, float]:
@@ -324,41 +424,55 @@ def path_to_beats(
 
     A beat is emitted where the path enters the beat region (frame 0 counts
     when it starts inside). With ``correct`` the beat moves to the frame of
-    maximum activation within that contiguous beat-region run.
+    maximum activation within that contiguous beat-region run, the first
+    such frame on a tie.
     """
     in_region = space.is_beat_state[path]
     if not in_region.any():
         return np.empty(0)
-    starts = np.flatnonzero(in_region & ~np.concatenate(([False], in_region[:-1])))
-    ends = np.flatnonzero(in_region & ~np.concatenate((in_region[1:], [False]))) + 1
+    entered = in_region & ~np.concatenate(([False], in_region[:-1]))
+    starts = np.flatnonzero(entered)
+    frames = starts
     if correct:
-        frames = np.array(
-            [s + int(np.argmax(act.values[s:e])) for s, e in zip(starts, ends)], dtype=np.int64
-        )
-    else:
-        frames = starts
+        ends = np.flatnonzero(in_region & ~np.concatenate((in_region[1:], [False]))) + 1
+        values = act.values[:len(path)]
+        # one max per [start, end) run; the padded frame lets a run end at the last frame
+        peak = np.maximum.reduceat(np.append(values, 0.0), np.column_stack((starts, ends)).ravel())[::2]
+        at_peak = np.flatnonzero(in_region & (values == peak[np.cumsum(entered) - 1]))
+        frames = at_peak[np.searchsorted(at_peak, starts)]
     return frames / space.fps
 
 
-def decode_grid(act: ActivationCurve, cfgs) -> dict:
-    """{cfg: decode(act, cfg)} for any configs.
+def decode_batch(requests) -> list[dict]:
+    """[{cfg: decode(act, cfg)} for each (act, cfgs) of ``requests``].
 
-    Configs with one ``space_key`` at act.fps decode in one state space,
-    one copy per distinct transition_lambda, in as few forward passes as
-    GRID_PASS_BYTES allows. Every key is computed first, so a config with
-    no state space raises StateSpaceError before any pass runs.
+    Each activation decodes each distinct (``space_key``, transition_lambda)
+    of its configs once, as one copy; the copies of every request share
+    forward passes, as many as GRID_PASS_BYTES requires. Every key is
+    computed first, so a config with no state space raises StateSpaceError
+    before any pass runs.
     """
-    groups = {}
-    for cfg in dict.fromkeys(cfgs):
-        groups.setdefault(space_key(cfg, act.fps), []).append(cfg)
-    beats = {}
-    for group in groups.values():
-        space = build_state_space(group[0], act.fps)
-        lambdas = list(dict.fromkeys(cfg.transition_lambda for cfg in group))
-        paths = dict(zip(lambdas, _viterbi_in_space(act, space, lambdas)))
-        beats.update((cfg, path_to_beats(paths[cfg.transition_lambda][0], space, act, cfg.correct_beats))
-                     for cfg in group)
+    keyed = [(act, {cfg: space_key(cfg, act.fps) for cfg in dict.fromkeys(cfgs)}) for act, cfgs in requests]
+    spaces, grids = {}, {}  # grids: (id(act), key) -> (act, space, {lambda: [(request, cfg)]})
+    for i, (act, keys) in enumerate(keyed):
+        for cfg, key in keys.items():
+            if (key, act.fps) not in spaces:
+                spaces[key, act.fps] = build_state_space(cfg, act.fps)
+            users = grids.setdefault((id(act), key), (act, spaces[key, act.fps], {}))[2]
+            users.setdefault(cfg.transition_lambda, []).append((i, cfg))
+    grids = [(act, space, list(users), list(users.values())) for act, space, users in grids.values()]
+    beats = [dict.fromkeys(keys) for _, keys in keyed]
+    # each path becomes beats as soon as its pass ends, so a batch holds the paths of one pass
+    for (g, j), (path, _) in _viterbi_grids([grid[:3] for grid in grids]):
+        act, space, _, users = grids[g]
+        for i, cfg in users[j]:
+            beats[i][cfg] = path_to_beats(path, space, act, cfg.correct_beats)
     return beats
+
+
+def decode_grid(act: ActivationCurve, cfgs) -> dict:
+    """{cfg: decode(act, cfg)} for any configs: the batch of one."""
+    return decode_batch([(act, cfgs)])[0]
 
 
 def decode(act: ActivationCurve, cfg: DbnConfig = DbnConfig()) -> np.ndarray:

@@ -7,21 +7,27 @@ Every experiment runs the same three steps:
    PeakConfig picks peaks, a DbnConfig decodes with the DBN. A tempo window
    becomes a DbnConfig's BPM range (``TempoConstraint.hold``) when the spec
    is built. A lambda or threshold sweep is just one spec per grid value.
-2. Worker. ``score_track`` decodes one track's activation once per distinct
-   spec: a threshold grid's peaks are picked in one pass, and the DBN specs
-   go to one ``dbn.decode_grid`` call, which decodes the specs that share a
-   state space in one Viterbi pass (split into a few passes only to bound
-   memory). It scores the distinct beat sequences together in one metrics
-   pass. ``_map_tracks`` runs it over the tracks of one activation source,
-   optionally in a process pool. Every source reaches it as a curve from
-   ``_activation_of``, which synthesizes a gt-synth curve once per dataset,
-   track and synth config. The scores of DBN decodes are cached per loaded
-   Dataset, by track, source, synth config, spec and eval config, so every
-   stage of a run on one dataset decodes each of them once; only the specs
-   the cache lacks reach the worker. The parent process owns both caches, so results
-   are the same at any ``jobs``.
-3. Fold. The experiment turns the per-track {spec: EvalResult} maps into a
-   RunReport of per-track rows plus corpus-level summaries and tables.
+2. Worker. ``score_tracks`` scores a batch of tracks, each track's
+   distinct specs once: a threshold grid's peaks are picked in one pass,
+   and the DBN specs of every track in the batch go to one
+   ``dbn.decode_batch`` call, whose Viterbi passes hold copies from many
+   tracks and state spaces (a pass is bounded only to bound memory, and a
+   track's lambda grid never spreads over shared passes). It scores each
+   track's distinct beat sequences together in one metrics pass.
+   ``_score_source`` cuts the tracks of one activation source that need a
+   decode into ``jobs`` contiguous batches in track order, near-equal in
+   frames x copies (one batch at ``jobs`` 1), and ``_map_tracks`` runs the
+   worker over them, optionally in a process pool. Every source reaches it
+   as a curve from ``_activation_of``, which synthesizes a gt-synth curve
+   once per dataset, track and synth config. The scores of DBN decodes are
+   cached per loaded Dataset, by track, source, synth config, spec and eval
+   config, so every stage of a run on one dataset decodes each of them
+   once; only the specs the cache lacks reach the worker. The parent
+   process owns both caches, and each copy decodes to its own decode's
+   bits in any pass, so results are the same at any ``jobs``.
+3. Fold. The batches' results are read back by track id, and the
+   experiment turns the per-track {spec: EvalResult} maps into a RunReport
+   of per-track rows plus corpus-level summaries and tables.
 
 File emission is left to :mod:`beatdiag.reports`. Tracks missing a required
 input are skipped, counted, and listed in the report notes, never imputed.
@@ -91,34 +97,44 @@ def synthesize_gt_activation(ref: BeatAnnotation, cfg: SynthConfig = SynthConfig
 # ---------------------------------------------------------------------------
 
 
-def score_track(payload) -> dict:
-    """{spec: EvalResult} for one track, each distinct spec decoded once.
+def score_tracks(payloads) -> list:
+    """[{spec: EvalResult}] for a batch of tracks, each distinct spec of a
+    track decoded once.
 
     A spec is a PeakConfig or a DbnConfig, and equal specs are equal
-    configs, so two tempo windows held to one BPM range decode once. Peak
-    specs are picked together, one suppression pass per threshold grid
-    (``peaks.pick_peaks_grid``); the DbnConfigs decode in one
-    ``dbn.decode_grid`` call, one pass per state space. The distinct beat
+    configs, so two tempo windows held to one BPM range decode once. A
+    track's peak specs are picked together, one suppression pass per
+    threshold grid (``peaks.pick_peaks_grid``); the DbnConfigs of the whole
+    batch decode in one ``dbn.decode_batch`` call, whose forward passes hold
+    copies from many tracks and state spaces. Each track's distinct beat
     arrays are scored in one ``metrics.evaluate_many`` pass: specs that
     decode to equal beats share one EvalResult.
 
-    ``payload`` is (annotation, activation, specs, eval_cfg). A decoder
-    error names the track and the activation's source.
+    A payload is (annotation, activation, specs, eval_cfg). A decoder error
+    names the track and the activation's source.
     """
-    ref, act, specs, eval_cfg = payload
-    specs = dict.fromkeys(specs)
-    try:
-        decoded = peaks.pick_peaks_grid(act, [spec for spec in specs if isinstance(spec, peaks.PeakConfig)])
-        decoded.update(dbn.decode_grid(act, [spec for spec in specs if isinstance(spec, dbn.DbnConfig)]))
-    except ToolkitError as exc:
-        raise ToolkitError(f"{ref.track_id} ({act.source_label}): {exc}") from None
-    distinct = {b.tobytes(): b for b in decoded.values()}
-    results = dict(zip(distinct, metrics.evaluate_many(list(distinct.values()), ref.beats, eval_cfg)))
-    return {spec: results[decoded[spec].tobytes()] for spec in specs}
+    decoded, requests = [], []
+    for ref, act, specs, _ in payloads:
+        specs = dict.fromkeys(specs)
+        dbn_specs = [spec for spec in specs if isinstance(spec, dbn.DbnConfig)]
+        try:
+            decoded.append(peaks.pick_peaks_grid(act, [spec for spec in specs if isinstance(spec, peaks.PeakConfig)]))
+            for spec in dbn_specs:  # here, where an error can name its track
+                dbn.space_key(spec, act.fps)
+        except ToolkitError as exc:
+            raise ToolkitError(f"{ref.track_id} ({act.source_label}): {exc}") from None
+        requests.append((act, dbn_specs))
+    scores = []
+    for (ref, _, specs, eval_cfg), beats, dbn_beats in zip(payloads, decoded, dbn.decode_batch(requests)):
+        beats.update(dbn_beats)
+        distinct = {b.tobytes(): b for b in beats.values()}
+        results = dict(zip(distinct, metrics.evaluate_many(list(distinct.values()), ref.beats, eval_cfg)))
+        scores.append({spec: results[beats[spec].tobytes()] for spec in specs})
+    return scores
 
 
 def _map_tracks(fn, items, jobs: int = 1) -> dict:
-    """Apply fn to (track_id, payload) pairs; results keyed by id, in item order."""
+    """Apply fn to (id, payload) pairs; results keyed by id, in item order."""
     if jobs <= 1:
         return {tid: fn(payload) for tid, payload in items}
     # imported here: multiprocessing costs every process that never forks a pool
@@ -127,6 +143,22 @@ def _map_tracks(fn, items, jobs: int = 1) -> dict:
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         outputs = pool.map(fn, [payload for _, payload in items], chunksize=1)
         return {tid: out for (tid, _), out in zip(items, outputs)}
+
+
+def _batches(items, jobs: int) -> list:
+    """(track ids, payloads) of ``jobs`` contiguous runs of the (track id,
+    payload) items, near-equal in frames x DBN copies; fewer when a run
+    would be empty."""
+    weights = [len(act.values) * max(1, len({(dbn.space_key(spec, act.fps), spec.transition_lambda)
+                                             for spec in specs if isinstance(spec, dbn.DbnConfig)}))
+               for _, (_, act, specs, _) in items]
+    total, done, runs = sum(weights), 0, {}
+    for (tid, payload), weight in zip(items, weights):
+        run = runs.setdefault(min(jobs - 1, int((done + weight / 2) * jobs // total)), ([], []))
+        run[0].append(tid)
+        run[1].append(payload)
+        done += weight
+    return [(tuple(ids), payloads) for ids, payloads in runs.values()]
 
 
 # Loaded Dataset -> {(track_id, source, synth_cfg or None, DbnConfig, eval_cfg): EvalResult}.
@@ -191,7 +223,8 @@ def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, 
         if todo:
             act = _activation_of(dataset, record, source, synth_cfg)
             items.append((record.track_id, (record.annotation, act, todo, eval_cfg)))
-    decoded = _map_tracks(score_track, items, jobs) if items else {}
+    batches = _map_tracks(score_tracks, _batches(items, max(1, jobs)), jobs) if items else {}
+    decoded = {tid: scores for ids, batch in batches.items() for tid, scores in zip(ids, batch)}
     scored = []
     for record, specs in found:
         scores = {}
@@ -393,7 +426,7 @@ def sweep_lambda(
 ) -> LambdaSweep:
     """Decode at every lambda; the F-optimal one wins, ties to the smaller."""
     grid = _lambda_grid(lambdas, dbn_cfg)
-    results, best = _sweep(grid, score_track((ref, act, grid, eval_cfg)))
+    results, best = _sweep(grid, score_tracks([(ref, act, grid, eval_cfg)])[0])
     return LambdaSweep(
         lambdas=tuple(float(x) for x in lambdas),
         results=tuple(results),

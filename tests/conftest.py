@@ -48,17 +48,18 @@ def make_pulse_activation(beats, fps: float = 50.0, duration: float | None = Non
 
 
 def record_passes(monkeypatch) -> list:
-    """(activation bytes, state space key, lambdas) of each
-    ``dbn._viterbi_in_space`` call from now on: one per state space that
-    ``dbn.decode_grid`` decodes in."""
+    """(activation bytes, state space key, lambdas) of each grid that
+    ``dbn._viterbi_grids`` decodes from now on: one per activation and state
+    space that ``dbn.decode_batch`` decodes in, listing its pass copies."""
     calls = []
-    viterbi_in_space = dbn._viterbi_in_space
+    viterbi_grids = dbn._viterbi_grids
 
-    def recording(act, space, lambdas):
-        lambdas = list(lambdas)
-        key = (int(space.intervals[0]), int(space.intervals[-1]), space.observation_lambda)
-        calls.append((act.values.tobytes(), key, lambdas))
-        return viterbi_in_space(act, space, lambdas)
+    def recording(grids):
+        grids = [(act, space, list(lambdas)) for act, space, lambdas in grids]
+        for act, space, lambdas in grids:
+            key = (int(space.intervals[0]), int(space.intervals[-1]), space.observation_lambda)
+            calls.append((act.values.tobytes(), key, lambdas))
+        return viterbi_grids(grids)
 
-    monkeypatch.setattr(dbn, "_viterbi_in_space", recording)
+    monkeypatch.setattr(dbn, "_viterbi_grids", recording)
     return calls

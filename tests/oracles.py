@@ -449,3 +449,17 @@ def viterbi_ring_oracle(
         k = int(wrap_from[beat_start, k])
         t, phase = beat_start - 1, int(space.intervals[k]) - 1
 
+
+
+# ---------------------------------------------------------------------------
+# Beat extraction from a path (path_to_beats' correction oracle)
+# ---------------------------------------------------------------------------
+
+
+def corrected_beat_frames_oracle(values, in_region) -> list[int]:
+    """Per contiguous True run of ``in_region``, the frame of maximum value,
+    the first on a tie: one argmax per run, as ``path_to_beats`` once did."""
+    in_region = np.asarray(in_region, dtype=bool)
+    starts = np.flatnonzero(in_region & ~np.concatenate(([False], in_region[:-1])))
+    ends = np.flatnonzero(in_region & ~np.concatenate((in_region[1:], [False]))) + 1
+    return [s + int(np.argmax(values[s:e])) for s, e in zip(starts, ends)]

@@ -1,9 +1,14 @@
+import contextlib
 import csv
+import io
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from beatdiag import cli, ingest, reports
 from beatdiag.experiments import SynthConfig, synthesize_gt_activation
@@ -780,11 +785,17 @@ def _probe_root(tmp_path, probe):
     return root
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_cli_process_decoder_error_names_track_and_source(tmp_path, jobs):
+@pytest.mark.parametrize("jobs,copies", [("1", ()), ("2", ()), ("2", ("pseudo00", "pseudo04", "pseudo05"))],
+                         ids=["1", "2", "2-in-a-batch"])
+def test_cli_process_decoder_error_names_track_and_source(tmp_path, jobs, copies):
     """A track whose curve the DBN cannot decode is skipped and named, by
-    track and source, before any decode; the run goes on."""
+    track and source, before any decode; the run goes on. With ``copies``
+    the corpus gains good tracks on both sides of the bad one, so that
+    every batch holds several tracks."""
     root = _probe_root(tmp_path, "fps2")
+    for copy, track in zip(copies, ("pseudo02", "pseudo03", "pseudo02")):
+        for sub, suffix in (("beats", ".beats"), ("tags", ".tags"), ("activations/pseudo", ".act")):
+            shutil.copy(root / sub / f"{track}{suffix}", root / sub / f"{copy}{suffix}")
     proc = _run_cli_process(["experiment", "peak-vs-dbn", "--dataset", f"p={root}", "--source", "pseudo",
                              "--jobs", jobs, "-o", str(tmp_path / "out")])
     assert proc.returncode == 0, proc.stderr
@@ -793,7 +804,7 @@ def test_cli_process_decoder_error_names_track_and_source(tmp_path, jobs):
     run_dir = tmp_path / "out" / "peak-vs-dbn"
     assert note in proc.stdout and note in (run_dir / "report.txt").read_text()
     rows = reports.rows_from_csv((run_dir / "rows.csv").read_text())
-    assert sorted(row.track_id for row in rows) == ["pseudo02", "pseudo03"]
+    assert sorted(row.track_id for row in rows) == sorted(["pseudo02", "pseudo03", *copies])
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -853,3 +864,34 @@ def test_cli_process_skips_and_lists_track_whose_curve_holds_no_beat(tmp_path, n
     assert note in proc.stdout and note in (tmp_path / "out" / name / "report.txt").read_text()
     rows = reports.rows_from_csv((tmp_path / "out" / name / "rows.csv").read_text())
     assert sorted(row.track_id for row in rows) == ["pseudo01", "pseudo03"]
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    tracks=st.lists(st.tuples(st.sampled_from([2.0, 10.0, 43.07, 50.0, 100.0]),  # fps
+                              st.integers(1, 200),  # frames
+                              st.floats(0.0, 3.0),  # first beat
+                              st.lists(st.floats(0.05, 1.5), max_size=11),  # inter-beat intervals
+                              st.booleans(),  # binary activation file
+                              st.integers(0, 2**32 - 1)),
+                    min_size=1, max_size=3),
+)
+def test_every_experiment_on_a_random_small_corpus_exits_cleanly(tmp_path_factory, tracks):
+    """Tiny corpora of random frame rates, lengths and beats: every
+    experiment exits 0, or 1 naming the offending file, with no traceback
+    and no numpy RuntimeWarning. At --jobs 1 all tracks share one batch."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "beats").mkdir()
+    (root / "activations" / "fz").mkdir(parents=True)
+    for i, (fps, n_frames, first, intervals, binary, seed) in enumerate(tracks):
+        write_beats(first + np.cumsum([0.0, *intervals]), root / "beats" / f"t{i}.beats")
+        values = np.random.default_rng(seed).uniform(0, 1, n_frames)
+        write_activation(ActivationCurve(values=values, fps=fps, source_label="fz"),
+                         root / "activations" / "fz" / f"t{i}.act", binary=binary)
+    for name in cli.EXPERIMENTS:
+        stderr = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(stderr), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(["experiment", name, "--dataset", f"f={root}", "--source", "fz", "-o", str(root / "out")])
+        assert rc == 0 or (rc == 1 and stderr.getvalue().startswith(f"error: {root}")), (name, stderr.getvalue())

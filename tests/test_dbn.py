@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import types
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from beatdiag.errors import ConstraintError, StateSpaceError
 from beatdiag.experiments import LAMBDA_GRID, SynthConfig, synthesize_gt_activation
 from beatdiag.ingest import ActivationCurve
 from conftest import PSEUDO_DIR, make_grid_annotation, make_pulse_activation, record_passes
-from oracles import dense_model, dense_viterbi_score, enumerate_paths_score, score_path, viterbi_ring_oracle
+from oracles import (corrected_beat_frames_oracle, dense_model, dense_viterbi_score, enumerate_paths_score,
+                     score_path, viterbi_ring_oracle)
 
 
 def curve(values, fps=50.0):
@@ -417,6 +419,104 @@ def test_decode_grid_groups_any_configs_by_state_space(kind, n_frames, seed, fps
         assert beats[cfg].tobytes() == dbn.decode(act, cfg).tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    tracks=st.lists(st.tuples(st.sampled_from(["random", "quantised", "sparse", "0.0"]),
+                              st.integers(1, 160),  # frames
+                              st.integers(0, 2**32 - 1),  # seed
+                              st.sampled_from([20.0, 43.07, 50.0]),
+                              st.lists(st.tuples(st.integers(2, 20),  # tau_min
+                                                 st.integers(1, 25),  # tempi
+                                                 st.sampled_from([2, 8, 16]),
+                                                 st.lists(st.sampled_from(LAMBDA_GRID), min_size=1, max_size=3)),
+                                       min_size=1, max_size=3)),
+                    min_size=1, max_size=4),
+    pass_bytes=st.sampled_from([None, 1, 3000, 30000]),
+)
+@example(tracks=[("quantised", 150, 0, 20.0, [(3, 20, 2, [10, 1]), (9, 6, 2, [500])]),
+                 ("random", 40, 1, 50.0, [(12, 5, 16, [100])]),  # shorter than the pass, T < tau_max
+                 ("sparse", 1, 2, 43.07, [(2, 1, 8, [1])])],  # one frame, one tempo
+         pass_bytes=30000)
+def test_mixed_passes_match_ring_oracle_per_copy(tracks, pass_bytes):
+    """Passes that mix tracks, state spaces, lengths and observation
+    tables: every copy has the path and score bits of the oracle, whatever
+    budget splits the passes, and no FP warning arises from the padding."""
+    grids = []
+    for kind, n_frames, seed, fps, spaces in tracks:
+        act = curve(_activation_values(kind, n_frames, seed), fps=fps)
+        for tau_min, n_tempi, obs, lambdas in spaces:
+            cfg = dbn.DbnConfig(min_bpm=60.0 * fps / (tau_min + n_tempi - 1), max_bpm=60.0 * fps / tau_min,
+                                observation_lambda=obs)
+            grids.append((act, dbn.build_state_space(cfg, fps), [float(lam) for lam in dict.fromkeys(lambdas)]))
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="raise", under="ignore"):
+        if pass_bytes is not None:
+            mp.setattr(dbn, "GRID_PASS_BYTES", pass_bytes)
+        passes = record_pass_copies(mp)
+        decoded = dict(dbn._viterbi_grids(grids))
+    assert sorted(copy for copies in passes for copy in copies) == [
+        (g, j) for g, (_, _, lambdas) in enumerate(grids) for j in range(len(lambdas))]
+    for copies in passes:  # a grid shares a pass only when the whole grid is in it
+        grids_in = {g for g, _ in copies}
+        assert len(grids_in) == 1 or all(sum(g == h for h, _ in copies) == len(grids[g][2]) for g in grids_in)
+    assert sorted(decoded) == sorted(copy for copies in passes for copy in copies)
+    for g, (act, space, lambdas) in enumerate(grids):
+        for j, lam in enumerate(lambdas):
+            path, logp = decoded[g, j]
+            want_path, want_logp = viterbi_ring_oracle(act, space, lam)
+            assert np.array_equal(path, want_path)
+            assert float.hex(logp) == float.hex(want_logp)
+
+
+def record_pass_copies(mp) -> list:
+    """The (grid, lambda) index of each copy of each ``dbn._viterbi_pass``."""
+    passes = []
+    viterbi_pass = dbn._viterbi_pass
+    mp.setattr(dbn, "_viterbi_pass", lambda copies: passes.append([c[3] for c in copies]) or viterbi_pass(copies))
+    return passes
+
+
+def test_mixed_pass_packing(monkeypatch):
+    # four 40 s tracks of unequal length, each with a free K = 75 copy and a
+    # held grid of K = 9 or 12: the held grids share one pass, padded to
+    # K = 12; padding them to 75 would cost more than a pass, so the free
+    # copies take a pass of their own
+    fps, n_frames = 43.07, 1723
+    rng = np.random.default_rng(0)
+    acts = [curve(rng.uniform(0, 1, n_frames - i), fps=fps) for i in range(4)]
+    free = dbn.build_state_space(dbn.DbnConfig(min_bpm=30.0), fps)
+    held = [dbn.build_state_space(dbn.DbnConfig(min_bpm=bpm, max_bpm=140.0), fps) for bpm in (100.0, 90.0)]
+    assert (free.num_tempi, held[0].num_tempi, held[1].num_tempi) == (75, 9, 12)
+    grids = [grid for i, act in enumerate(acts) for grid in ((act, free, [100.0]), (act, held[i % 2], [1.0, 100.0]))]
+    passes = record_pass_copies(monkeypatch)
+    list(dbn._viterbi_grids(grids))
+    assert passes == [[(1, 0), (1, 1), (5, 0), (5, 1), (3, 0), (3, 1), (7, 0), (7, 1)],
+                      [(0, 0), (2, 0), (4, 0), (6, 0)]]
+    # a grid too large for one pass keeps its own near-equal passes
+    passes.clear()
+    list(dbn._viterbi_grids([(acts[0], free, [float(lam) for lam in LAMBDA_GRID]), (acts[1], held[0], [1.0])]))
+    assert passes == [[(0, j) for j in range(7)], [(0, j) for j in range(7, 13)], [(1, 0)]]
+    # the budget counts each copy's own observation columns
+    passes.clear()
+    monkeypatch.setattr(dbn, "GRID_PASS_BYTES", 3 * dbn._copy_bytes(75, free.num_states, n_frames, True))
+    list(dbn._viterbi_grids([(act, free, [100.0]) for act in acts]))
+    assert passes == [[(0, 0), (1, 0), (2, 0)], [(3, 0)]]
+
+
+def test_decode_batch_is_each_request_decoded_alone(monkeypatch):
+    rng = np.random.default_rng(3)
+    acts = [curve(rng.uniform(0, 1, n), fps=fps) for n, fps in ((300, 50.0), (280, 43.07), (300, 50.0))]
+    cfgs = [dbn.DbnConfig(), dbn.DbnConfig(min_bpm=30.0, transition_lambda=5.0),
+            dbn.TempoConstraint(100.0).hold(dbn.DbnConfig(correct_beats=False))]
+    want = [{cfg: dbn.decode(act, cfg) for cfg in cfgs} for act in acts]
+    calls = record_passes(monkeypatch)
+    got = dbn.decode_batch([(act, cfgs + cfgs[:1]) for act in acts] + [(acts[0], cfgs[1:])])
+    assert len(calls) == 3 * 3  # the repeated request of acts[0] adds no copy
+    for beats, expected in zip(got, want + want[:1]):
+        assert {cfg: b.tobytes() for cfg, b in beats.items()} == {
+            cfg: b.tobytes() for cfg, b in expected.items() if cfg in beats}
+    assert dbn.decode_batch([]) == []
+
+
 # ---------------------------------------------------------------------------
 # beat extraction
 # ---------------------------------------------------------------------------
@@ -443,6 +543,25 @@ def test_path_to_beats_correction_moves_to_peak():
     assert beats[1] == pytest.approx(1.0)
     uncorrected = dbn.path_to_beats(path, space, curve(values), correct=False)
     assert uncorrected[0] == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    runs=st.lists(st.tuples(st.booleans(), st.integers(1, 6)), min_size=1, max_size=30),
+    levels=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(runs=[(False, 2), (True, 3)], levels=1, seed=0)  # a plateau run that ends at the last frame
+@example(runs=[(True, 1)], levels=2, seed=0)  # a one-frame path inside the region
+def test_path_to_beats_correction_matches_per_run_argmax(runs, levels, seed):
+    """Corrected beats are the first frame of maximum activation in each
+    beat-region run: plateaus and equal heights go to the earliest frame."""
+    in_region = np.concatenate([np.full(n, inside) for inside, n in runs])
+    values = np.random.default_rng(seed).integers(0, levels + 1, len(in_region)) / levels
+    # a two-state space at 1 fps: state 1 is the beat region, and a frame is a second
+    space = types.SimpleNamespace(is_beat_state=np.array([False, True]), fps=1.0)
+    beats = dbn.path_to_beats(in_region.astype(np.int64), space, curve(values), correct=True)
+    assert beats.tolist() == [float(f) for f in corrected_beat_frames_oracle(values, in_region)]
 
 
 def test_path_to_beats_no_region_entries():

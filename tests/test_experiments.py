@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beatdiag import cli, dbn, experiments, ingest, metrics, peaks, reports
+from beatdiag.errors import ToolkitError
 from beatdiag.experiments import SynthConfig, synthesize_gt_activation
 from beatdiag.ingest import BeatAnnotation, DatasetLayout
 from conftest import PSEUDO_DIR, TESTS_DIR, make_grid_annotation, record_passes
@@ -552,21 +554,21 @@ def test_each_experiment_resolves_its_default_config():
 
 
 def count_decodes(monkeypatch) -> Counter:
-    """Count DBN decodes, keyed by activation and config, from now on.
+    """Count DBN decodes, keyed by activation, fps and config, from now on.
 
-    Each distinct config of a ``dbn.decode_grid`` call counts once. Lambda
-    grids decode there, and ``dbn.decode`` is the grid of one, so this
-    counts the decodes of both.
+    Each distinct config of each request of a ``dbn.decode_batch`` call
+    counts once. The worker's batches decode there, and ``dbn.decode_grid``
+    and ``dbn.decode`` are batches of one, so this counts the decodes of all.
     """
     calls = Counter()
-    decode_grid = dbn.decode_grid
+    decode_batch = dbn.decode_batch
 
-    def counting_decode_grid(act, cfgs):
-        cfgs = list(dict.fromkeys(cfgs))
-        calls.update((act.values.tobytes(), act.fps, cfg) for cfg in cfgs)
-        return decode_grid(act, cfgs)
+    def counting_decode_batch(requests):
+        requests = [(act, list(dict.fromkeys(cfgs))) for act, cfgs in requests]
+        calls.update((act.values.tobytes(), act.fps, cfg) for act, cfgs in requests for cfg in cfgs)
+        return decode_batch(requests)
 
-    monkeypatch.setattr(dbn, "decode_grid", counting_decode_grid)
+    monkeypatch.setattr(dbn, "decode_batch", counting_decode_batch)
     return calls
 
 
@@ -703,6 +705,71 @@ def test_suite_report_files_same_at_any_jobs(tmp_path, source):
                       for path in sorted(out.rglob("*")) if path.is_file()})
     assert {name.split("/")[0] for name in files[0]} == set(_suite_stages(source))
     assert files[0] == files[1]
+
+
+def mixed_rate_root(tmp_path):
+    """The pseudo corpus with its activations rewritten at two frame rates
+    and three lengths: noisy Gaussian pulses on the annotated beats."""
+    root = tmp_path / "mixed"
+    shutil.copytree(PSEUDO_DIR, root)
+    rng = np.random.default_rng(11)
+    for rec, fps, seconds in zip(load_pseudo(), (43.07, 50.0, 43.07), (30.0, 25.0, 27.5)):
+        curve = synthesize_gt_activation(rec.annotation, SynthConfig(fps=fps)).values[:int(seconds * fps)]
+        values = np.clip(0.7 * curve + rng.uniform(0, 0.3, len(curve)), 0, 1)
+        ingest.write_activation(ingest.ActivationCurve(values=values, fps=fps, source_label="pseudo"),
+                                root / "activations" / "pseudo" / f"{rec.track_id}.act")
+    return root
+
+
+MIXED_RATE_RUNS = {
+    "tempo-curve": ["tempo-curve", "--gt-tempo"],
+    "systems": ["systems", "--lambdas", "1,20,100"],
+    "lambda-sweep": ["lambda-sweep"],
+}
+
+
+@pytest.mark.parametrize("name", MIXED_RATE_RUNS)
+def test_reports_same_at_any_jobs_on_mixed_rates_and_lengths(tmp_path, name):
+    """Batches of tracks with unequal frame rates and lengths, cut
+    differently at --jobs 1 and 2, write the same report bytes."""
+    root = mixed_rate_root(tmp_path)
+    files = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert cli.main(["experiment", *MIXED_RATE_RUNS[name], "--dataset", f"m={root}", "--source", "pseudo",
+                         "--jobs", jobs, "-o", str(out)]) == 0
+        files.append({path.relative_to(out).as_posix(): path.read_bytes().replace(f"jobs={jobs}\n".encode(), b"")
+                      for path in sorted(out.rglob("*")) if path.is_file()})
+    rows = reports.rows_from_csv(files[0][f"{name}/rows.csv"].decode())
+    assert {row.track_id for row in rows} == {"pseudo01", "pseudo02", "pseudo03"}
+    assert files[0] == files[1]
+
+
+def test_batches_are_contiguous_and_near_equal_in_frames_times_copies():
+    def item(i, n_frames, n_lambdas):
+        act = ingest.ActivationCurve(values=np.zeros(n_frames), fps=50.0, source_label="t")
+        specs = [peaks.PeakConfig(), *(dbn.DbnConfig(transition_lambda=lam) for lam in range(1, n_lambdas + 1))]
+        return f"t{i}", (None, act, specs, None)
+
+    items = [item(i, 100, 1) for i in range(6)]
+    ids = [[tid for tid, _ in items[lo:hi]] for lo, hi in ((0, 3), (3, 6))]
+    assert [list(tids) for tids, _ in experiments._batches(items, 1)] == [ids[0] + ids[1]]
+    assert [list(tids) for tids, _ in experiments._batches(items, 2)] == ids
+    assert [payloads for _, payloads in experiments._batches(items, 2)] == [[p for _, p in items[:3]],
+                                                                             [p for _, p in items[3:]]]
+    # five copies weigh as much as five tracks; peak picking alone as one copy
+    items = [item(0, 100, 5), item(1, 100, 0), *(item(i, 100, 1) for i in range(2, 6))]
+    assert [tids for tids, _ in experiments._batches(items, 2)] == [("t0",), ("t1", "t2", "t3", "t4", "t5")]
+    assert [tids for tids, _ in experiments._batches(items[:1], 4)] == [("t0",)]
+
+
+def test_a_decoder_error_in_a_batch_names_its_track_and_source():
+    ds = load_pseudo()
+    payloads = [(rec.annotation, rec.activations["pseudo"], [dbn.DbnConfig()], metrics.DEFAULT_EVAL) for rec in ds]
+    slow = ingest.ActivationCurve(values=np.full(40, 0.5), fps=2.0, source_label="pseudo")
+    payloads[1] = (payloads[1][0], slow, *payloads[1][2:])
+    with pytest.raises(ToolkitError, match=r"^pseudo02 \(pseudo\): fps 2.0 too low for max_bpm 215.0"):
+        experiments.score_tracks(payloads)
 
 
 def test_gt_curves_are_synthesized_once_per_dataset_track_and_config(monkeypatch):
