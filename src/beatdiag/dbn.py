@@ -104,8 +104,9 @@ TEMPO_WINDOW = 0.20
 GRID_PASS_BYTES = 2 << 20
 
 # Max-plus cells per frame that cost about what a pass's own per-frame numpy
-# calls cost (about 7 us against 1.7 ns a cell at K = 75): a pass takes in a
-# grid of larger K only while padding its copies to that K adds fewer cells.
+# calls cost (about 7 us, against 1.7 ns a cell at K = 75, on a 2-core Xeon):
+# a pass takes in a grid of larger K only while padding its copies to that K
+# adds fewer cells.
 PASS_CELLS = 4096
 
 
@@ -244,6 +245,14 @@ def _pass_sizes(n_lambdas: int, space: StateSpace, n_frames: int) -> list[int]:
     per_lambda = _copy_bytes(space.num_tempi, space.num_states, n_frames, False)
     n_passes = -(-n_lambdas // max(1, GRID_PASS_BYTES // per_lambda))
     return [n_lambdas // n_passes + (i < n_lambdas % n_passes) for i in range(n_passes)]
+
+
+def pass_share(act: ActivationCurve, cfgs) -> float:
+    """Share of a GRID_PASS_BYTES pass that ``decode_batch`` fills with the
+    copies of ``cfgs`` at ``act``, each with its own observation columns."""
+    copies = {(space_key(cfg, act.fps), cfg.transition_lambda) for cfg in cfgs}
+    return sum(_copy_bytes(tau_max - tau_min + 1, (tau_min + tau_max) * (tau_max - tau_min + 1) // 2,
+                           len(act.values), True) for (tau_min, tau_max, _), _ in copies) / GRID_PASS_BYTES
 
 
 def _pass_bytes(copies) -> int:

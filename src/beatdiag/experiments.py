@@ -15,9 +15,11 @@ Every experiment runs the same three steps:
    track's lambda grid never spreads over shared passes). It scores each
    track's distinct beat sequences together in one metrics pass.
    ``_score_source`` cuts the tracks of one activation source that need a
-   decode into ``jobs`` contiguous batches in track order, near-equal in
-   frames x copies (one batch at ``jobs`` 1), and ``_map_tracks`` runs the
-   worker over them, optionally in a process pool. Every source reaches it
+   decode into contiguous batches in track order, near-equal in frames x
+   copies: one batch at ``jobs`` 1, else ``jobs`` batches, or one per pass
+   their copies fill when that is more, so that tracks that share no pass
+   (a lambda sweep's) reach the pool apart. ``_map_tracks`` runs the
+   worker over the batches, optionally in a process pool. Every source reaches it
    as a curve from ``_activation_of``, which synthesizes a gt-synth curve
    once per dataset, track and synth config. The scores of DBN decodes are
    cached per loaded Dataset, by track, source, synth config, spec and eval
@@ -146,12 +148,20 @@ def _map_tracks(fn, items, jobs: int = 1) -> dict:
 
 
 def _batches(items, jobs: int) -> list:
-    """(track ids, payloads) of ``jobs`` contiguous runs of the (track id,
-    payload) items, near-equal in frames x DBN copies; fewer when a run
-    would be empty."""
-    weights = [len(act.values) * max(1, len({(dbn.space_key(spec, act.fps), spec.transition_lambda)
-                                             for spec in specs if isinstance(spec, dbn.DbnConfig)}))
-               for _, (_, act, specs, _) in items]
+    """(track ids, payloads) of contiguous runs of the (track id, payload)
+    items, near-equal in frames x DBN copies; fewer when a run would be
+    empty.
+
+    One run at ``jobs`` 1. Otherwise ``jobs`` runs, or more when their
+    copies fill more passes (``dbn.pass_share``): tracks that could share
+    no pass then reach the pool apart, so that it can even out the workers.
+    """
+    dbn_specs = [[spec for spec in specs if isinstance(spec, dbn.DbnConfig)] for _, (_, _, specs, _) in items]
+    acts = [act for _, (_, act, _, _) in items]
+    if jobs > 1:
+        jobs = max(jobs, math.ceil(sum(map(dbn.pass_share, acts, dbn_specs))))
+    weights = [len(act.values) * max(1, len({(dbn.space_key(spec, act.fps), spec.transition_lambda) for spec in specs}))
+               for act, specs in zip(acts, dbn_specs)]
     total, done, runs = sum(weights), 0, {}
     for (tid, payload), weight in zip(items, weights):
         run = runs.setdefault(min(jobs - 1, int((done + weight / 2) * jobs // total)), ([], []))

@@ -343,6 +343,18 @@ def test_lambda_grid_pass_sizes():
     assert dbn._pass_sizes(13, space, 60000) == [1] * 13
 
 
+def test_pass_share_counts_each_copy_once():
+    # one 40 s copy at K = 75 with its own observation columns; a config
+    # that differs in correct_beats alone is the same copy
+    act = curve(np.zeros(1723), fps=43.07)
+    cfg = dbn.DbnConfig(min_bpm=30.0)
+    space = dbn.build_state_space(cfg, 43.07)
+    one = dbn._copy_bytes(space.num_tempi, space.num_states, 1723, True) / dbn.GRID_PASS_BYTES
+    assert dbn.pass_share(act, [cfg, dataclasses.replace(cfg, correct_beats=False)]) == one
+    assert dbn.pass_share(act, [cfg, dataclasses.replace(cfg, transition_lambda=5.0)]) == 2 * one
+    assert dbn.pass_share(act, []) == 0
+
+
 def test_decode_grid_of_one_is_decode():
     act, cfg = golden_case("pseudo:pseudo01,30,100")
     assert np.array_equal(dbn.decode_grid(act, [cfg])[cfg], dbn.decode(act, cfg))
