@@ -37,6 +37,7 @@ input are skipped, counted, and listed in the report notes, never imputed.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import weakref
@@ -115,24 +116,32 @@ def score_tracks(payloads) -> list:
     A payload is (annotation, activation, specs, eval_cfg). A decoder error
     names the track and the activation's source.
     """
-    decoded, requests = [], []
+    requests = []
     for ref, act, specs, _ in payloads:
-        specs = dict.fromkeys(specs)
-        dbn_specs = [spec for spec in specs if isinstance(spec, dbn.DbnConfig)]
-        try:
-            decoded.append(peaks.pick_peaks_grid(act, [spec for spec in specs if isinstance(spec, peaks.PeakConfig)]))
-            for spec in dbn_specs:  # here, where an error can name its track
+        dbn_specs = [spec for spec in dict.fromkeys(specs) if isinstance(spec, dbn.DbnConfig)]
+        with _naming(ref, act):
+            for spec in dbn_specs:
                 dbn.space_key(spec, act.fps)
-        except ToolkitError as exc:
-            raise ToolkitError(f"{ref.track_id} ({act.source_label}): {exc}") from None
         requests.append((act, dbn_specs))
     scores = []
-    for (ref, _, specs, eval_cfg), beats, dbn_beats in zip(payloads, decoded, dbn.decode_batch(requests)):
-        beats.update(dbn_beats)
-        distinct = {b.tobytes(): b for b in beats.values()}
+    # peaks are picked track by track, so a batch holds no more than its DBN beats
+    for (ref, act, specs, eval_cfg), decoded in zip(payloads, dbn.decode_batch(requests)):
+        with _naming(ref, act):
+            decoded.update(peaks.pick_peaks_grid(act, [spec for spec in dict.fromkeys(specs)
+                                                       if isinstance(spec, peaks.PeakConfig)]))
+        distinct = {b.tobytes(): b for b in decoded.values()}
         results = dict(zip(distinct, metrics.evaluate_many(list(distinct.values()), ref.beats, eval_cfg)))
-        scores.append({spec: results[beats[spec].tobytes()] for spec in specs})
+        scores.append({spec: results[decoded[spec].tobytes()] for spec in specs})
     return scores
+
+
+@contextlib.contextmanager
+def _naming(ref, act):
+    """Re-raise a decoder error with the track and the activation's source."""
+    try:
+        yield
+    except ToolkitError as exc:
+        raise ToolkitError(f"{ref.track_id} ({act.source_label}): {exc}") from None
 
 
 def _map_tracks(fn, items, jobs: int = 1) -> dict:
@@ -158,13 +167,12 @@ def _batches(items, jobs: int) -> list:
     """
     dbn_specs = [[spec for spec in specs if isinstance(spec, dbn.DbnConfig)] for _, (_, _, specs, _) in items]
     acts = [act for _, (_, act, _, _) in items]
-    if jobs > 1:
-        jobs = max(jobs, math.ceil(sum(map(dbn.pass_share, acts, dbn_specs))))
+    n_runs = jobs if jobs == 1 else max(jobs, math.ceil(sum(map(dbn.pass_share, acts, dbn_specs))))
     weights = [len(act.values) * max(1, len({(dbn.space_key(spec, act.fps), spec.transition_lambda) for spec in specs}))
                for act, specs in zip(acts, dbn_specs)]
     total, done, runs = sum(weights), 0, {}
     for (tid, payload), weight in zip(items, weights):
-        run = runs.setdefault(min(jobs - 1, int((done + weight / 2) * jobs // total)), ([], []))
+        run = runs.setdefault(min(n_runs - 1, int((done + weight / 2) * n_runs // total)), ([], []))
         run[0].append(tid)
         run[1].append(payload)
         done += weight
