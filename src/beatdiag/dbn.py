@@ -61,12 +61,10 @@ scores and, when the pass mixes observation tables, 16*T of its own
 observations, all at the pass's largest T, K and S. ``_viterbi_grids``
 takes one (activation, state space, lambdas) grid per activation and
 space: a grid whose copies do not fit GRID_PASS_BYTES splits into the
-fewest near-equal passes of its own (a 13-lambda grid on a 40 s track at
-K = 75 runs as 7 + 6, a 10-minute track at 100 fps one lambda at a time);
-the other grids, in order of K, fill shared passes whole, and a pass
-takes in a grid of larger K only while the padding adds fewer than
-PASS_CELLS max-plus cells per frame. One grid never spreads over shared
-passes.
+fewest near-equal passes of its own (a 10-minute track at 100 fps runs
+one lambda at a time, while a 13-lambda grid on a 40 s track at K = 75
+fits one pass); the other grids, in order of K, fill shared passes
+whole. One grid never spreads over shared passes.
 
 ``decode_batch`` takes (activation, configs) requests and keys each
 config by ``space_key``: the integer period range and observation lambda
@@ -100,14 +98,10 @@ CONSTRAINT_MAX_BPM = 215.0
 TEMPO_WINDOW = 0.20
 
 # Bytes a forward pass may hold in its per-copy buffers; a larger grid
-# decodes in several passes.
-GRID_PASS_BYTES = 2 << 20
-
-# Max-plus cells per frame that cost about what a pass's own per-frame numpy
-# calls cost (about 7 us, against 1.7 ns a cell at K = 75, on a 2-core Xeon):
-# a pass takes in a grid of larger K only while padding its copies to that K
-# adds fewer cells.
-PASS_CELLS = 4096
+# decodes in several passes. At 4 MiB a 13-lambda grid on a 40 s track at
+# K = 75 (2.6 MiB) is one pass: on a 2-core Xeon the 8-track suite benchmark
+# at --jobs 2, 60% of it such grids, ran 5% faster than with passes of 7 + 6.
+GRID_PASS_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -247,14 +241,6 @@ def _pass_sizes(n_lambdas: int, space: StateSpace, n_frames: int) -> list[int]:
     return [n_lambdas // n_passes + (i < n_lambdas % n_passes) for i in range(n_passes)]
 
 
-def pass_share(act: ActivationCurve, cfgs) -> float:
-    """Share of a GRID_PASS_BYTES pass that ``decode_batch`` fills with the
-    copies of ``cfgs`` at ``act``, each with its own observation columns."""
-    copies = {(space_key(cfg, act.fps), cfg.transition_lambda) for cfg in cfgs}
-    return sum(_copy_bytes(tau_max - tau_min + 1, (tau_min + tau_max) * (tau_max - tau_min + 1) // 2,
-                           len(act.values), True) for (tau_min, tau_max, _), _ in copies) / GRID_PASS_BYTES
-
-
 def _pass_bytes(copies) -> int:
     """Bytes of one pass over (act, space, ...) copies, each padded to the
     largest space and the longest curve."""
@@ -277,9 +263,8 @@ def _viterbi_grids(grids):
     GRID_PASS_BYTES allows.
 
     A grid too large for one pass splits into near-equal passes of its own.
-    The other grids, in order of K, fill passes whole, up to GRID_PASS_BYTES
-    and PASS_CELLS of padding: one track's grid never spreads over passes
-    that it shares.
+    The other grids, in order of K, fill passes whole, up to GRID_PASS_BYTES:
+    one track's grid never spreads over passes that it shares.
     """
     passes, units = [], []
     for g, (act, space, lambdas) in enumerate(grids):
@@ -291,8 +276,7 @@ def _viterbi_grids(grids):
             units.append(copies)
     packed = []
     for unit in sorted(units, key=lambda unit: unit[0][1].num_tempi):
-        if packed and (len(packed) * (unit[0][1].num_tempi ** 2 - packed[-1][1].num_tempi ** 2) > PASS_CELLS
-                       or _pass_bytes(packed + unit) > GRID_PASS_BYTES):
+        if packed and _pass_bytes(packed + unit) > GRID_PASS_BYTES:
             passes.append(packed)
             packed = []
         packed = packed + unit

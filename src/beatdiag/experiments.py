@@ -15,18 +15,17 @@ Every experiment runs the same three steps:
    track's lambda grid never spreads over shared passes). It scores each
    track's distinct beat sequences together in one metrics pass.
    ``_score_source`` cuts the tracks of one activation source that need a
-   decode into contiguous batches in track order, near-equal in frames x
-   copies: one batch at ``jobs`` 1, else ``jobs`` batches, or one per pass
-   their copies fill when that is more, so that tracks that share no pass
-   (a lambda sweep's) reach the pool apart. ``_map_tracks`` runs the
-   worker over the batches, optionally in a process pool. Every source reaches it
-   as a curve from ``_activation_of``, which synthesizes a gt-synth curve
-   once per dataset, track and synth config. The scores of DBN decodes are
-   cached per loaded Dataset, by track, source, synth config, spec and eval
-   config, so every stage of a run on one dataset decodes each of them
-   once; only the specs the cache lacks reach the worker. The parent
-   process owns both caches, and each copy decodes to its own decode's
-   bits in any pass, so results are the same at any ``jobs``.
+   decode into ``jobs`` contiguous batches in track order, near-equal in
+   frames x copies (one batch at ``jobs`` 1), and ``_map_tracks`` runs the
+   worker over the batches, optionally in a process pool. Every source
+   reaches it as a curve from ``_activation_of``, which synthesizes a
+   gt-synth curve once per dataset, track and synth config. The scores of
+   DBN decodes are cached per loaded Dataset, by track, source, synth
+   config, spec and eval config, so every stage of a run on one dataset
+   decodes each of them once; only the specs the cache lacks reach the
+   worker. The parent process owns both caches, and each copy decodes to
+   its own decode's bits in any pass, so results are the same at any
+   ``jobs``.
 3. Fold. The batches' results are read back by track id, and the
    experiment turns the per-track {spec: EvalResult} maps into a RunReport
    of per-track rows plus corpus-level summaries and tables.
@@ -157,22 +156,15 @@ def _map_tracks(fn, items, jobs: int = 1) -> dict:
 
 
 def _batches(items, jobs: int) -> list:
-    """(track ids, payloads) of contiguous runs of the (track id, payload)
-    items, near-equal in frames x DBN copies; fewer when a run would be
-    empty.
-
-    One run at ``jobs`` 1. Otherwise ``jobs`` runs, or more when their
-    copies fill more passes (``dbn.pass_share``): tracks that could share
-    no pass then reach the pool apart, so that it can even out the workers.
-    """
-    dbn_specs = [[spec for spec in specs if isinstance(spec, dbn.DbnConfig)] for _, (_, _, specs, _) in items]
-    acts = [act for _, (_, act, _, _) in items]
-    n_runs = jobs if jobs == 1 else max(jobs, math.ceil(sum(map(dbn.pass_share, acts, dbn_specs))))
-    weights = [len(act.values) * max(1, len({(dbn.space_key(spec, act.fps), spec.transition_lambda) for spec in specs}))
-               for act, specs in zip(acts, dbn_specs)]
+    """(track ids, payloads) of ``jobs`` contiguous runs of the (track id,
+    payload) items, near-equal in frames x DBN copies; fewer when a run
+    would be empty."""
+    weights = [len(act.values) * max(1, len({(dbn.space_key(spec, act.fps), spec.transition_lambda)
+                                            for spec in specs if isinstance(spec, dbn.DbnConfig)}))
+               for _, (_, act, specs, _) in items]
     total, done, runs = sum(weights), 0, {}
     for (tid, payload), weight in zip(items, weights):
-        run = runs.setdefault(min(n_runs - 1, int((done + weight / 2) * n_runs // total)), ([], []))
+        run = runs.setdefault(min(jobs - 1, int((done + weight / 2) * jobs // total)), ([], []))
         run[0].append(tid)
         run[1].append(payload)
         done += weight
@@ -325,10 +317,10 @@ def dataset_stats(dataset: Dataset) -> RunReport:
         bpms = np.asarray([row.tempo.gt_bpm for row in rows])
         report.summary = {
             "n_tracks": len(rows),
-            "median_gt_bpm": float(np.median(bpms)),
+            "median_gt_bpm": diagnostics.median(bpms),
             "n_below_55_bpm": int((bpms < 55).sum()),
             "n_below_60_bpm": int((bpms < 60).sum()),
-            "median_ibi_cv": float(np.median([row.tempo.ibi_cv for row in rows])),
+            "median_ibi_cv": diagnostics.median([row.tempo.ibi_cv for row in rows]),
         }
     if skipped:
         report.notes.append(
@@ -485,7 +477,7 @@ def run_lambda_sweep(
             "optimal_mean_cmlt": float(np.mean([r.cmlt for r in optimal])),
             "best_fixed_lambda": float(lambdas[best_fixed_i]),
             "best_fixed_mean_f": fixed_means[best_fixed_i],
-            "median_optimal_lambda": float(np.median(best_lams)),
+            "median_optimal_lambda": diagnostics.median(best_lams),
             "frac_preferring_min_lambda": float(np.mean([b == lambdas[0] for b in best_lams])),
         }
         report.tables["per-lambda"] = (("lambda", "mean_f", "mean_cmlt"), per_lambda)

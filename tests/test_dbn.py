@@ -330,29 +330,21 @@ def test_lambda_grid_matches_ring_oracle_per_lambda(kind, n_frames, seed, fps, t
         assert np.array_equal(beats[cfg], dbn.path_to_beats(want_path, space, act, cfg.correct_beats))
 
 
-def test_lambda_grid_pass_sizes():
-    # a 40 s track at 43.07 fps from 30 BPM (K = 75): 13 lambdas in two passes
+def test_lambda_grid_pass_sizes(monkeypatch):
+    # a 40 s track at 43.07 fps from 30 BPM (K = 75): 13 lambdas in one pass,
+    # or in two near-equal passes under half the budget
     space = dbn.build_state_space(dbn.DbnConfig(min_bpm=30.0), 43.07)
     assert space.num_tempi == 75
-    assert dbn._pass_sizes(13, space, 1723) == [7, 6]
+    assert dbn._pass_sizes(13, space, 1723) == [13]
     assert dbn._pass_sizes(1, space, 1723) == [1]
     assert dbn._pass_sizes(0, space, 1723) == []
+    with monkeypatch.context() as mp:
+        mp.setattr(dbn, "GRID_PASS_BYTES", dbn.GRID_PASS_BYTES // 2)
+        assert dbn._pass_sizes(13, space, 1723) == [7, 6]
     # a 10-minute track at 100 fps (K = 173): its back pointers alone exceed the budget
     space = dbn.build_state_space(dbn.DbnConfig(min_bpm=30.0), 100.0)
     assert space.num_tempi == 173
     assert dbn._pass_sizes(13, space, 60000) == [1] * 13
-
-
-def test_pass_share_counts_each_copy_once():
-    # one 40 s copy at K = 75 with its own observation columns; a config
-    # that differs in correct_beats alone is the same copy
-    act = curve(np.zeros(1723), fps=43.07)
-    cfg = dbn.DbnConfig(min_bpm=30.0)
-    space = dbn.build_state_space(cfg, 43.07)
-    one = dbn._copy_bytes(space.num_tempi, space.num_states, 1723, True) / dbn.GRID_PASS_BYTES
-    assert dbn.pass_share(act, [cfg, dataclasses.replace(cfg, correct_beats=False)]) == one
-    assert dbn.pass_share(act, [cfg, dataclasses.replace(cfg, transition_lambda=5.0)]) == 2 * one
-    assert dbn.pass_share(act, []) == 0
 
 
 def test_decode_grid_of_one_is_decode():
@@ -489,9 +481,10 @@ def record_pass_copies(mp) -> list:
 
 def test_mixed_pass_packing(monkeypatch):
     # four 40 s tracks of unequal length, each with a free K = 75 copy and a
-    # held grid of K = 9 or 12: the held grids share one pass, padded to
-    # K = 12; padding them to 75 would cost more than a pass, so the free
-    # copies take a pass of their own
+    # held grid of K = 9 or 12: in order of K, the held grids and then the
+    # free copies fill passes up to a 2 MiB budget; a pass that takes in a
+    # free copy pads all of its copies to K = 75
+    monkeypatch.setattr(dbn, "GRID_PASS_BYTES", 2 << 20)
     fps, n_frames = 43.07, 1723
     rng = np.random.default_rng(0)
     acts = [curve(rng.uniform(0, 1, n_frames - i), fps=fps) for i in range(4)]
@@ -501,8 +494,8 @@ def test_mixed_pass_packing(monkeypatch):
     grids = [grid for i, act in enumerate(acts) for grid in ((act, free, [100.0]), (act, held[i % 2], [1.0, 100.0]))]
     passes = record_pass_copies(monkeypatch)
     list(dbn._viterbi_grids(grids))
-    assert passes == [[(1, 0), (1, 1), (5, 0), (5, 1), (3, 0), (3, 1), (7, 0), (7, 1)],
-                      [(0, 0), (2, 0), (4, 0), (6, 0)]]
+    assert passes == [[(1, 0), (1, 1), (5, 0), (5, 1), (3, 0), (3, 1), (7, 0), (7, 1), (0, 0)],
+                      [(2, 0), (4, 0), (6, 0)]]
     # a grid too large for one pass keeps its own near-equal passes
     passes.clear()
     list(dbn._viterbi_grids([(acts[0], free, [float(lam) for lam in LAMBDA_GRID]), (acts[1], held[0], [1.0])]))

@@ -232,6 +232,12 @@ def test_tempo_stats_metronomic():
     assert stats.ibi_cv == 0.0
 
 
+@given(values=st.lists(st.floats(allow_infinity=False) | st.sampled_from([0.5, 2.0, np.nan]), min_size=1, max_size=12))
+@settings(max_examples=200)
+def test_median_is_np_median_bit_for_bit(values):
+    assert float.hex(diagnostics.median(values)) == float.hex(float(np.median(values)))
+
+
 def test_tempo_stats_needs_three_beats():
     with pytest.raises(InsufficientReference):
         diagnostics.tempo_stats(BeatAnnotation(track_id="t", beats=np.array([0.0, 1.0])))

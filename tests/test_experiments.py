@@ -761,13 +761,11 @@ def test_batches_are_contiguous_and_near_equal_in_frames_times_copies():
     items = [item(0, 100, 5), item(1, 100, 0), *(item(i, 100, 1) for i in range(2, 6))]
     assert [tids for tids, _ in experiments._batches(items, 2)] == [("t0",), ("t1", "t2", "t3", "t4", "t5")]
     assert [tids for tids, _ in experiments._batches(items[:1], 4)] == [("t0",)]
-    # 40 s lambda grids at K = 75 fill more than a pass each: apart at any --jobs
-    # above 1, so that the pool evens out the workers; still one run at --jobs 1
+    # 40 s lambda grids at K = 75 fill more than a pass each: still --jobs runs
     grid = experiments._lambda_grid(experiments.LAMBDA_GRID, experiments.SLOW_DBN)
     items = [(f"t{i}", (None, ingest.ActivationCurve(values=np.zeros(1723), fps=43.07, source_label="t"), grid, None))
              for i in range(4)]
-    assert dbn.pass_share(items[0][1][1], grid) > 1
-    assert [tids for tids, _ in experiments._batches(items, 2)] == [("t0",), ("t1",), ("t2",), ("t3",)]
+    assert [tids for tids, _ in experiments._batches(items, 2)] == [("t0", "t1"), ("t2", "t3")]
     assert [tids for tids, _ in experiments._batches(items, 1)] == [("t0", "t1", "t2", "t3")]
 
 
