@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a named experiment and write its report")
     _add_settings(p, dbn.DbnConfig, peaks.PeakConfig, metrics.EvalConfig, experiments.SynthConfig)
-    p.add_argument("--jobs", type=int, default=None, help="track-level parallelism")
+    p.add_argument("--jobs", type=int, default=None, help="DBN decoding processes")
     p.add_argument("name", choices=EXPERIMENTS)
     p.add_argument("--beats-dir", dest="beats_dir", help="annotation directory")
     p.add_argument("--tags-dir", dest="tags_dir", help="difficulty-tag directory")

@@ -251,12 +251,6 @@ def _pass_bytes(copies) -> int:
     return len(copies) * _copy_bytes(n_tempi, n_states, n_frames, own_obs)
 
 
-def _viterbi_in_space(act: ActivationCurve, space: StateSpace, lambdas) -> list[tuple[np.ndarray, float]]:
-    """(path, log score) for each transition lambda, in order."""
-    decoded = dict(_viterbi_grids([(act, space, lambdas)]))
-    return [decoded[0, j] for j in range(len(decoded))]
-
-
 def _viterbi_grids(grids):
     """Yield ((g, j), (path, log score)) for lambda j of each (act, space,
     lambdas) grid g, pass by pass, in as few forward passes as
@@ -407,7 +401,7 @@ def _backtrack(final: np.ndarray, wrap_from: np.ndarray, space: StateSpace) -> t
 def viterbi(act: ActivationCurve, cfg: DbnConfig = DbnConfig()) -> tuple[np.ndarray, float]:
     """Exact MAP state path for the activation, plus its log score."""
     space = build_state_space(cfg, act.fps)
-    return _viterbi_in_space(act, space, [cfg.transition_lambda])[0]
+    return next(_viterbi_grids([(act, space, [cfg.transition_lambda])]))[1]
 
 
 def path_to_beats(

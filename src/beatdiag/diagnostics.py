@@ -208,7 +208,10 @@ def median(values) -> float:
     mid = len(ordered) // 2
     if np.isnan(ordered[-1]):
         return float("nan")
-    return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
+    # np.median takes the mean of the middle values, and its sum (np.add.reduce)
+    # starts from +0.0: the sign of a zero median is that sum's, not a + b's
+    middle = ordered[mid - 1 + len(ordered) % 2:mid + 1]
+    return float(np.add.reduce(middle) / len(middle))
 
 
 def tempo_stats(ref: BeatAnnotation) -> TempoStats:

@@ -7,28 +7,27 @@ Every experiment runs the same three steps:
    PeakConfig picks peaks, a DbnConfig decodes with the DBN. A tempo window
    becomes a DbnConfig's BPM range (``TempoConstraint.hold``) when the spec
    is built. A lambda or threshold sweep is just one spec per grid value.
-2. Worker. ``score_tracks`` scores a batch of tracks, each track's
-   distinct specs once: a threshold grid's peaks are picked in one pass,
-   and the DBN specs of every track in the batch go to one
-   ``dbn.decode_batch`` call, whose Viterbi passes hold copies from many
+2. Decode and score. ``_score_source`` sends each track's DbnConfigs, as
+   one (activation, configs) request, to ``dbn.decode_batch``, the one
+   function a worker runs, whose Viterbi passes hold copies from many
    tracks and state spaces (a pass is bounded only to bound memory, and a
-   track's lambda grid never spreads over shared passes). It scores each
-   track's distinct beat sequences together in one metrics pass.
-   ``_score_source`` cuts the tracks of one activation source that need a
-   decode into ``jobs`` contiguous batches in track order, near-equal in
-   frames x copies (one batch at ``jobs`` 1), and ``_map_tracks`` runs the
-   worker over the batches, optionally in a process pool. Every source
-   reaches it as a curve from ``_activation_of``, which synthesizes a
-   gt-synth curve once per dataset, track and synth config. The scores of
-   DBN decodes are cached per loaded Dataset, by track, source, synth
-   config, spec and eval config, so every stage of a run on one dataset
-   decodes each of them once; only the specs the cache lacks reach the
-   worker. The parent process owns both caches, and each copy decodes to
+   track's lambda grid never spreads over shared passes). ``_batches``
+   cuts the requests into ``jobs`` contiguous batches in track order,
+   near-equal in frames x copies, and ``_map_tracks`` decodes them in a
+   process pool when there are two batches or more. The parent then picks
+   each track's peaks, a threshold grid in one pass, and scores the
+   track's distinct beat sequences together in one metrics pass
+   (``_score_track``). Every source reaches it as a curve from
+   ``_activation_of``, which synthesizes a gt-synth curve once per
+   dataset, track and synth config. The scores of DBN decodes are cached
+   per loaded Dataset, by track, source, synth config, spec and eval
+   config, so every stage of a run on one dataset decodes each of them
+   once; a stage whose configs are all cached, or that has none, starts
+   no pool. The parent process owns both caches, and each copy decodes to
    its own decode's bits in any pass, so results are the same at any
    ``jobs``.
-3. Fold. The batches' results are read back by track id, and the
-   experiment turns the per-track {spec: EvalResult} maps into a RunReport
-   of per-track rows plus corpus-level summaries and tables.
+3. Fold. The experiment turns the per-track {spec: EvalResult} maps into
+   a RunReport of per-track rows plus corpus-level summaries and tables.
 
 File emission is left to :mod:`beatdiag.reports`. Tracks missing a required
 input are skipped, counted, and listed in the report notes, never imputed.
@@ -36,7 +35,6 @@ input are skipped, counted, and listed in the report notes, never imputed.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import math
 import weakref
@@ -46,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dbn, diagnostics, metrics, peaks
-from .errors import ConstraintError, DegenerateInput, NoOverlap, StateSpaceError, ToolkitError
+from .errors import ConstraintError, DegenerateInput, NoOverlap, StateSpaceError
 from .ingest import AXES, ActivationCurve, BeatAnnotation, Dataset
 from .reports import ReportRow, RunReport, csv_text
 
@@ -95,73 +93,46 @@ def synthesize_gt_activation(ref: BeatAnnotation, cfg: SynthConfig = SynthConfig
 
 
 # ---------------------------------------------------------------------------
-# The track worker
+# Decoding and scoring tracks
 # ---------------------------------------------------------------------------
 
 
-def score_tracks(payloads) -> list:
-    """[{spec: EvalResult}] for a batch of tracks, each distinct spec of a
-    track decoded once.
+def _score_track(ref: BeatAnnotation, act: ActivationCurve, specs, decoded: dict, eval_cfg) -> dict:
+    """{spec: EvalResult} of one track, given ``decoded``, the beats of its
+    DbnConfigs.
 
-    A spec is a PeakConfig or a DbnConfig, and equal specs are equal
-    configs, so two tempo windows held to one BPM range decode once. A
-    track's peak specs are picked together, one suppression pass per
-    threshold grid (``peaks.pick_peaks_grid``); the DbnConfigs of the whole
-    batch decode in one ``dbn.decode_batch`` call, whose forward passes hold
-    copies from many tracks and state spaces. Each track's distinct beat
-    arrays are scored in one ``metrics.evaluate_many`` pass: specs that
-    decode to equal beats share one EvalResult.
-
-    A payload is (annotation, activation, specs, eval_cfg). A decoder error
-    names the track and the activation's source.
+    A spec is a PeakConfig or a DbnConfig. The peak specs are picked here,
+    one suppression pass per threshold grid (``peaks.pick_peaks_grid``),
+    and the distinct beat arrays are scored in one ``metrics.evaluate_many``
+    pass: specs that decode to equal beats share one EvalResult.
     """
-    requests = []
-    for ref, act, specs, _ in payloads:
-        dbn_specs = [spec for spec in dict.fromkeys(specs) if isinstance(spec, dbn.DbnConfig)]
-        with _naming(ref, act):
-            for spec in dbn_specs:
-                dbn.space_key(spec, act.fps)
-        requests.append((act, dbn_specs))
-    scores = []
-    # peaks are picked track by track, so a batch holds no more than its DBN beats
-    for (ref, act, specs, eval_cfg), decoded in zip(payloads, dbn.decode_batch(requests)):
-        with _naming(ref, act):
-            decoded.update(peaks.pick_peaks_grid(act, [spec for spec in dict.fromkeys(specs)
-                                                       if isinstance(spec, peaks.PeakConfig)]))
-        distinct = {b.tobytes(): b for b in decoded.values()}
-        results = dict(zip(distinct, metrics.evaluate_many(list(distinct.values()), ref.beats, eval_cfg)))
-        scores.append({spec: results[decoded[spec].tobytes()] for spec in specs})
-    return scores
-
-
-@contextlib.contextmanager
-def _naming(ref, act):
-    """Re-raise a decoder error with the track and the activation's source."""
-    try:
-        yield
-    except ToolkitError as exc:
-        raise ToolkitError(f"{ref.track_id} ({act.source_label}): {exc}") from None
+    beats = {**decoded, **peaks.pick_peaks_grid(act, [spec for spec in dict.fromkeys(specs)
+                                                       if isinstance(spec, peaks.PeakConfig)])}
+    distinct = {b.tobytes(): b for b in beats.values()}
+    results = dict(zip(distinct, metrics.evaluate_many(list(distinct.values()), ref.beats, eval_cfg)))
+    return {spec: results[beats[spec].tobytes()] for spec in specs}
 
 
 def _map_tracks(fn, items, jobs: int = 1) -> dict:
-    """Apply fn to (id, payload) pairs; results keyed by id, in item order."""
-    if jobs <= 1:
+    """Apply fn to (id, payload) pairs, in a pool of one process per item
+    (at most ``jobs``) when both are two or more; results keyed by id, in
+    item order."""
+    if min(jobs, len(items)) <= 1:
         return {tid: fn(payload) for tid, payload in items}
     # imported here: multiprocessing costs every process that never forks a pool
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         outputs = pool.map(fn, [payload for _, payload in items], chunksize=1)
         return {tid: out for (tid, _), out in zip(items, outputs)}
 
 
 def _batches(items, jobs: int) -> list:
-    """(track ids, payloads) of ``jobs`` contiguous runs of the (track id,
-    payload) items, near-equal in frames x DBN copies; fewer when a run
-    would be empty."""
-    weights = [len(act.values) * max(1, len({(dbn.space_key(spec, act.fps), spec.transition_lambda)
-                                            for spec in specs if isinstance(spec, dbn.DbnConfig)}))
-               for _, (_, act, specs, _) in items]
+    """(track ids, requests) of ``jobs`` contiguous runs of the (track id,
+    (activation, DbnConfigs)) items, near-equal in frames x DBN copies;
+    fewer when a run would be empty."""
+    weights = [len(act.values) * len({(dbn.space_key(cfg, act.fps), cfg.transition_lambda) for cfg in cfgs})
+               for _, (act, cfgs) in items]
     total, done, runs = sum(weights), 0, {}
     for (tid, payload), weight in zip(items, weights):
         run = runs.setdefault(min(jobs - 1, int((done + weight / 2) * jobs // total)), ([], []))
@@ -195,8 +166,10 @@ def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, 
 
     ``specs_of(record)`` lists the track's specs (PeakConfigs and
     DbnConfigs). DBN scores already in the dataset's cache are not decoded
-    again; the other specs reach the worker with the track's curve from
-    ``_activation_of``. Returns [(record, {spec: EvalResult})] in track
+    again; each track's other DbnConfigs go with its curve from
+    ``_activation_of`` to ``dbn.decode_batch`` (in a process pool when they
+    fill two batches or more), and ``_score_track`` picks the peaks and
+    scores the beats here. Returns [(record, {spec: EvalResult})] in track
     order, the ids of the tracks without ``source``, and notes on the other
     tracks skipped: those with fewer than ``min_beats`` annotated beats left
     after ``eval_cfg``'s trim, then each whose tempo window (a
@@ -207,7 +180,7 @@ def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, 
     """
     cache = _DECODES.setdefault(dataset, {})
     synth_key = synth_cfg if source == GT_SOURCE else None
-    found, items, missing, short, notes = [], [], [], [], []
+    found, requests, missing, short, notes = [], [], [], [], []
     for record in dataset.annotated():
         if len(metrics.trim_beats(record.annotation.beats, eval_cfg.trim_seconds)) < min_beats:
             short.append(record.track_id)
@@ -228,19 +201,22 @@ def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, 
         except StateSpaceError as exc:
             notes.append(f"{record.track_id} ({source}): {exc}; skipped")
             continue
-        found.append((record, specs))
         todo = [spec for spec in specs if (record.track_id, source, synth_key, spec, eval_cfg) not in cache]
-        if todo:
-            act = _activation_of(dataset, record, source, synth_cfg)
-            items.append((record.track_id, (record.annotation, act, todo, eval_cfg)))
-    batches = _map_tracks(score_tracks, _batches(items, max(1, jobs)), jobs) if items else {}
-    decoded = {tid: scores for ids, batch in batches.items() for tid, scores in zip(ids, batch)}
+        act = _activation_of(dataset, record, source, synth_cfg) if todo else None
+        found.append((record, specs, act, todo))
+        cfgs = [spec for spec in todo if isinstance(spec, dbn.DbnConfig)]
+        if cfgs:
+            requests.append((record.track_id, (act, cfgs)))
+    batches = _map_tracks(dbn.decode_batch, _batches(requests, max(1, jobs)), jobs)
+    decoded = {tid: beats for ids, batch in batches.items() for tid, beats in zip(ids, batch)}
     scored = []
-    for record, specs in found:
+    for record, specs, act, todo in found:
+        beats = decoded.get(record.track_id, {})
+        fresh = _score_track(record.annotation, act, todo, beats, eval_cfg) if todo else {}
         scores = {}
         for spec in specs:
             key = (record.track_id, source, synth_key, spec, eval_cfg)
-            scores[spec] = cache[key] if key in cache else decoded[record.track_id][spec]
+            scores[spec] = cache[key] if key in cache else fresh[spec]
             if isinstance(spec, dbn.DbnConfig):
                 cache[key] = scores[spec]
         scored.append((record, scores))
@@ -436,7 +412,7 @@ def sweep_lambda(
 ) -> LambdaSweep:
     """Decode at every lambda; the F-optimal one wins, ties to the smaller."""
     grid = _lambda_grid(lambdas, dbn_cfg)
-    results, best = _sweep(grid, score_tracks([(ref, act, grid, eval_cfg)])[0])
+    results, best = _sweep(grid, _score_track(ref, act, grid, dbn.decode_grid(act, grid), eval_cfg))
     return LambdaSweep(
         lambdas=tuple(float(x) for x in lambdas),
         results=tuple(results),

@@ -320,7 +320,8 @@ def test_lambda_grid_matches_ring_oracle_per_lambda(kind, n_frames, seed, fps, t
             sizes = dbn._pass_sizes(len(lambdas), space, n_frames)
             assert len(sizes) == -(-len(lambdas) // per_pass) and sum(sizes) == len(lambdas)
             assert max(sizes) - min(sizes) <= 1
-        decodes = dbn._viterbi_in_space(act, space, [cfg.transition_lambda for cfg in cfgs])
+        decoded = dict(dbn._viterbi_grids([(act, space, [cfg.transition_lambda for cfg in cfgs])]))
+        decodes = [decoded[0, j] for j in range(len(cfgs))]
         beats = dbn.decode_grid(act, cfgs)
     assert len(decodes) == len(cfgs) and set(beats) == set(cfgs)
     for cfg, (path, logp) in zip(cfgs, decodes):
@@ -398,7 +399,7 @@ def test_decode_grid_checks_every_config_before_any_pass(monkeypatch):
          pass_bytes=1)  # nudged ranges share a space; duplicates; a forced split
 def test_decode_grid_groups_any_configs_by_state_space(kind, n_frames, seed, fps, specs, pass_bytes):
     """Mixed configs in one call: each decodes as alone and as the oracle,
-    in one ``_viterbi_in_space`` call per state space carrying its
+    in one ``_viterbi_grids`` grid per state space carrying its
     distinct lambdas in first-seen order."""
     cfgs = [dbn.DbnConfig(min_bpm=60.0 * fps / (tau_min + n_tempi - 1) * nudge, max_bpm=60.0 * fps / tau_min * nudge,
                           transition_lambda=float(lam), observation_lambda=obs, correct_beats=correct)

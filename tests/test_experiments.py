@@ -1,3 +1,4 @@
+import concurrent.futures
 import importlib.util
 import json
 import math
@@ -15,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beatdiag import cli, dbn, experiments, ingest, metrics, peaks, reports
-from beatdiag.errors import ToolkitError
 from beatdiag.experiments import SynthConfig, synthesize_gt_activation
 from beatdiag.ingest import BeatAnnotation, DatasetLayout
 from conftest import PSEUDO_DIR, TESTS_DIR, make_grid_annotation, record_passes
@@ -472,6 +472,31 @@ def test_report_determinism_across_jobs(name):
     assert_same_report(a, b)
 
 
+NO_POOL_RUNS = {  # (dataset, run, runs before it on that dataset)
+    "threshold-sweep": (load_pseudo, EXPERIMENT_CALLS["threshold-sweep"], 0),
+    "taxonomy": (load_pseudo, EXPERIMENT_CALLS["taxonomy"], 0),  # peaks, intersected with gt-synth
+    "peak-vs-dbn-warm": (load_pseudo, EXPERIMENT_CALLS["peak-vs-dbn"], 1),
+    "peak-vs-dbn-one-track": (lambda: ingest.Dataset(list(load_pseudo())[:1]), EXPERIMENT_CALLS["peak-vs-dbn"], 0),
+}
+
+
+@pytest.mark.parametrize("name", NO_POOL_RUNS)
+def test_runs_without_two_batches_to_decode_start_no_pool(name, monkeypatch):
+    """With no DBN decode left to make, or one batch of them, a run at
+    --jobs 2 decodes in process and writes the report of --jobs 1."""
+    dataset, run, warm_ups = NO_POOL_RUNS[name]
+    want = run(dataset(), 1)
+    ds = dataset()
+    for _ in range(warm_ups):
+        run(ds, 1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert_same_report(run(ds, 2), want)
+
+
 def test_gt_synth_experiments_use_synth_cfg():
     # At 6 fps a frame is 167 ms, so the synthesized peaks miss the +/-70 ms
     # window on some beats; at 100 fps the DBN decodes a different curve.
@@ -748,8 +773,7 @@ def test_reports_same_at_any_jobs_on_mixed_rates_and_lengths(tmp_path, name):
 def test_batches_are_contiguous_and_near_equal_in_frames_times_copies():
     def item(i, n_frames, n_lambdas):
         act = ingest.ActivationCurve(values=np.zeros(n_frames), fps=50.0, source_label="t")
-        specs = [peaks.PeakConfig(), *(dbn.DbnConfig(transition_lambda=lam) for lam in range(1, n_lambdas + 1))]
-        return f"t{i}", (None, act, specs, None)
+        return f"t{i}", (act, [dbn.DbnConfig(transition_lambda=lam) for lam in range(1, n_lambdas + 1)])
 
     items = [item(i, 100, 1) for i in range(6)]
     ids = [[tid for tid, _ in items[lo:hi]] for lo, hi in ((0, 3), (3, 6))]
@@ -757,25 +781,16 @@ def test_batches_are_contiguous_and_near_equal_in_frames_times_copies():
     assert [list(tids) for tids, _ in experiments._batches(items, 2)] == ids
     assert [payloads for _, payloads in experiments._batches(items, 2)] == [[p for _, p in items[:3]],
                                                                              [p for _, p in items[3:]]]
-    # five copies weigh as much as five tracks; peak picking alone as one copy
-    items = [item(0, 100, 5), item(1, 100, 0), *(item(i, 100, 1) for i in range(2, 6))]
+    # five copies weigh as much as five tracks
+    items = [item(0, 100, 5), *(item(i, 100, 1) for i in range(1, 6))]
     assert [tids for tids, _ in experiments._batches(items, 2)] == [("t0",), ("t1", "t2", "t3", "t4", "t5")]
     assert [tids for tids, _ in experiments._batches(items[:1], 4)] == [("t0",)]
     # 40 s lambda grids at K = 75 fill more than a pass each: still --jobs runs
     grid = experiments._lambda_grid(experiments.LAMBDA_GRID, experiments.SLOW_DBN)
-    items = [(f"t{i}", (None, ingest.ActivationCurve(values=np.zeros(1723), fps=43.07, source_label="t"), grid, None))
+    items = [(f"t{i}", (ingest.ActivationCurve(values=np.zeros(1723), fps=43.07, source_label="t"), grid))
              for i in range(4)]
     assert [tids for tids, _ in experiments._batches(items, 2)] == [("t0", "t1"), ("t2", "t3")]
     assert [tids for tids, _ in experiments._batches(items, 1)] == [("t0", "t1", "t2", "t3")]
-
-
-def test_a_decoder_error_in_a_batch_names_its_track_and_source():
-    ds = load_pseudo()
-    payloads = [(rec.annotation, rec.activations["pseudo"], [dbn.DbnConfig()], metrics.DEFAULT_EVAL) for rec in ds]
-    slow = ingest.ActivationCurve(values=np.full(40, 0.5), fps=2.0, source_label="pseudo")
-    payloads[1] = (payloads[1][0], slow, *payloads[1][2:])
-    with pytest.raises(ToolkitError, match=r"^pseudo02 \(pseudo\): fps 2.0 too low for max_bpm 215.0"):
-        experiments.score_tracks(payloads)
 
 
 def test_gt_curves_are_synthesized_once_per_dataset_track_and_config(monkeypatch):
