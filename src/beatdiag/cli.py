@@ -117,6 +117,16 @@ class Settings:
         return self._checked(lambda: dbn.TempoConstraint(
             dbn.CONSTRAINT_MIN_BPM, self.get("tempo_window", default)).window_fraction)
 
+    def jobs(self, default: int) -> int:
+        """The jobs setting: one process or more."""
+        def build():
+            jobs = self.get("jobs", default, cast=int)
+            if jobs < 1:
+                raise ValueError(f"jobs must be >= 1, got {jobs}")
+            return jobs
+
+        return self._checked(build)
+
     def grid(self, key: str, default: tuple) -> tuple:
         """The ``key`` grid (lambdas or thresholds): non-empty, positive, ascending."""
         def build():
@@ -421,7 +431,7 @@ def run_experiment(args, datasets) -> reports.RunReport:
         "lambdas": lambda default: settings.grid("lambdas", default),
         "thresholds": lambda default: settings.grid("thresholds", default),
         "tempo_sources": lambda _: _tempo_sources(settings),
-        "jobs": lambda default: settings.get("jobs", default, cast=int),
+        "jobs": settings.jobs,
         "decoder": lambda default: settings.get("decoder", default, cast=str),
         "intersect_source": lambda default: settings.get("intersect_source", default, cast=str),
     }

@@ -27,10 +27,8 @@ The K x K max-plus at the wraps runs in one preallocated buffer: a broadcast
 copy puts the source scores in every row, an in-place add brings in the log
 transition matrix, and a row argmax picks each target's source. The winning
 scores come from one gather on the buffer's flat view, at row start plus
-source. The step once did the max-plus as one broadcasting ``np.add`` and
-the gather as a row/column index pair; each sum is still score plus log
-transition, bit for bit (IEEE addition commutes), and numpy runs the copy
-and the same-shape add faster than the broadcasting add.
+source. Each sum is score plus log transition, bit for bit, and numpy runs
+the copy and the same-shape add faster than one broadcasting add.
 
 One pass decodes any list of copies, and a copy is (observations, state
 space, transition lambda): the lambdas of a grid, the tracks of a batch,
@@ -120,10 +118,10 @@ class DbnConfig:
 
     def __post_init__(self):
         # equality makes a single-tempo space, used by constrained decoding
-        if not 0 < self.min_bpm <= self.max_bpm:
-            raise ValueError(f"need 0 < min_bpm <= max_bpm, got [{self.min_bpm}, {self.max_bpm}]")
-        if self.transition_lambda <= 0:
-            raise ValueError("transition_lambda must be positive")
+        if not 0 < self.min_bpm <= self.max_bpm < math.inf:  # NaN fails too
+            raise ValueError(f"need 0 < min_bpm <= max_bpm < inf, got [{self.min_bpm}, {self.max_bpm}]")
+        if not 0 < self.transition_lambda < math.inf:
+            raise ValueError(f"transition_lambda must be positive and finite, got {self.transition_lambda}")
         if self.observation_lambda < 2:
             raise ValueError("observation_lambda must be >= 2")
 

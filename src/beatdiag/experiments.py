@@ -19,10 +19,10 @@ Every experiment runs the same three steps:
    track's distinct beat sequences together in one metrics pass
    (``_score_track``). Every source reaches it as a curve from
    ``_activation_of``, which synthesizes a gt-synth curve once per
-   dataset, track and synth config. The scores of DBN decodes are cached
-   per loaded Dataset, by track, source, synth config, spec and eval
-   config, so every stage of a run on one dataset decodes each of them
-   once; a stage whose configs are all cached, or that has none, starts
+   dataset, track and synth config. DBN decodes are cached per loaded
+   Dataset, by track, source, synth config and DbnConfig, so every stage
+   of a run on one dataset decodes each of them once, under any eval
+   config; a stage whose configs are all cached, or that has none, starts
    no pool. The parent process owns both caches, and each copy decodes to
    its own decode's bits in any pass, so results are the same at any
    ``jobs``.
@@ -57,10 +57,9 @@ class SynthConfig:
     fps: float = 43.07
 
     def __post_init__(self):
-        if self.sigma_frames <= 0:
-            raise ValueError("sigma_frames must be positive")
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
+        for name in ("sigma_frames", "fps"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 LAMBDA_GRID = (1, 2, 5, 10, 20, 30, 50, 80, 100, 150, 200, 300, 500)  # transition lambdas a sweep tries
@@ -106,8 +105,7 @@ def _score_track(ref: BeatAnnotation, act: ActivationCurve, specs, decoded: dict
     and the distinct beat arrays are scored in one ``metrics.evaluate_many``
     pass: specs that decode to equal beats share one EvalResult.
     """
-    beats = {**decoded, **peaks.pick_peaks_grid(act, [spec for spec in dict.fromkeys(specs)
-                                                       if isinstance(spec, peaks.PeakConfig)])}
+    beats = {**decoded, **peaks.pick_peaks_grid(act, [spec for spec in specs if isinstance(spec, peaks.PeakConfig)])}
     distinct = {b.tobytes(): b for b in beats.values()}
     results = dict(zip(distinct, metrics.evaluate_many(list(distinct.values()), ref.beats, eval_cfg)))
     return {spec: results[beats[spec].tobytes()] for spec in specs}
@@ -142,7 +140,7 @@ def _batches(items, jobs: int) -> list:
     return [(tuple(ids), payloads) for ids, payloads in runs.values()]
 
 
-# Loaded Dataset -> {(track_id, source, synth_cfg or None, DbnConfig, eval_cfg): EvalResult}.
+# Loaded Dataset -> {(track_id, source, synth_cfg or None, DbnConfig): decoded beats}.
 # Peak picks are cheap to repeat, and a threshold sweep's would fill it.
 _DECODES = weakref.WeakKeyDictionary()
 # Loaded Dataset -> {(track_id, synth_cfg): synthesized GT curve}.
@@ -165,11 +163,11 @@ def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, 
     """Score the annotated tracks that carry ``source``, in one track mapping.
 
     ``specs_of(record)`` lists the track's specs (PeakConfigs and
-    DbnConfigs). DBN scores already in the dataset's cache are not decoded
-    again; each track's other DbnConfigs go with its curve from
-    ``_activation_of`` to ``dbn.decode_batch`` (in a process pool when they
-    fill two batches or more), and ``_score_track`` picks the peaks and
-    scores the beats here. Returns [(record, {spec: EvalResult})] in track
+    DbnConfigs). Each track's DbnConfigs not yet in the dataset's decode
+    cache go with its curve from ``_activation_of`` to ``dbn.decode_batch``
+    (in a process pool when they fill two batches or more), and their beats
+    join the cache; then ``_score_track`` picks the track's peaks and scores
+    all of its specs here. Returns [(record, {spec: EvalResult})] in track
     order, the ids of the tracks without ``source``, and notes on the other
     tracks skipped: those with fewer than ``min_beats`` annotated beats left
     after ``eval_cfg``'s trim, then each whose tempo window (a
@@ -188,38 +186,28 @@ def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, 
         if source != GT_SOURCE and source not in record.activations:
             missing.append(record.track_id)
             continue
+        act = _activation_of(dataset, record, source, synth_cfg)
         try:
             specs = specs_of(record)
+            cfgs = [spec for spec in specs if isinstance(spec, dbn.DbnConfig)]
+            for cfg in cfgs:
+                dbn.space_key(cfg, act.fps)
         except ConstraintError as exc:
             notes.append(f"{record.track_id}: {exc}; skipped")
             continue
-        fps = synth_cfg.fps if source == GT_SOURCE else record.activations[source].fps
-        try:
-            for spec in specs:
-                if isinstance(spec, dbn.DbnConfig):
-                    dbn.space_key(spec, fps)
         except StateSpaceError as exc:
             notes.append(f"{record.track_id} ({source}): {exc}; skipped")
             continue
-        todo = [spec for spec in specs if (record.track_id, source, synth_key, spec, eval_cfg) not in cache]
-        act = _activation_of(dataset, record, source, synth_cfg) if todo else None
-        found.append((record, specs, act, todo))
-        cfgs = [spec for spec in todo if isinstance(spec, dbn.DbnConfig)]
-        if cfgs:
-            requests.append((record.track_id, (act, cfgs)))
-    batches = _map_tracks(dbn.decode_batch, _batches(requests, max(1, jobs)), jobs)
-    decoded = {tid: beats for ids, batch in batches.items() for tid, beats in zip(ids, batch)}
-    scored = []
-    for record, specs, act, todo in found:
-        beats = decoded.get(record.track_id, {})
-        fresh = _score_track(record.annotation, act, todo, beats, eval_cfg) if todo else {}
-        scores = {}
-        for spec in specs:
-            key = (record.track_id, source, synth_key, spec, eval_cfg)
-            scores[spec] = cache[key] if key in cache else fresh[spec]
-            if isinstance(spec, dbn.DbnConfig):
-                cache[key] = scores[spec]
-        scored.append((record, scores))
+        found.append((record, act, specs, cfgs))
+        uncached = [cfg for cfg in cfgs if (record.track_id, source, synth_key, cfg) not in cache]
+        if uncached:
+            requests.append((record.track_id, (act, uncached)))
+    for ids, batch in _map_tracks(dbn.decode_batch, _batches(requests, jobs), jobs).items():
+        for tid, beats in zip(ids, batch):
+            cache.update({(tid, source, synth_key, cfg): b for cfg, b in beats.items()})
+    scored = [(record, _score_track(record.annotation, act, specs,
+                                    {cfg: cache[record.track_id, source, synth_key, cfg] for cfg in cfgs}, eval_cfg))
+              for record, act, specs, cfgs in found]
     if short:
         notes.insert(0, f"{len(short)} track(s) with <{min_beats} beats skipped: {short}")
     return scored, missing, notes

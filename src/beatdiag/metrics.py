@@ -20,6 +20,7 @@ estimate, so the batched and single results are the same bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,11 @@ class EvalConfig:
     trim_seconds: float = 0.0
 
     def __post_init__(self):
-        if self.f_window <= 0 or self.continuity_phase_tol <= 0 or self.continuity_tempo_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.trim_seconds < 0:
-            raise ValueError("trim_seconds must be >= 0")
+        for name in ("f_window", "continuity_phase_tol", "continuity_tempo_tol"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0 <= self.trim_seconds < math.inf:
+            raise ValueError(f"trim_seconds must be >= 0 and finite, got {self.trim_seconds}")
 
 
 DEFAULT_EVAL = EvalConfig()

@@ -7,6 +7,7 @@ threshold, with close peaks suppressed in favor of the higher one.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,8 @@ class PeakConfig:
     def __post_init__(self):
         if not 0 < self.threshold < 1:
             raise ValueError("threshold must be in (0, 1)")
-        if self.min_separation < 0:
-            raise ValueError("min_separation must be >= 0")
+        if not 0 <= self.min_separation < math.inf:  # NaN fails too
+            raise ValueError(f"min_separation must be >= 0 and finite, got {self.min_separation}")
 
 
 # Sweep endpoints 0.05 and 0.98 with uniform 0.05 spacing in between.

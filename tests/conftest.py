@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 TESTS_DIR = Path(__file__).resolve().parent
 DATA_DIR = TESTS_DIR / "data"
@@ -16,6 +17,12 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(TESTS_DIR.parent / 
 
 from beatdiag import dbn  # noqa: E402
 from beatdiag.ingest import ActivationCurve, BeatAnnotation  # noqa: E402
+
+# No per-example deadline: a property's first example pays for imports and
+# caches that its replay does not, and Hypothesis reports that gap as
+# "Unreliable test timings".
+settings.register_profile("beatdiag", deadline=None)
+settings.load_profile("beatdiag")
 
 
 @pytest.fixture

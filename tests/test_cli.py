@@ -730,6 +730,12 @@ def _bad_cli_input(tmp_path, case):
     if case == "bad-flag-window":
         return (["decode", "--dbn-constrained", "--tempo-window", "-1", str(PSEUDO_DIR / "activations"),
                  "-o", str(tmp_path / "out")], "tempo_window must be finite and >= 0, got -1.0")
+    if case == "bad-config-jobs":
+        cfg.write_text("# processes\njobs=0\n")
+        return experiment("gt-bottleneck"), f"{cfg}:2: jobs: jobs must be >= 1, got 0"
+    if case == "bad-flag-jobs":
+        return (["experiment", "gt-bottleneck", "--dataset", f"p={PSEUDO_DIR}", "--jobs", "-2", "-o",
+                 str(tmp_path / "out")], "jobs must be >= 1, got -2")
     if case == "bad-config-key":  # a misspelt key
         cfg.write_text("min_bmp=30\n")
         return (["decode", "--dbn", "--config", str(cfg), str(PSEUDO_DIR / "activations"), "-o",
@@ -762,7 +768,8 @@ def _bad_cli_input(tmp_path, case):
 @pytest.mark.parametrize("case", ["missing-rows", "no-track-id", "bad-value", "bad-count", "non-utf8-rows",
                                   "missing-config", "bad-config-value", "bad-config-range", "bad-config-list",
                                   "bad-config-grid", "bad-config-threshold", "bad-config-separation",
-                                  "bad-config-window", "bad-config-window-nan", "bad-flag-window", "bad-config-key",
+                                  "bad-config-window", "bad-config-window-nan", "bad-flag-window", "bad-config-jobs",
+                                  "bad-flag-jobs", "bad-config-key",
                                   "bad-config-flag-key", "bad-config-repeat", "bad-config-bool", "decode-low-fps",
                                   "decode-empty-range"])
 def test_cli_process_rejects_bad_report_and_config_input_with_its_path(tmp_path, case):
@@ -771,6 +778,24 @@ def test_cli_process_rejects_bad_report_and_config_input_with_its_path(tmp_path,
     assert proc.returncode == 1
     assert f"error: {where}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command,flag,name", [
+    ("decode --dbn", "--lambda", "transition_lambda"), ("decode --dbn", "--max-bpm", "max_bpm"),
+    ("decode --peaks", "--min-separation", "min_separation"), ("eval", "--trim", "trim"),
+    ("synth-gt", "--fps", "fps"), ("synth-gt", "--sigma-frames", "sigma_frames"),
+    ("experiment gt-bottleneck", "--fps", "fps"), ("experiment gt-bottleneck", "--trim", "trim"),
+])
+def test_cli_rejects_non_finite_settings(tmp_path, capsys, command, flag, name, value):
+    inputs = {"decode": [str(PSEUDO_DIR / "activations")], "eval": ["--est", str(PSEUDO_DIR / "beats"), "--ref",
+              str(PSEUDO_DIR / "beats")], "synth-gt": ["--beats", str(PSEUDO_DIR / "beats")],
+              "experiment": ["--dataset", f"p={PSEUDO_DIR}"]}[command.split()[0]]
+    out = tmp_path / "out"
+    assert run([*command.split(), flag, value, *inputs, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and value in err
+    assert not out.exists()
 
 
 def _probe_root(tmp_path, probe):
@@ -866,7 +891,7 @@ def test_cli_process_skips_and_lists_track_whose_curve_holds_no_beat(tmp_path, n
     assert sorted(row.track_id for row in rows) == ["pseudo01", "pseudo03"]
 
 
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     tracks=st.lists(st.tuples(st.sampled_from([2.0, 10.0, 43.07, 50.0, 100.0]),  # fps
                               st.integers(1, 200),  # frames

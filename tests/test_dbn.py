@@ -261,7 +261,7 @@ def _activation_values(kind, n_frames, seed):
     return np.full(n_frames, float(kind))  # constant, "0.0" is all zero
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     kind=st.sampled_from(["random", "quantised", "sparse", "0.0", "0.5", "1.0"]),
     n_frames=st.integers(1, 300),
@@ -289,7 +289,7 @@ def test_viterbi_step_matches_ring_oracle(kind, n_frames, seed, fps, tau_min, n_
     assert float.hex(logp) == float.hex(want_logp)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     kind=st.sampled_from(["random", "quantised", "sparse", "0.0"]),
     n_frames=st.integers(1, 300),
@@ -378,7 +378,7 @@ def test_decode_grid_checks_every_config_before_any_pass(monkeypatch):
     assert calls == []
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     kind=st.sampled_from(["random", "quantised", "sparse"]),
     n_frames=st.integers(1, 200),
@@ -424,7 +424,7 @@ def test_decode_grid_groups_any_configs_by_state_space(kind, n_frames, seed, fps
         assert beats[cfg].tobytes() == dbn.decode(act, cfg).tobytes()
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     tracks=st.lists(st.tuples(st.sampled_from(["random", "quantised", "sparse", "0.0"]),
                               st.integers(1, 160),  # frames
@@ -551,7 +551,7 @@ def test_path_to_beats_correction_moves_to_peak():
     assert uncorrected[0] == 0.0
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     runs=st.lists(st.tuples(st.booleans(), st.integers(1, 6)), min_size=1, max_size=30),
     levels=st.integers(1, 4),

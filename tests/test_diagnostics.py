@@ -47,7 +47,7 @@ def test_act_at_gt_all_beats_outside_curve():
 
 
 @given(start=st.floats(0.3, 2.0), ibi=st.floats(0.3, 1.5))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 def test_act_at_gt_high_for_any_synthesized_annotation(start, ibi):
     # Worst case is every peak sampled at a half-frame offset, which for a
     # sigma=2 Gaussian gives exactly exp(-1/32) ~= 0.9692 per beat.

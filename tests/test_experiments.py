@@ -63,7 +63,7 @@ def test_default_lambda_grid_is_the_thirteen_point_grid():
 
 
 @given(ibi_frames=st.integers(20, 100), start_frame=st.integers(10, 30), n=st.integers(16, 40))
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 def test_gt_synthesis_round_trip_on_frame_aligned_grids(ibi_frames, start_frame, n):
     # Frame-aligned peaks make skipping a beat cost the full density floor,
     # so the annotated level always wins. The bar pointer keeps cycling
@@ -631,17 +631,14 @@ def test_decode_cache_keeps_synth_configs_and_sources_apart(monkeypatch):
     assert_same_report(real, experiments.run_lambda_sweep(load_pseudo(), "pseudo", (100,)))
 
 
-def test_decode_cache_keeps_eval_configs_apart(monkeypatch):
+def test_warm_dataset_decodes_nothing_under_a_new_eval_config(monkeypatch):
     ds = load_pseudo()
     experiments.run_peak_vs_dbn(ds, "pseudo")
     calls = count_decodes(monkeypatch)
     strict = metrics.EvalConfig(f_window=0.03, trim_seconds=1.0)
     warm = experiments.run_peak_vs_dbn(ds, "pseudo", eval_cfg=strict)
-    assert sum(calls.values()) == 3  # scores under the default config are not reused
+    assert sum(calls.values()) == 0  # the decodes cached under the default config are scored again
     assert_same_report(warm, experiments.run_peak_vs_dbn(load_pseudo(), "pseudo", eval_cfg=strict))
-    calls.clear()
-    assert_same_report(experiments.run_peak_vs_dbn(ds, "pseudo", eval_cfg=strict), warm)
-    assert sum(calls.values()) == 0
 
 
 def test_systems_table_gt_row_uses_the_decode_cache(monkeypatch):
