@@ -78,6 +78,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,8 +123,10 @@ class DbnConfig:
             raise ValueError(f"need 0 < min_bpm <= max_bpm < inf, got [{self.min_bpm}, {self.max_bpm}]")
         if not 0 < self.transition_lambda < math.inf:
             raise ValueError(f"transition_lambda must be positive and finite, got {self.transition_lambda}")
-        if self.observation_lambda < 2:
-            raise ValueError("observation_lambda must be >= 2")
+        # an integer, so that one state space has one space_key
+        lam = self.observation_lambda
+        if isinstance(lam, bool) or not isinstance(lam, numbers.Integral) or lam < 2:
+            raise ValueError(f"observation_lambda must be an int >= 2, got {lam!r}")
 
 
 @dataclass(frozen=True)
@@ -288,7 +291,6 @@ def _viterbi_pass(copies) -> list[tuple[np.ndarray, float]]:
     n_copies = len(copies)
     spaces = [space for _, space, *_ in copies]
     n_tempi = max(space.num_tempi for space in spaces)
-    stride = max(space.num_states for space in spaces) + 1  # the last slot of a block is its sink
     lengths = [len(obs) for obs in obs_of]
     n_frames = max(lengths)
     # wrap_into[c*K + k', k] = log p(k -> k') in copy c: row c*K + k' holds
@@ -296,40 +298,38 @@ def _viterbi_pass(copies) -> list[tuple[np.ndarray, float]]:
     wrap_into = np.full((n_copies * n_tempi, n_tempi), -np.inf)
     for block, (_, space, lam, *_) in zip(wrap_into.reshape(n_copies, n_tempi, n_tempi), copies):
         block[:space.num_tempi, :space.num_tempi] = transition_log_probs(space, lam).T
-
-    def ring_slots(space, t):
-        # ring slot of each flat state (tempo k, phase p) at frame t:
-        # first_k + (t - p) mod tau_k, i.e. keyed by the frame its beat started
-        return np.repeat(space.first_states, space.intervals) + (t - space.state_phase) % space.state_interval
-
-    # Beat-region states phase-major, so the first K are the phase-0 states in
-    # tempo order: their slots double as the slots of the wrap. Copy c's slot
-    # i is c*stride + i; every copy's K wrap slots come first, a padded tempo's
-    # at the sink, which never leaves it.
-    wrap, rest = [], []
-    delta = np.full(n_copies * stride, -np.inf)
-    for obs, space, base in zip(obs_of, spaces, range(0, n_copies * stride, stride)):
+    # Region 0 holds each copy's beat rings, a row of beat_stride slots per
+    # copy; region 1 its non-beat rings, rows of rest_stride. A ring holds
+    # tempo k's b_k beat (or tau_k - b_k non-beat) states; the last slot of
+    # a row is its copy's sink. idx holds each ring's newest slot at frame t,
+    # base + (T_c - 1 - t) mod len, beat rings first: every ring holds its
+    # phases in ascending order from its base at its copy's last frame.
+    n_beat = [int(space.beat_region_sizes.sum()) for space in spaces]
+    strides = (max(n_beat) + 1, max(space.num_states - b for space, b in zip(spaces, n_beat)) + 1)
+    scores = np.full(n_copies * sum(strides), -np.inf)
+    beat = scores[:n_copies * strides[0]].reshape(n_copies, strides[0])
+    rest = scores[n_copies * strides[0]:].reshape(n_copies, strides[1])
+    lens = np.ones((2, n_copies, n_tempi), dtype=np.intp)  # a padded tempo's rings are its copy's sinks
+    bases = np.empty_like(lens)
+    for c, (obs, space, b) in enumerate(zip(obs_of, spaces, n_beat)):
         k = space.num_tempi
-        beat_states = np.flatnonzero(space.is_beat_state)
-        beat_states = beat_states[np.argsort(space.state_phase[beat_states], kind="stable")]
-        start = np.repeat(space.first_states, space.intervals)[beat_states] + base
-        stop = start + space.state_interval[beat_states]
-        at_0 = ring_slots(space, 0)
-        slot = at_0[beat_states] + base
-        sink = np.full(n_tempi - k, base + stride - 1)
-        wrap.append((np.concatenate((slot[:k], sink)), np.concatenate((start[:k], sink)),
-                     np.concatenate((stop[:k], sink + 1))))
-        rest.append((slot[k:], start[k:], stop[k:]))
-        delta[base + at_0] = np.where(space.is_beat_state, obs[0, 1], obs[0, 0]) - np.log(space.num_states)
-    slots, beat_base, beat_end = (np.concatenate(column) for column in zip(*wrap, *rest))
-    shared = len(tables) == 1
-    obs = obs_of[0]
-    if not shared:  # per-copy observations, zero past a copy's last frame
-        obs0, obs1 = np.zeros((n_frames, n_copies, 1)), np.zeros((n_frames, n_copies))
+        for r, size in enumerate((space.beat_region_sizes, space.intervals - space.beat_region_sizes)):
+            row = r * n_copies * strides[0] + c * strides[r]
+            lens[r, c, :k] = size
+            bases[r, c] = row + strides[r] - 1
+            bases[r, c, :k] = row + np.cumsum(size) - size
+        beat[c, :b] = obs[0, 1] - np.log(space.num_states)
+        rest[c, :space.num_states - b] = obs[0, 0] - np.log(space.num_states)
+    idx = (bases + (np.array(lengths)[:, None] - 1) % lens).ravel()
+    top, below = (bases + lens - 1).ravel(), (bases - 1).ravel()
+    new_beat, new_rest = idx[:n_copies * n_tempi], idx[n_copies * n_tempi:]
+    if len(tables) == 1:
+        obs = obs_of[0][:, None]  # (T, 1, 2): a column that every copy's row broadcasts
+    else:  # per-copy observations, zero past a copy's last frame
+        obs = np.zeros((n_frames, n_copies, 2))
         for c, own in enumerate(obs_of):
-            obs0[:len(own), c, 0], obs1[:len(own), c] = own.T
-        slot_copy = slots // stride  # a slot never leaves its copy's block
-        blocks = delta.reshape(n_copies, stride)
+            obs[:len(own), c] = own
+    rest_obs, beat_obs = obs[..., :1], obs[..., 1:]
     # Back pointers are only needed at phase wraps: wrap_from[t, c*K + k] is
     # the tempo index active at t-1 when tempo k starts a new beat at frame t.
     wrap_from = np.empty((n_frames, n_copies * n_tempi), dtype=_pointer_type(n_tempi))
@@ -338,39 +338,37 @@ def _viterbi_pass(copies) -> list[tuple[np.ndarray, float]]:
     # candidates[r, src[r]] is cand_flat[row_start[r] + src[r]]
     cand_flat = candidates.ravel()
     row_start = np.arange(n_copies * n_tempi) * n_tempi
-    wrap_slots = slots[:n_copies * n_tempi]
     # every row of a copy's K x K block holds that copy's source scores: the
     # gather through this view of the wrap slots comes out (C, 1, K)
     cand_blocks = candidates.reshape(n_copies, n_tempi, n_tempi)
-    wrap_sources = wrap_slots.reshape(n_copies, 1, n_tempi)
+    wrap_sources = new_rest.reshape(n_copies, 1, n_tempi)
     ends = {}
     for c, length in enumerate(lengths):
         ends.setdefault(length - 1, []).append(c)
     finals = [None] * n_copies
 
     def keep_finals(t):
-        for c in ends[t]:  # back to flat state order
-            finals[c] = delta[c * stride + ring_slots(spaces[c], t)]
+        for c in ends[t]:  # each region's rings, read from their bases, are its states in flat order
+            space = spaces[c]
+            finals[c] = final = np.empty(space.num_states)
+            final[space.is_beat_state] = beat[c, :n_beat[c]]
+            final[~space.is_beat_state] = rest[c, :space.num_states - n_beat[c]]
 
     if 0 in ends:
         keep_finals(0)
     for t in range(1, n_frames):
-        slots += 1  # one frame on: every slot moves one step round its ring
-        np.copyto(slots, beat_base, where=slots == beat_end)
-        # last phase at t-1 and phase 0 at t share a slot: read, then overwrite
-        np.copyto(cand_blocks, delta[wrap_sources])
+        idx -= 1  # one frame on: each ring's newest slot is one step back
+        np.copyto(idx, top, where=idx == below)
+        # phase tau - 1 at t-1 wraps; its non-beat slot is phase b at t
+        np.copyto(cand_blocks, scores[wrap_sources])
         candidates += wrap_into
         candidates.argmax(axis=1, out=src)  # first max -> lowest source tempo
         wrap_from[t] = src
-        delta[wrap_slots] = cand_flat[row_start + src]
-        in_beat = delta[slots]
-        if shared:
-            delta += obs[t, 0]
-            in_beat += obs[t, 1]
-        else:
-            blocks += obs0[t]
-            in_beat += obs1[t][slot_copy]
-        delta[slots] = in_beat
+        # phase b - 1 at t-1 leaves the beat region; its beat slot is phase 0 at t
+        scores[new_rest] = scores[new_beat]
+        scores[new_beat] = cand_flat[row_start + src]
+        rest += rest_obs[t]
+        beat += beat_obs[t]
         if t in ends:
             keep_finals(t)
     return [_backtrack(final, wrap_from[:length, c * n_tempi:c * n_tempi + space.num_tempi], space)

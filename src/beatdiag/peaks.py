@@ -45,8 +45,8 @@ def _candidate_peaks(values: np.ndarray) -> np.ndarray:
     level = values[starts]
     rise = level[:-1] < level[1:]  # run i + 1 is above run i
     fall = level[1:] < level[:-1]  # run i is above run i + 1
-    no_higher = np.r_[True, rise] & np.r_[fall, True]
-    peak = no_higher & (np.r_[False, rise] | np.r_[fall, False])
+    no_higher = np.concatenate(([True], rise)) & np.concatenate((fall, [True]))
+    peak = no_higher & (np.concatenate(([False], rise)) | np.concatenate((fall, [False])))
     return starts[peak]
 
 

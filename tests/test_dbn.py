@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import types
 
 import numpy as np
@@ -47,6 +48,12 @@ def test_state_space_min_bpm_30():
 def test_state_space_fps_too_low():
     with pytest.raises(StateSpaceError):
         dbn.build_state_space(dbn.DbnConfig(), fps=5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, True, 1])
+def test_observation_lambda_must_be_an_int_of_at_least_2(value):
+    with pytest.raises(ValueError, match="observation_lambda must be an int >= 2"):
+        dbn.DbnConfig(observation_lambda=value)
 
 
 def test_beat_region_sizes():
@@ -275,6 +282,13 @@ def _activation_values(kind, n_frames, seed):
 # a tie between source tempi at a wrap lies on the path: pins the first-max rule
 @example(kind="quantised", n_frames=150, seed=0, fps=20.0, tau_min=3, n_tempi=20, transition_lambda=10.0,
          observation_lambda=2)
+# tau 2 and 3 at observation lambda 2: one-slot beat and non-beat rings
+@example(kind="quantised", n_frames=60, seed=3, fps=20.0, tau_min=2, n_tempi=2, transition_lambda=1.0,
+         observation_lambda=2)
+@example(kind="random", n_frames=50, seed=4, fps=50.0, tau_min=7, n_tempi=1, transition_lambda=100.0,
+         observation_lambda=16)  # a single-tempo space
+@example(kind="random", n_frames=1, seed=5, fps=50.0, tau_min=5, n_tempi=4, transition_lambda=100.0,
+         observation_lambda=8)  # T = 1
 def test_viterbi_step_matches_ring_oracle(kind, n_frames, seed, fps, tau_min, n_tempi,
                                           transition_lambda, observation_lambda):
     # n_tempi == 1 is the single-tempo space, min_bpm == max_bpm
@@ -442,6 +456,9 @@ def test_decode_grid_groups_any_configs_by_state_space(kind, n_frames, seed, fps
                  ("random", 40, 1, 50.0, [(12, 5, 16, [100])]),  # shorter than the pass, T < tau_max
                  ("sparse", 1, 2, 43.07, [(2, 1, 8, [1])])],  # one frame, one tempo
          pass_bytes=30000)
+# a copy of one-slot rings (tau 2 and 3 at observation lambda 2) ends before the K = 20 copy of its pass
+@example(tracks=[("quantised", 120, 5, 20.0, [(3, 20, 8, [10, 100])]), ("sparse", 30, 6, 20.0, [(2, 2, 2, [1, 500])])],
+         pass_bytes=None)
 def test_mixed_passes_match_ring_oracle_per_copy(tracks, pass_bytes):
     """Passes that mix tracks, state spaces, lengths and observation
     tables: every copy has the path and score bits of the oracle, whatever

@@ -235,7 +235,9 @@ def test_tempo_stats_metronomic():
 @given(values=st.lists(st.floats(allow_infinity=False) | st.sampled_from([0.5, 2.0, np.nan]), min_size=1, max_size=12))
 @settings(max_examples=200)
 def test_median_is_np_median_bit_for_bit(values):
-    assert float.hex(diagnostics.median(values)) == float.hex(float(np.median(values)))
+    with np.errstate(over="ignore"):  # both overflow alike on huge inputs
+        got, want = diagnostics.median(values), float(np.median(values))
+    assert float.hex(got) == float.hex(want)
 
 
 def test_tempo_stats_needs_three_beats():
