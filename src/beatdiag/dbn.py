@@ -14,14 +14,18 @@ Decoding is exact Viterbi in log space with a uniform initial distribution.
 Ties are broken toward the lower flat state id, which makes the decoder
 fully deterministic.
 
-The forward pass keeps each tempo's scores in a ring of tau_k slots indexed
-by the frame its current beat started, modulo tau_k. Advancing the phase then
-moves nothing: a frame reads the last-phase scores and writes the new-beat
-scores in the same slot, first_k + t mod tau_k, adds the non-beat density to
-every slot and swaps in the beat density on the beat-region slots. The
-backtrack fills one beat per step. The arithmetic is the per-frame recursion's,
-operation for operation, so paths, scores and the tie rule (lowest source
-tempo at a wrap, lowest flat state id at the end) are unchanged.
+The forward pass keeps each tempo's scores in two rings: one of b_k
+beat-region slots (b_k = beat_region_sizes[k]) and one of tau_k - b_k
+non-beat slots. Advancing the phase moves only the state that leaves a
+region: each frame every ring's newest slot steps one place back, onto the
+slot of its oldest state. The wrap reads each tempo's oldest non-beat score
+(phase tau_k - 1); the state leaving the beat region (phase b_k - 1) moves
+into that non-beat slot as phase b_k; the max-plus winner takes the beat
+slot it freed as phase 0. Then the non-beat density is added to every
+non-beat slot and the beat density to every beat slot. The backtrack fills
+one beat per step. The arithmetic is the per-frame recursion's, operation
+for operation, so paths, scores and the tie rule (lowest source tempo at a
+wrap, lowest flat state id at the end) are unchanged.
 
 The K x K max-plus at the wraps runs in one preallocated buffer: a broadcast
 copy puts the source scores in every row, an in-place add brings in the log
@@ -32,33 +36,38 @@ the copy and the same-shape add faster than one broadcasting add.
 
 One pass decodes any list of copies, and a copy is (observations, state
 space, transition lambda): the lambdas of a grid, the tracks of a batch,
-the tempo windows of a tempo curve. Each copy gets a block of
-stride = max S + 1 score slots, copy c's at c*stride; the last slot of a
-block is a sink that holds -inf. The max-plus buffer stacks C blocks of
-K rows, (C*K, K), for the pass's largest K, against the C transition
-matrices stacked the same way, each padded with -inf rows and columns; a
-padded tempo's wrap slot is its block's sink, and the back pointers are
-(T, C*K). The beat-region slot indices are laid out for all copies at
-once, every copy's K wrap slots first, so each frame makes one slot
-advance, one gather of the wrap slots, one broadcast copy, one add, one
-row argmax, one flat gather at row start plus source, and the
-observation adds, whatever C is. When every copy shares one observation
-table (a lambda grid, a single decode) those are scalar adds, as in a
-single decode; otherwise the non-beat add is one (C, 1) column into the
-(C, stride) view of the scores and the beat add one gather of the
-frame's beat densities by each beat slot's copy. A copy shorter than the
-pass takes its final scores at its own last frame and sees zeros after.
+the tempo windows of a tempo curve. The scores are one array of two
+regions: copy c's beat rings, in tempo order, fill row c of the beat
+region, (C, max B + 1), and its non-beat rings row c of the non-beat
+region, (C, max (S - B) + 1); the last slot of each row is a sink that
+holds -inf. The max-plus buffer stacks C blocks of K rows, (C*K, K), for
+the pass's largest K, against the C transition matrices stacked the same
+way, each padded with -inf rows and columns; a padded tempo's rings are
+its copy's sinks, and the back pointers are (T, C*K). One index array of
+2*C*K entries holds every ring's newest slot, the beat rings first, so
+each frame makes one index step (a decrement and a wrap to the ring's
+top), one gather of the wrap slots, one broadcast copy, one add, one row
+argmax, one move of the leaving states, one flat gather at row start plus
+source, and two column adds, whatever C is. The observations are a
+(T, C, 2) table, zero past a copy's last frame, or, when every copy shares
+one table (a lambda grid, a single decode), a (T, 1, 2) view of that
+table: either way each region takes one (C, 1) column add over its
+contiguous (C, stride) view. A ring's newest slot at frame t is its base
+plus (T_c - 1 - t) mod its length, so at copy c's last frame every ring
+holds its phases in ascending order from its base, and the copy's rows are
+its beat and non-beat states in flat order: its final scores are two
+masked copies. A copy shorter than the pass sees zeros after its end.
 -inf never beats a finite score and the padded columns come after the
 real ones, so the first-max tie rule is unchanged and no NaN can arise:
 every score sees the same additions in the same order, and each row's
 argmax is the same first max over the same candidates, so each copy's
 path and score bits are those of its own decode.
 
-A copy holds T*K back-pointer bytes, 8*K*K of max-plus buffer, 8*S of
-scores and, when the pass mixes observation tables, 16*T of its own
-observations, all at the pass's largest T, K and S. ``_viterbi_grids``
-takes one (activation, state space, lambdas) grid per activation and
-space: a grid whose copies do not fit GRID_PASS_BYTES splits into the
+A copy holds T*K back-pointer bytes, 8*K*K of max-plus buffer, 8*(S + 2)
+of scores and, when the pass mixes observation tables, 16*T of its own
+observations, all at the pass's largest T, K and regions.
+``_viterbi_grids`` takes one (activation, state space, lambdas) grid per
+activation and space: a grid whose copies do not fit GRID_PASS_BYTES splits into the
 fewest near-equal passes of its own (a 10-minute track at 100 fps runs
 one lambda at a time, while a 13-lambda grid on a 40 s track at K = 75
 fits one pass); the other grids, in order of K, fill shared passes
@@ -228,7 +237,8 @@ def _pointer_type(n_tempi: int) -> np.dtype:
 
 def _copy_bytes(n_tempi: int, n_states: int, n_frames: int, own_obs: bool) -> int:
     """Bytes one copy adds to a pass of this size: back pointers, max-plus
-    buffer and scores, and its observation columns when it has its own."""
+    buffer, its beat and non-beat score rows (8 bytes a state; the two
+    sinks are left out), and its observation columns when it has its own."""
     return (n_frames * n_tempi * _pointer_type(n_tempi).itemsize + 8 * n_tempi * n_tempi + 8 * n_states
             + 16 * n_frames * own_obs)
 
@@ -298,8 +308,8 @@ def _viterbi_pass(copies) -> list[tuple[np.ndarray, float]]:
     wrap_into = np.full((n_copies * n_tempi, n_tempi), -np.inf)
     for block, (_, space, lam, *_) in zip(wrap_into.reshape(n_copies, n_tempi, n_tempi), copies):
         block[:space.num_tempi, :space.num_tempi] = transition_log_probs(space, lam).T
-    # Region 0 holds each copy's beat rings, a row of beat_stride slots per
-    # copy; region 1 its non-beat rings, rows of rest_stride. A ring holds
+    # Region 0 holds each copy's beat rings, a row of strides[0] slots per
+    # copy; region 1 its non-beat rings, rows of strides[1]. A ring holds
     # tempo k's b_k beat (or tau_k - b_k non-beat) states; the last slot of
     # a row is its copy's sink. idx holds each ring's newest slot at frame t,
     # base + (T_c - 1 - t) mod len, beat rings first: every ring holds its
