@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Subcommands: decode, eval, diagnose, synth-gt, experiment, report. Exit
-codes: 0 ok, 1 data error, 2 usage error. --jobs belongs to experiment.
+Subcommands: decode, eval, diagnose, synth-gt, experiment, suite, report.
+Exit codes: 0 ok, 1 data error, 2 usage error. --jobs belongs to experiment
+and suite.
 
 A command reads only the settings it uses, and manifest.txt records them:
 decode those of its mode, an experiment those of its function's parameters
@@ -19,6 +20,7 @@ import argparse
 import dataclasses
 import inspect
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", type=float_list, default=None, help="comma-separated threshold grid")
     p.add_argument("-o", "--output", required=True, help="run directory")
 
+    p = sub.add_parser("suite", help="run the SUITE battery of experiments on a dataset root")
+    p.add_argument("root", help="dataset root with beats/, tags/, activations/LABEL/ and tempo/")
+    p.add_argument("-o", "--output", required=True, help="run output directory")
+    p.add_argument("--source", help="activation source label (default the first under ROOT, else gt-synth)")
+    p.add_argument("--jobs", type=int, default=1, help="DBN decoding processes")
+
     p = sub.add_parser("report", help="re-aggregate a rows.csv and print a table")
     p.add_argument("rows_csv")
     p.add_argument("--group-by", dest="group_by", default="category", choices=reports.GROUPINGS)
@@ -413,6 +421,13 @@ EXPERIMENTS = {
     "axis-table": "run_axis_table",
 }
 
+# The per-track diagnostic battery that ``suite`` runs, in run order; the
+# last three need a real activation source. systems and axis-table stay out
+# so that the battery's report files stay byte-identical; whether they join
+# is open (ROADMAP.md, suite-smc).
+SUITE = ("dataset-stats", "gt-bottleneck", "bottleneck", "lambda-sweep", "tempo-curve",
+         "threshold-sweep", "peak-vs-dbn", "taxonomy")
+
 
 def run_experiment(args, datasets) -> reports.RunReport:
     """Run ``args.name`` (parsed ``experiment`` args) on [(name, Dataset)].
@@ -470,6 +485,33 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+def cmd_suite(args) -> int:
+    """Load ROOT once, named after its directory, and run each SUITE stage
+    on it as ``experiment NAME --source LABEL --jobs N -o OUT``."""
+    root = Path(args.root)
+    layout = ingest.root_layout(root)
+    sources = sorted(layout.activation_dirs)
+    dataset = ingest.load_dataset(root, layout)
+    datasets = [(root.name, dataset)]
+    print(f"{len(dataset)} tracks, activation sources: {sources or 'none'}")
+    if dataset.residue_tags:
+        n = sum(len(v) for v in dataset.residue_tags.values())
+        print(f"warning: {n} unrecognized tag(s) across {len(dataset.residue_tags)} track(s)")
+    source = args.source or (sources[0] if sources else experiments.GT_SOURCE)
+    t0 = time.monotonic()
+    for name in SUITE[:-3] if source == experiments.GT_SOURCE else SUITE:
+        start = time.monotonic()
+        stage = build_parser().parse_args(
+            ["experiment", name, "--source", source, "--jobs", str(args.jobs), "-o", args.output])
+        report = run_experiment(stage, datasets)
+        write_experiment(report, datasets, args.output)
+        print(f"[{time.monotonic() - start:6.1f}s] {name}: "
+              + " ".join(f"{k}={v:.3f}" if isinstance(v, float) else f"{k}={v}"
+                         for k, v in list(report.summary.items())[:5]))
+    print(f"total {time.monotonic() - t0:.1f}s; reports under {args.output}")
+    return 0
+
+
 def cmd_report(args) -> int:
     rows = reports.rows_from_csv(ingest.read_text(Path(args.rows_csv)), args.rows_csv)
     if not rows:
@@ -491,6 +533,7 @@ def main(argv=None) -> int:
         "diagnose": cmd_diagnose,
         "synth-gt": cmd_synth_gt,
         "experiment": cmd_experiment,
+        "suite": cmd_suite,
         "report": cmd_report,
     }
     try:

@@ -111,6 +111,10 @@ TEMPO_WINDOW = 0.20
 # at --jobs 2, 60% of it such grids, ran 5% faster than with passes of 7 + 6.
 GRID_PASS_BYTES = 4 << 20
 
+# The longest beat period a state space may hold, in frames: about 8.4M
+# states and a 128 MiB max-plus buffer per copy. 30 BPM at 100 fps is 200.
+MAX_PERIOD = 4096
+
 
 @dataclass(frozen=True)
 class DbnConfig:
@@ -190,8 +194,11 @@ class StateSpace:
 def space_key(cfg: DbnConfig, fps: float) -> tuple[int, int, int]:
     """(tau_min, tau_max, observation_lambda) of ``cfg``'s state space at
     ``fps``: configs with one key decode in the same space."""
+    longest = 60.0 * fps / cfg.min_bpm  # may overflow to inf
+    if not longest <= MAX_PERIOD:
+        raise StateSpaceError(f"min_bpm {cfg.min_bpm} at fps {fps} gives a beat period over {MAX_PERIOD} frames")
     tau_min = int(round(60.0 * fps / cfg.max_bpm))
-    tau_max = int(round(60.0 * fps / cfg.min_bpm))
+    tau_max = int(round(longest))
     if tau_min < 2:
         raise StateSpaceError(
             f"fps {fps} too low for max_bpm {cfg.max_bpm} (beat period {tau_min} < 2 frames)"

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import weakref
 from collections import Counter
 from dataclasses import dataclass
@@ -60,6 +61,8 @@ class SynthConfig:
         for name in ("sigma_frames", "fps"):
             if not 0 < getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not sys.float_info.min <= self.sigma_frames * self.sigma_frames < math.inf:  # a bump divides by it
+            raise ValueError(f"sigma_frames squared must be a normal float, got {self.sigma_frames}")
 
 
 LAMBDA_GRID = (1, 2, 5, 10, 20, 30, 50, 80, 100, 150, 200, 300, 500)  # transition lambdas a sweep tries

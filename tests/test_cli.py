@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from beatdiag import cli, ingest, reports
@@ -250,30 +250,17 @@ def test_experiment_tempo_curve_bad_tempo_file_exits_one(tmp_path, capsys, row):
 
 
 def test_run_suite_script_on_pseudo_corpus(tmp_path):
-    import subprocess
-    import sys
-
-    proc = subprocess.run(
-        [sys.executable, "scripts/run_smc_suite.py", str(PSEUDO_DIR), "-o", str(tmp_path / "suite")],
-        capture_output=True, text=True, cwd=str(PSEUDO_DIR.parent.parent.parent),
-    )
+    proc = _run_cli_process(["suite", str(PSEUDO_DIR), "-o", str(tmp_path / "suite")])
     assert proc.returncode == 0, proc.stderr
-    for name in ("dataset-stats", "gt-bottleneck", "bottleneck", "lambda-sweep",
-                 "tempo-curve", "threshold-sweep", "peak-vs-dbn", "taxonomy"):
+    for name in cli.SUITE:
         assert (tmp_path / "suite" / name / "rows.csv").exists(), name
     assert (tmp_path / "suite" / "taxonomy" / "fig_act_scatter.csv").exists()
 
 
 def test_suite_stages_match_experiment_runs(tmp_path):
     """Each suite stage writes what ``beatdiag experiment`` writes on the same root."""
-    import subprocess
-    import sys
-
     suite = tmp_path / "suite"
-    proc = subprocess.run(
-        [sys.executable, "scripts/run_smc_suite.py", str(PSEUDO_DIR), "-o", str(suite)],
-        capture_output=True, text=True, cwd=str(PSEUDO_DIR.parent.parent.parent),
-    )
+    proc = _run_cli_process(["suite", str(PSEUDO_DIR), "-o", str(suite)])
     assert proc.returncode == 0, proc.stderr
     stages = sorted(p.name for p in suite.iterdir())
     assert len(stages) == 8
@@ -289,15 +276,7 @@ def test_suite_stages_match_experiment_runs(tmp_path):
 
 
 def test_run_suite_script_on_relative_root(tmp_path):
-    import subprocess
-    import sys
-
-    repo = PSEUDO_DIR.parent.parent.parent
-    proc = subprocess.run(
-        [sys.executable, "scripts/run_smc_suite.py", str(PSEUDO_DIR.relative_to(repo)),
-         "-o", str(tmp_path / "suite")],
-        capture_output=True, text=True, cwd=str(repo),
-    )
+    proc = _run_cli_process(["suite", str(PSEUDO_DIR.relative_to(TESTS_DIR.parent)), "-o", str(tmp_path / "suite")])
     assert proc.returncode == 0, proc.stderr
     assert "activation directory missing" not in proc.stderr
     rows = reports.rows_from_csv((tmp_path / "suite" / "taxonomy" / "rows.csv").read_text())
@@ -318,14 +297,7 @@ def test_experiment_source_no_track_carries_exits_one(tmp_path, capsys, flags):
 
 
 def test_run_suite_script_source_no_track_carries_exits_one(tmp_path):
-    import subprocess
-    import sys
-
-    proc = subprocess.run(
-        [sys.executable, "scripts/run_smc_suite.py", str(PSEUDO_DIR), "--source", "nosuch",
-         "-o", str(tmp_path / "suite")],
-        capture_output=True, text=True, cwd=str(PSEUDO_DIR.parent.parent.parent),
-    )
+    proc = _run_cli_process(["suite", str(PSEUDO_DIR), "--source", "nosuch", "-o", str(tmp_path / "suite")])
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "'nosuch'" in proc.stderr and "sources present: pseudo" in proc.stderr
@@ -504,6 +476,24 @@ def test_traced_functions_exist():
     missing = [f"{layer}.{name}" for layer, names in traced.items()
                for name in names if not callable(getattr(importlib.import_module(f"beatdiag.{layer}"), name, None))]
     assert missing == []
+
+
+def test_benchmark_suite_replay_runs_the_suite_stages_in_order():
+    """perfbench's suite replay, which drives the experiments API itself,
+    names the stages of cli.SUITE in its order."""
+    import ast
+
+    tree = ast.parse((TESTS_DIR.parent / "perfbench" / "workloads.py").read_text())
+    run_suite = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "run_suite")
+    calls = sorted((node.lineno, node.col_offset, node.args[0].value) for node in ast.walk(run_suite)
+                   if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "stage")
+    assert tuple(name for *_, name in calls) == cli.SUITE
+
+
+def test_suite_leaves_out_systems_and_axis_table():
+    """The battery is every experiment but systems and axis-table, each once."""
+    assert set(cli.EXPERIMENTS) == set(cli.SUITE) | {"systems", "axis-table"}
+    assert len(set(cli.SUITE)) == len(cli.SUITE) == len(cli.EXPERIMENTS) - 2
 
 
 def test_traced_systems_run_writes_the_untraced_files(tmp_path):
@@ -798,6 +788,30 @@ def test_cli_rejects_non_finite_settings(tmp_path, capsys, command, flag, name, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["decode", "--dbn", "--min-bpm", "1e-310"], "min_bpm"),  # the period overflows to inf
+    (["decode", "--dbn", "--min-bpm", "1e-3"], "min_bpm"),  # trillions of states
+    (["synth-gt", "--sigma-frames", "1e300"], "sigma_frames"),  # its square overflows
+])
+def test_cli_rejects_settings_that_overflow(tmp_path, capsys, argv, name):
+    inputs = {"decode": [str(PSEUDO_DIR / "activations" / "pseudo" / "pseudo01.act")],
+              "synth-gt": ["--beats", str(PSEUDO_DIR / "beats")]}[argv[0]]
+    assert run([*argv, *inputs, "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    if argv[0] == "decode":
+        assert err.startswith(f"error: {inputs[0]}: ")
+
+
+@pytest.mark.parametrize("min_bpm", ["1e-310", "1e-3"])
+def test_experiment_skips_tracks_whose_period_overflows(tmp_path, capsys, min_bpm):
+    assert run(["experiment", "gt-bottleneck", "--dataset", f"p={PSEUDO_DIR}", "--min-bpm", min_bpm,
+                "-o", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    for track in ("pseudo01", "pseudo02", "pseudo03"):
+        assert f"{track} (gt-synth): min_bpm {float(min_bpm)} at fps 43.07 gives a beat period over" in out
+
+
 def _probe_root(tmp_path, probe):
     """The pseudo corpus with one activation replaced: pseudo01's by 40
     frames at 2 fps, or pseudo02's by a single frame."""
@@ -891,28 +905,36 @@ def test_cli_process_skips_and_lists_track_whose_curve_holds_no_beat(tmp_path, n
     assert sorted(row.track_id for row in rows) == ["pseudo01", "pseudo03"]
 
 
-@settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    tracks=st.lists(st.tuples(st.sampled_from([2.0, 10.0, 43.07, 50.0, 100.0]),  # fps
-                              st.integers(1, 200),  # frames
-                              st.floats(0.0, 3.0),  # first beat
-                              st.lists(st.floats(0.05, 1.5), max_size=11),  # inter-beat intervals
-                              st.booleans(),  # binary activation file
-                              st.integers(0, 2**32 - 1)),
-                    min_size=1, max_size=3),
-)
-def test_every_experiment_on_a_random_small_corpus_exits_cleanly(tmp_path_factory, tracks):
-    """Tiny corpora of random frame rates, lengths and beats: every
-    experiment exits 0, or 1 naming the offending file, with no traceback
-    and no numpy RuntimeWarning. At --jobs 1 all tracks share one batch."""
-    root = tmp_path_factory.mktemp("fuzz")
-    (root / "beats").mkdir()
+# Tiny corpora of random frame rates, lengths and beats.
+SMALL_CORPORA = st.lists(st.tuples(st.sampled_from([2.0, 10.0, 43.07, 50.0, 100.0]),  # fps
+                                   st.integers(1, 200),  # frames
+                                   st.floats(0.0, 3.0),  # first beat
+                                   st.lists(st.floats(0.05, 1.5), max_size=11),  # inter-beat intervals
+                                   st.booleans(),  # binary activation file
+                                   st.integers(0, 2**32 - 1)),
+                         min_size=1, max_size=3)
+
+
+def _write_small_corpus(root, tracks):
+    """Write each (i, track) of ``tracks`` under ``root`` as track t{i} of
+    activation source fz; returns ``root``."""
+    (root / "beats").mkdir(parents=True)
     (root / "activations" / "fz").mkdir(parents=True)
-    for i, (fps, n_frames, first, intervals, binary, seed) in enumerate(tracks):
+    for i, (fps, n_frames, first, intervals, binary, seed) in tracks:
         write_beats(first + np.cumsum([0.0, *intervals]), root / "beats" / f"t{i}.beats")
         values = np.random.default_rng(seed).uniform(0, 1, n_frames)
         write_activation(ActivationCurve(values=values, fps=fps, source_label="fz"),
                          root / "activations" / "fz" / f"t{i}.act", binary=binary)
+    return root
+
+
+@settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tracks=SMALL_CORPORA)
+def test_every_experiment_on_a_random_small_corpus_exits_cleanly(tmp_path_factory, tracks):
+    """Tiny corpora of random frame rates, lengths and beats: every
+    experiment exits 0, or 1 naming the offending file, with no traceback
+    and no numpy RuntimeWarning. At --jobs 1 all tracks share one batch."""
+    root = _write_small_corpus(tmp_path_factory.mktemp("fuzz"), enumerate(tracks))
     for name in cli.EXPERIMENTS:
         stderr = io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stderr(stderr), \
@@ -920,3 +942,53 @@ def test_every_experiment_on_a_random_small_corpus_exits_cleanly(tmp_path_factor
             warnings.simplefilter("error", RuntimeWarning)
             rc = cli.main(["experiment", name, "--dataset", f"f={root}", "--source", "fz", "-o", str(root / "out")])
         assert rc == 0 or (rc == 1 and stderr.getvalue().startswith(f"error: {root}")), (name, stderr.getvalue())
+
+
+def _suite_rows(tmp, name, tracks):
+    """{track id: [(stage, its rows.csv line after the id)]} of ``beatdiag
+    suite`` on a corpus of ``tracks`` written to ``tmp/name/f``, or None
+    when the suite exits 1. Every corpus root is named f, the dataset name."""
+    root = _write_small_corpus(tmp / name / "f", tracks)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        if cli.main(["suite", str(root), "--source", "fz", "-o", str(tmp / name / "out")]) != 0:
+            return None
+    rows = {}
+    for stage in cli.SUITE:
+        for line in (tmp / name / "out" / stage / "rows.csv").read_text().splitlines()[1:]:
+            track_id, _, rest = line.partition(",")
+            rows.setdefault(track_id, []).append((stage, rest))
+    return rows
+
+
+@settings(max_examples=8, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tracks=SMALL_CORPORA)
+def test_suite_rows_same_for_a_corpus_and_its_halves_run_apart(tmp_path_factory, tracks):
+    """The split invariant: a track's rows.csv lines, at every suite stage,
+    do not depend on which other tracks share its run."""
+    tmp = tmp_path_factory.mktemp("split")
+    numbered = list(enumerate(tracks))
+    whole = _suite_rows(tmp, "whole", numbered)
+    assume(whole is not None)
+    half = (len(numbered) + 1) // 2
+    parts = {}
+    for name, part in (("first", numbered[:half]), ("second", numbered[half:])):
+        if part:
+            rows = _suite_rows(tmp, name, part)
+            assert rows is not None, f"the {name} half exits 1"
+            parts.update(rows)
+    assert parts == whole
+
+
+@settings(max_examples=8, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tracks=SMALL_CORPORA)
+def test_suite_rows_same_for_a_track_and_its_copy(tmp_path_factory, tracks):
+    """The duplicate invariant: track 0 copied under a new id gets track
+    0's rows.csv lines at every suite stage, and the others keep theirs."""
+    tmp = tmp_path_factory.mktemp("duplicate")
+    numbered = list(enumerate(tracks))
+    whole = _suite_rows(tmp, "whole", numbered)
+    assume(whole is not None)
+    copied = _suite_rows(tmp, "copied", [*numbered, (len(tracks), tracks[0])])
+    assert copied is not None, "the corpus with the copy exits 1"
+    assert copied.pop(f"t{len(tracks)}", None) == whole.get("t0")  # None: skipped in both
+    assert copied == whole

@@ -50,6 +50,15 @@ def test_state_space_fps_too_low():
         dbn.build_state_space(dbn.DbnConfig(), fps=5)
 
 
+def test_space_key_bounds_the_longest_period():
+    cfg = dbn.DbnConfig(min_bpm=60.0)
+    assert dbn.space_key(cfg, fps=dbn.MAX_PERIOD)[1] == dbn.MAX_PERIOD
+    with pytest.raises(StateSpaceError, match=f"min_bpm 60.0 at fps {dbn.MAX_PERIOD + 1} gives a beat period over"):
+        dbn.space_key(cfg, fps=dbn.MAX_PERIOD + 1)
+    with pytest.raises(StateSpaceError, match="over"):  # 60 * fps overflows to inf
+        dbn.space_key(cfg, fps=1e308)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, True, 1])
 def test_observation_lambda_must_be_an_int_of_at_least_2(value):
     with pytest.raises(ValueError, match="observation_lambda must be an int >= 2"):

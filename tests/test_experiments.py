@@ -1,5 +1,4 @@
 import concurrent.futures
-import importlib.util
 import json
 import math
 import os
@@ -51,6 +50,21 @@ def test_synthesize_overlap_combines_by_max():
     ref = BeatAnnotation(track_id="t", beats=np.array([1.0, 1.06]))
     act = synthesize_gt_activation(ref, SynthConfig(fps=50.0))
     assert act.values.max() <= 1.0
+
+
+@pytest.mark.parametrize("sigma", [1e-300, 1e-154, 1e155, 1e300])
+def test_synth_config_rejects_a_sigma_whose_square_is_not_a_normal_float(sigma):
+    with pytest.raises(ValueError, match="sigma_frames squared"):
+        SynthConfig(sigma_frames=sigma)
+
+
+@pytest.mark.parametrize("sigma", [1.5e-154, 1e154])
+def test_synthesize_at_the_extreme_sigmas_warns_of_nothing(sigma):
+    ref = BeatAnnotation(track_id="t", beats=np.array([1.0, 1.5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = synthesize_gt_activation(ref, SynthConfig(sigma_frames=sigma, fps=50.0)).values
+    assert np.all((values >= 0) & (values <= 1))
 
 
 def test_default_lambda_grid_is_the_thirteen_point_grid():
@@ -532,12 +546,8 @@ def test_emit_figure_data_histogram_and_empty():
 
 
 def _suite_stages(source):
-    """scripts/run_smc_suite.py's stages for ``source``, in run order."""
-    path = TESTS_DIR.parent / "scripts" / "run_smc_suite.py"
-    spec = importlib.util.spec_from_file_location("run_smc_suite", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.STAGES[:-3] if source == experiments.GT_SOURCE else module.STAGES
+    """``beatdiag suite``'s stages for ``source``, in run order."""
+    return cli.SUITE[:-3] if source == experiments.GT_SOURCE else cli.SUITE
 
 
 def run_suite_stages(dataset, source, names=None):
@@ -719,7 +729,7 @@ def test_suite_report_files_same_at_any_jobs(tmp_path, source):
     files = []
     for jobs in ("1", "2"):
         out = tmp_path / jobs
-        subprocess.run([sys.executable, str(TESTS_DIR.parent / "scripts" / "run_smc_suite.py"), str(PSEUDO_DIR),
+        subprocess.run([sys.executable, "-m", "beatdiag.cli", "suite", str(PSEUDO_DIR),
                         "--source", source, "--jobs", jobs, "-o", str(out)], env=env, check=True,
                        capture_output=True)
         # a manifest records the jobs setting itself
