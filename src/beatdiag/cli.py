@@ -304,25 +304,25 @@ def cmd_decode(args) -> int:
             raise ToolkitError("--dbn-constrained requires --tempo-file")
         tempo = ingest.load_tempo_estimates(tempo_file)
     settings.reject_unread(f"decode --{mode}")
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = 0
+    requests = {}  # track_id: (activation, [its config]); every file is checked before any is decoded
     for track_id, path in _activation_paths(args.inputs).items():
         act = ingest.load_activation(path)
         if args.dbn_constrained and track_id not in tempo:
             print(f"warning: no tempo estimate for {track_id}, skipped", file=sys.stderr)
             continue
         try:  # a BPM range that is empty or that this activation's frame rate cannot hold
-            cfg = config
-            if args.dbn_constrained:
-                cfg = dbn.TempoConstraint(center_bpm=tempo[track_id], window_fraction=window).hold(config)
-            beats = peaks.pick_peaks(act, cfg) if args.peaks else dbn.decode(act, cfg)
+            cfg = dbn.TempoConstraint(tempo[track_id], window).hold(config) if args.dbn_constrained else config
+            args.peaks or dbn.space_key(cfg, act.fps)
         except ToolkitError as exc:
             raise ToolkitError(f"{path}: {exc}") from None
-        ingest.write_beats(beats, out_dir / f"{track_id}.beats")
-        written += 1
+        requests[track_id] = (act, [cfg])
+    beats = ([peaks.pick_peaks(act, cfg) for act, (cfg,) in requests.values()] if args.peaks
+             else [b for decoded in dbn.decode_batch(list(requests.values())) for b in decoded.values()])
+    (out_dir := Path(args.output)).mkdir(parents=True, exist_ok=True)
+    for track_id, track_beats in zip(requests, beats):
+        ingest.write_beats(track_beats, out_dir / f"{track_id}.beats")
     reports.write_manifest(out_dir / "manifest.txt", {"command": f"decode:{mode}", **settings.resolved})
-    print(f"wrote {written} beats file(s) to {out_dir}")
+    print(f"wrote {len(requests)} beats file(s) to {out_dir}")
     return 0
 
 

@@ -80,7 +80,7 @@ and so one observation table, and each transition lambda one transition
 matrix: one copy decodes each distinct (activation, key, lambda), and
 correct_beats acts only after the pass, in ``path_to_beats``. BPM ranges
 that differ but round to the same periods (two tempo windows a fraction
-of a BPM apart) share their copies. ``decode_grid`` is the batch of one.
+of a BPM apart) share their copies.
 """
 
 from __future__ import annotations
@@ -222,7 +222,8 @@ def transition_log_probs(space: StateSpace, transition_lambda: float) -> np.ndar
     deterministic and therefore not represented.
     """
     tau = space.intervals.astype(float)
-    log_w = -transition_lambda * np.abs(tau[np.newaxis, :] / tau[:, np.newaxis] - 1.0)
+    with np.errstate(over="ignore"):  # -inf at a huge lambda is the limit: no tempo change
+        log_w = -transition_lambda * np.abs(tau[np.newaxis, :] / tau[:, np.newaxis] - 1.0)
     # log-sum-exp per row; rows always contain the 0.0 self-transition term
     row_max = log_w.max(axis=1, keepdims=True)
     log_norm = row_max + np.log(np.exp(log_w - row_max).sum(axis=1, keepdims=True))
@@ -470,14 +471,9 @@ def decode_batch(requests) -> list[dict]:
     return beats
 
 
-def decode_grid(act: ActivationCurve, cfgs) -> dict:
-    """{cfg: decode(act, cfg)} for any configs: the batch of one."""
-    return decode_batch([(act, cfgs)])[0]
-
-
 def decode(act: ActivationCurve, cfg: DbnConfig = DbnConfig()) -> np.ndarray:
     """Decode an activation curve into beat times (seconds)."""
-    return decode_grid(act, [cfg])[cfg]
+    return decode_batch([(act, [cfg])])[0][cfg]
 
 
 def decode_constrained(act: ActivationCurve, cfg: DbnConfig, constraint: TempoConstraint) -> np.ndarray:

@@ -62,14 +62,15 @@ class TempoStats:
 
 
 def _beat_frames(act: ActivationCurve, ref: BeatAnnotation) -> np.ndarray:
-    frames = np.round(ref.beats * act.fps).astype(np.int64)
-    in_range = (frames >= 0) & (frames < len(act.values))
+    with np.errstate(over="ignore"):  # a huge fps gives inf, which lies outside the curve
+        frames = np.round(ref.beats * act.fps)
+    in_range = (frames >= 0) & (frames < len(act.values))  # on floats: only these fit an int64
     if not in_range.all():
         log.warning(
             "%s: %d beat(s) outside the %d-frame curve skipped",
             ref.track_id, int((~in_range).sum()), len(act.values),
         )
-    return frames[in_range]
+    return frames[in_range].astype(np.int64)
 
 
 def _windows(frames: np.ndarray, n: int) -> np.ndarray:

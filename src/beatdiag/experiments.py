@@ -68,6 +68,9 @@ class SynthConfig:
 LAMBDA_GRID = (1, 2, 5, 10, 20, 30, 50, 80, 100, 150, 200, 300, 500)  # transition lambdas a sweep tries
 GT_SOURCE = "gt-synth"
 GT_TAIL_SECONDS = 1.0  # a synthesized curve runs this far past the last beat
+# Frames a synthesized curve may hold, at 8 bytes a frame (128 MiB): a
+# 10-minute track at 100 fps has 60,000, so a larger count is a bad fps.
+MAX_SYNTH_FRAMES = 1 << 24
 
 # The DBN floor lowered from 55 to 30 BPM, where slow tracks decode at their own tempo.
 SLOW_DBN = dbn.DbnConfig(min_bpm=30.0)
@@ -81,7 +84,10 @@ def synthesize_gt_activation(ref: BeatAnnotation, cfg: SynthConfig = SynthConfig
     """
     if len(ref.beats) == 0:
         raise ValueError(f"{ref.track_id}: cannot synthesize from an empty annotation")
-    n_frames = int(math.ceil((ref.beats[-1] + GT_TAIL_SECONDS) * cfg.fps))
+    seconds = float(ref.beats[-1]) + GT_TAIL_SECONDS
+    if not seconds * cfg.fps <= MAX_SYNTH_FRAMES:  # the product may overflow to inf
+        raise ValueError(f"{ref.track_id}: fps {cfg.fps} gives over {MAX_SYNTH_FRAMES} frames")
+    n_frames = int(math.ceil(seconds * cfg.fps))
     values = np.zeros(n_frames)
     support = int(math.ceil(6 * cfg.sigma_frames))
     centers = ref.beats * cfg.fps
@@ -403,7 +409,7 @@ def sweep_lambda(
 ) -> LambdaSweep:
     """Decode at every lambda; the F-optimal one wins, ties to the smaller."""
     grid = _lambda_grid(lambdas, dbn_cfg)
-    results, best = _sweep(grid, _score_track(ref, act, grid, dbn.decode_grid(act, grid), eval_cfg))
+    results, best = _sweep(grid, _score_track(ref, act, grid, dbn.decode_batch([(act, grid)])[0], eval_cfg))
     return LambdaSweep(
         lambdas=tuple(float(x) for x in lambdas),
         results=tuple(results),

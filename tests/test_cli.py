@@ -10,9 +10,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from beatdiag import cli, ingest, reports
-from beatdiag.experiments import SynthConfig, synthesize_gt_activation
-from beatdiag.ingest import ActivationCurve, write_activation, write_beats
+from beatdiag import cli, experiments, ingest, reports
+from beatdiag.experiments import MAX_SYNTH_FRAMES, SynthConfig, synthesize_gt_activation
+from beatdiag.ingest import ActivationCurve, BeatAnnotation, write_activation, write_beats
 from conftest import PSEUDO_DIR, TESTS_DIR, make_grid_annotation
 from test_experiments import DEFAULT_CONFIGS
 
@@ -549,6 +549,26 @@ def test_decode_rejects_two_files_for_one_track(tmp_path, capsys):
     assert not list((tmp_path / "out").glob("*.beats"))
 
 
+@pytest.mark.parametrize("kind", ["corrupt", "low-fps", "empty-window"])
+def test_decode_checks_every_file_before_writing_any(tmp_path, capsys, kind):
+    """A bad file last in sort order exits 1 naming it, and no .beats file
+    is written, not even for the good files before it."""
+    acts_dir = tmp_path / "acts"
+    shutil.copytree(PSEUDO_DIR / "activations" / "pseudo", acts_dir)
+    tempo = tmp_path / "tempo.csv"  # zz: 10 BPM +/- 20% lies below the 30 BPM bound
+    tempo.write_text("track_id,bpm,source_label\npseudo01,90,e\npseudo02,70,e\npseudo03,80,e\nzz,10,e\n")
+    bad = acts_dir / ("zz.bin" if kind == "corrupt" else "zz.act")
+    if kind == "corrupt":  # an ACT1 header for 100 frames followed by 10
+        bad.write_bytes(b"ACT1" + struct.pack("<dQ", 50.0, 100) + bytes(40))
+    else:  # at 2 fps a beat period at 215 BPM is one frame
+        fps = 2.0 if kind == "low-fps" else 43.07
+        write_activation(ActivationCurve(values=np.full(40, 0.5), fps=fps, source_label="m"), bad)
+    mode = ["--dbn-constrained", "--tempo-file", str(tempo)] if kind == "empty-window" else ["--dbn"]
+    assert run(["decode", *mode, str(acts_dir), "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_rejects_two_files_for_one_track(tmp_path, capsys):
     beats_dir, _ = _write_mini_inputs(tmp_path, bpms=(72,))
     (beats_dir / "trk0.txt").write_text("0.5\n1.0\n")
@@ -803,6 +823,50 @@ def test_cli_rejects_settings_that_overflow(tmp_path, capsys, argv, name):
         assert err.startswith(f"error: {inputs[0]}: ")
 
 
+@pytest.mark.parametrize("command", ["synth-gt", "experiment gt-bottleneck"])
+@pytest.mark.parametrize("fps", ["1e300", "1e308"])  # 1e308 s^-1 over 40 s overflows to inf
+def test_synthesized_curve_frame_count_is_bounded(tmp_path, capsys, command, fps):
+    inputs = ["--beats", str(PSEUDO_DIR / "beats")] if command == "synth-gt" else ["--dataset", f"p={PSEUDO_DIR}"]
+    assert run([*command.split(), "--fps", fps, *inputs, "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: pseudo01: fps {float(fps)} gives over {MAX_SYNTH_FRAMES} frames\n"
+    assert not list(tmp_path.glob("out/**/*.act"))
+
+
+def test_synthesized_curve_may_hold_max_synth_frames(monkeypatch):
+    ref = BeatAnnotation(track_id="t", beats=np.array([1.0, 9.0]))  # (9 s + 1 s tail) at 10 fps: 100 frames
+    monkeypatch.setattr(experiments, "MAX_SYNTH_FRAMES", 100)
+    assert len(synthesize_gt_activation(ref, SynthConfig(fps=10.0)).values) == 100
+    monkeypatch.setattr(experiments, "MAX_SYNTH_FRAMES", 99)
+    with pytest.raises(ValueError, match="t: fps 10.0 gives over 99 frames"):
+        synthesize_gt_activation(ref, SynthConfig(fps=10.0))
+
+
+def test_diagnose_huge_fps_puts_every_beat_outside_the_curve(tmp_path, capsys):
+    """At 1e307 fps every beat time maps past the 4-frame curve; it is
+    skipped without overflow warnings, and the track has no beat left."""
+    acts_dir = tmp_path / "acts"
+    acts_dir.mkdir()
+    write_activation(ActivationCurve(values=np.full(4, 0.5), fps=1e307, source_label="m"), acts_dir / "pseudo01.act")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["diagnose", "--activations", str(acts_dir), "--beats", str(PSEUDO_DIR / "beats")]) == 1
+    assert capsys.readouterr().err == "error: pseudo01: no annotated beat inside the curve\n"
+    assert [str(w.message) for w in caught] == []
+
+
+def test_decode_huge_lambda_forbids_every_tempo_change(tmp_path):
+    """At lambda 1e308 the off-diagonal log transitions overflow to -inf,
+    the limit of a large lambda: no warning, and the beats of 1e300."""
+    act = PSEUDO_DIR / "activations" / "pseudo" / "pseudo01.act"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for lam in ("1e300", "1e308"):
+            assert run(["decode", "--dbn", "--lambda", lam, str(act), "-o", str(tmp_path / lam)]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert (tmp_path / "1e308" / "pseudo01.beats").read_bytes() == (tmp_path / "1e300" / "pseudo01.beats").read_bytes()
+
+
 @pytest.mark.parametrize("min_bpm", ["1e-310", "1e-3"])
 def test_experiment_skips_tracks_whose_period_overflows(tmp_path, capsys, min_bpm):
     assert run(["experiment", "gt-bottleneck", "--dataset", f"p={PSEUDO_DIR}", "--min-bpm", min_bpm,
@@ -905,14 +969,21 @@ def test_cli_process_skips_and_lists_track_whose_curve_holds_no_beat(tmp_path, n
     assert sorted(row.track_id for row in rows) == ["pseudo01", "pseudo03"]
 
 
-# Tiny corpora of random frame rates, lengths and beats.
-SMALL_CORPORA = st.lists(st.tuples(st.sampled_from([2.0, 10.0, 43.07, 50.0, 100.0]),  # fps
-                                   st.integers(1, 200),  # frames
-                                   st.floats(0.0, 3.0),  # first beat
-                                   st.lists(st.floats(0.05, 1.5), max_size=11),  # inter-beat intervals
-                                   st.booleans(),  # binary activation file
-                                   st.integers(0, 2**32 - 1)),
-                         min_size=1, max_size=3)
+# Tiny tracks, and corpora of them, of random frame rates, lengths and beats.
+SMALL_TRACKS = st.tuples(st.sampled_from([2.0, 10.0, 43.07, 50.0, 100.0]),  # fps
+                         st.integers(1, 200),  # frames
+                         st.floats(0.0, 3.0),  # first beat
+                         st.lists(st.floats(0.05, 1.5), max_size=11),  # inter-beat intervals
+                         st.booleans(),  # binary activation file
+                         st.integers(0, 2**32 - 1))
+SMALL_CORPORA = st.lists(SMALL_TRACKS, min_size=1, max_size=3)
+
+
+def _write_small_curve(path, track):
+    """Write the activation curve of ``track`` to ``path``."""
+    fps, n_frames, _, _, binary, seed = track
+    values = np.random.default_rng(seed).uniform(0, 1, n_frames)
+    write_activation(ActivationCurve(values=values, fps=fps, source_label=path.parent.name), path, binary=binary)
 
 
 def _write_small_corpus(root, tracks):
@@ -920,11 +991,10 @@ def _write_small_corpus(root, tracks):
     activation source fz; returns ``root``."""
     (root / "beats").mkdir(parents=True)
     (root / "activations" / "fz").mkdir(parents=True)
-    for i, (fps, n_frames, first, intervals, binary, seed) in tracks:
+    for i, track in tracks:
+        _, _, first, intervals, _, _ = track
         write_beats(first + np.cumsum([0.0, *intervals]), root / "beats" / f"t{i}.beats")
-        values = np.random.default_rng(seed).uniform(0, 1, n_frames)
-        write_activation(ActivationCurve(values=values, fps=fps, source_label="fz"),
-                         root / "activations" / "fz" / f"t{i}.act", binary=binary)
+        _write_small_curve(root / "activations" / "fz" / f"t{i}.act", track)
     return root
 
 
@@ -944,11 +1014,15 @@ def test_every_experiment_on_a_random_small_corpus_exits_cleanly(tmp_path_factor
         assert rc == 0 or (rc == 1 and stderr.getvalue().startswith(f"error: {root}")), (name, stderr.getvalue())
 
 
-def _suite_rows(tmp, name, tracks):
+def _suite_rows(tmp, name, tracks, bystander=None):
     """{track id: [(stage, its rows.csv line after the id)]} of ``beatdiag
     suite`` on a corpus of ``tracks`` written to ``tmp/name/f``, or None
-    when the suite exits 1. Every corpus root is named f, the dataset name."""
+    when the suite exits 1. Every corpus root is named f, the dataset name.
+    ``bystander`` is (path under the root, track): one more curve to write."""
     root = _write_small_corpus(tmp / name / "f", tracks)
+    if bystander:
+        (root / bystander[0]).parent.mkdir(parents=True, exist_ok=True)
+        _write_small_curve(root / bystander[0], bystander[1])
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         if cli.main(["suite", str(root), "--source", "fz", "-o", str(tmp / name / "out")]) != 0:
             return None
@@ -992,3 +1066,67 @@ def test_suite_rows_same_for_a_track_and_its_copy(tmp_path_factory, tracks):
     assert copied is not None, "the corpus with the copy exits 1"
     assert copied.pop(f"t{len(tracks)}", None) == whole.get("t0")  # None: skipped in both
     assert copied == whole
+
+
+@settings(max_examples=6, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tracks=SMALL_CORPORA, extra=SMALL_TRACKS, where=st.sampled_from(["fz/t9.act", "fy/t0.act"]))
+def test_suite_rows_same_with_a_bystander_curve(tmp_path_factory, tracks, extra, where):
+    """The bystander invariant: a curve with no annotation (fz/t9), or a
+    second activation source on track 0 (fy/t0), changes no track's
+    rows.csv lines at any suite stage."""
+    tmp = tmp_path_factory.mktemp("bystander")
+    numbered = list(enumerate(tracks))
+    whole = _suite_rows(tmp, "whole", numbered)
+    assume(whole is not None)
+    rows = _suite_rows(tmp, "bystander", numbered, (f"activations/{where}", extra))
+    assert rows is not None, f"the corpus with {where} exits 1"
+    assert "t9" not in rows and rows == whole
+
+
+@settings(max_examples=6, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tracks=st.lists(SMALL_TRACKS, min_size=2, max_size=3), data=st.data())
+def test_suite_rows_same_when_tracks_sort_in_another_order(tmp_path_factory, tracks, data):
+    """The order invariant: track i renamed t{order[i]}, so that the tracks
+    sort in another order, keeps its rows.csv lines at every suite stage."""
+    order = data.draw(st.permutations(range(len(tracks))).filter(lambda p: p != sorted(p)))
+    tmp = tmp_path_factory.mktemp("order")
+    whole = _suite_rows(tmp, "whole", list(enumerate(tracks)))
+    renamed = _suite_rows(tmp, "renamed", [(order[i], track) for i, track in enumerate(tracks)])
+    assert (renamed is None) == (whole is None)
+    if whole is not None:
+        assert {f"t{order.index(int(name[1:]))}": lines for name, lines in renamed.items()} == whole
+
+
+def _decode_dir(acts, out, mode, tempo):
+    """(exit code, last stderr line, {name: bytes} of the .beats files) of
+    ``decode`` in ``mode`` on the file or directory ``acts``."""
+    flags = {"dbn": ["--dbn"], "dbn-constrained": ["--dbn-constrained", "--tempo-file", str(tempo)],
+             "peaks": ["--peaks"]}[mode]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        rc = cli.main(["decode", *flags, str(acts), "-o", str(out)])
+    return rc, stderr.getvalue().rstrip("\n").rpartition("\n")[2], {p.name: p.read_bytes() for p in out.glob("*.beats")}
+
+
+@settings(max_examples=20, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tracks=SMALL_CORPORA)
+def test_decode_of_a_directory_is_each_file_decoded_alone(tmp_path_factory, tracks):
+    """``decode DIR`` writes, per track, the bytes of its file decoded
+    alone. It exits 1 exactly when some file alone exits 1, with that first
+    file's error, and then writes no .beats file. Each track's tempo
+    estimate is its mean annotated tempo; a track without beat intervals
+    has none, and --dbn-constrained skips it."""
+    root = _write_small_corpus(tmp_path_factory.mktemp("decode"), enumerate(tracks))
+    acts = root / "activations" / "fz"
+    tempo = root / "tempo.csv"
+    tempo.write_text("track_id,bpm,source_label\n" + "".join(
+        f"t{i},{60.0 / np.mean(track[3])},e\n" for i, track in enumerate(tracks) if track[3]))
+    for mode in ("dbn", "dbn-constrained", "peaks"):
+        alone = [_decode_dir(path, root / mode / path.name, mode, tempo) for path in sorted(acts.iterdir())]
+        rc, error, written = _decode_dir(acts, root / mode / "all", mode, tempo)
+        failed = [err for code, err, _ in alone if code]
+        assert rc == (1 if failed else 0), mode
+        if failed:
+            assert error == failed[0] and written == {}, mode
+        else:
+            assert written == {name: data for _, _, files in alone for name, data in files.items()}, mode

@@ -345,7 +345,7 @@ def test_lambda_grid_matches_ring_oracle_per_lambda(kind, n_frames, seed, fps, t
             assert max(sizes) - min(sizes) <= 1
         decoded = dict(dbn._viterbi_grids([(act, space, [cfg.transition_lambda for cfg in cfgs])]))
         decodes = [decoded[0, j] for j in range(len(cfgs))]
-        beats = dbn.decode_grid(act, cfgs)
+        beats = dbn.decode_batch([(act, cfgs)])[0]
     assert len(decodes) == len(cfgs) and set(beats) == set(cfgs)
     for cfg, (path, logp) in zip(cfgs, decodes):
         want_path, want_logp = viterbi_ring_oracle(act, space, cfg.transition_lambda)
@@ -372,9 +372,12 @@ def test_lambda_grid_pass_sizes(monkeypatch):
 
 
 def test_decode_grid_of_one_is_decode():
+    """One request's configs are its grid. ``decode`` is the grid of one
+    config; an empty grid, or a batch of no request, decodes nothing."""
     act, cfg = golden_case("pseudo:pseudo01,30,100")
-    assert np.array_equal(dbn.decode_grid(act, [cfg])[cfg], dbn.decode(act, cfg))
-    assert dbn.decode_grid(act, []) == {}
+    assert np.array_equal(dbn.decode_batch([(act, [cfg])])[0][cfg], dbn.decode(act, cfg))
+    assert dbn.decode_batch([(act, [])]) == [{}]
+    assert dbn.decode_batch([]) == []
 
 
 @pytest.mark.parametrize("other", [{"min_bpm": 40.0}, {"max_bpm": 200.0}, {"observation_lambda": 8},
@@ -385,7 +388,7 @@ def test_decode_grid_decodes_configs_that_differ_in_more_than_lambda(other, monk
     pair = [cfg, dataclasses.replace(cfg, transition_lambda=5.0, **other)]
     want = {c: dbn.decode(act, c) for c in pair}
     calls = record_passes(monkeypatch)
-    beats = dbn.decode_grid(act, pair)
+    beats = dbn.decode_batch([(act, pair)])[0]
     assert set(beats) == set(pair)
     for c in pair:
         assert beats[c].tobytes() == want[c].tobytes()
@@ -397,7 +400,7 @@ def test_decode_grid_decodes_configs_that_differ_in_more_than_lambda(other, monk
 def test_decode_grid_checks_every_config_before_any_pass(monkeypatch):
     calls = record_passes(monkeypatch)
     with pytest.raises(StateSpaceError, match="too low for max_bpm"):
-        dbn.decode_grid(curve(np.full(100, 0.5), fps=5.0), [dbn.DbnConfig(max_bpm=60.0), dbn.DbnConfig()])
+        dbn.decode_batch([(curve(np.full(100, 0.5), fps=5.0), [dbn.DbnConfig(max_bpm=60.0), dbn.DbnConfig()])])
     assert calls == []
 
 
@@ -435,7 +438,7 @@ def test_decode_grid_groups_any_configs_by_state_space(kind, n_frames, seed, fps
         if pass_bytes is not None:
             mp.setattr(dbn, "GRID_PASS_BYTES", pass_bytes)
         calls = record_passes(mp)
-        beats = dbn.decode_grid(act, cfgs)
+        beats = dbn.decode_batch([(act, cfgs)])[0]
         assert [call[1:] for call in calls] == [(key, list(dict.fromkeys(lambdas))) for key, lambdas in groups.items()]
     assert set(beats) == set(cfgs)
     for cfg in cfgs:

@@ -592,8 +592,8 @@ def count_decodes(monkeypatch) -> Counter:
     """Count DBN decodes, keyed by activation, fps and config, from now on.
 
     Each distinct config of each request of a ``dbn.decode_batch`` call
-    counts once. The worker's batches decode there, and ``dbn.decode_grid``
-    and ``dbn.decode`` are batches of one, so this counts the decodes of all.
+    counts once. The worker's batches decode there, and ``dbn.decode`` is a
+    batch of one, so this counts the decodes of all.
     """
     calls = Counter()
     decode_batch = dbn.decode_batch
