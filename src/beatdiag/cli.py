@@ -366,12 +366,12 @@ def cmd_diagnose(args) -> int:
 def cmd_synth_gt(args) -> int:
     settings = Settings(args)
     synth_cfg = settings.config(experiments.SynthConfig())
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     refs = ingest.load_annotations(args.beats)
+    # every track is synthesized before any is written, so a bad one leaves no output
+    acts = {track_id: experiments.synthesize_gt_activation(refs[track_id], synth_cfg) for track_id in sorted(refs)}
+    (out_dir := Path(args.output)).mkdir(parents=True, exist_ok=True)
     suffix = ".bin" if args.binary else ".act"
-    for track_id in sorted(refs):
-        act = experiments.synthesize_gt_activation(refs[track_id], synth_cfg)
+    for track_id, act in acts.items():
         ingest.write_activation(act, out_dir / f"{track_id}{suffix}", binary=args.binary)
     reports.write_manifest(out_dir / "manifest.txt", {"command": "synth-gt", **settings.resolved})
     print(f"wrote {len(refs)} activation file(s) to {out_dir}")

@@ -25,9 +25,11 @@ Every experiment runs the same three steps:
    config; a stage whose configs are all cached, or that has none, starts
    no pool. The parent process owns both caches, and each copy decodes to
    its own decode's bits in any pass, so results are the same at any
-   ``jobs``.
+   ``jobs``. ``_score_source`` also writes the notes on the tracks it
+   skips into the experiment's RunReport, each note once.
 3. Fold. The experiment turns the per-track {spec: EvalResult} maps into
-   a RunReport of per-track rows plus corpus-level summaries and tables.
+   a RunReport of per-track rows plus corpus-level summaries and tables,
+   and adds its own notes after the skip notes.
 
 File emission is left to :mod:`beatdiag.reports`. Tracks missing a required
 input are skipped, counted, and listed in the report notes, never imputed.
@@ -167,8 +169,8 @@ def _activation_of(dataset: Dataset, record, source: str, synth_cfg: SynthConfig
     return curves[record.track_id, synth_cfg]
 
 
-def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, jobs: int,
-                  min_beats: int = 2):
+def _score_source(report: RunReport, dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, jobs: int,
+                  min_beats: int = 2) -> list:
     """Score the annotated tracks that carry ``source``, in one track mapping.
 
     ``specs_of(record)`` lists the track's specs (PeakConfigs and
@@ -177,11 +179,11 @@ def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, 
     (in a process pool when they fill two batches or more), and their beats
     join the cache; then ``_score_track`` picks the track's peaks and scores
     all of its specs here. Returns [(record, {spec: EvalResult})] in track
-    order, the ids of the tracks without ``source``, and notes on the other
-    tracks skipped: those with fewer than ``min_beats`` annotated beats left
-    after ``eval_cfg``'s trim, then each whose tempo window (a
-    ``ConstraintError`` from ``specs_of``) holds no BPM range, and each with
-    a DbnConfig that has no state space at the curve's fps
+    order. The tracks skipped go into ``report.notes``, each note once: the
+    count of tracks without ``source``, those with fewer than ``min_beats``
+    annotated beats left after ``eval_cfg``'s trim, then each whose tempo
+    window (a ``ConstraintError`` from ``specs_of``) holds no BPM range, and
+    each with a DbnConfig that has no state space at the curve's fps
     (``dbn.space_key``). That last check runs before any decode, so one such
     track never ends the run.
     """
@@ -214,18 +216,14 @@ def _score_source(dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, 
     for ids, batch in _map_tracks(dbn.decode_batch, _batches(requests, jobs), jobs).items():
         for tid, beats in zip(ids, batch):
             cache.update({(tid, source, synth_key, cfg): b for cfg, b in beats.items()})
-    scored = [(record, _score_track(record.annotation, act, specs,
-                                    {cfg: cache[record.track_id, source, synth_key, cfg] for cfg in cfgs}, eval_cfg))
-              for record, act, specs, cfgs in found]
     if short:
         notes.insert(0, f"{len(short)} track(s) with <{min_beats} beats skipped: {short}")
-    return scored, missing, notes
-
-
-def _note_skipped(report: RunReport, source: str, missing, notes):
     if missing:
-        report.notes.append(f"{len(missing)} track(s) missing '{source}' skipped")
-    report.notes.extend(notes)
+        notes.insert(0, f"{len(missing)} track(s) missing '{source}' skipped")
+    report.notes.extend(note for note in notes if note not in report.notes)
+    return [(record, _score_track(record.annotation, act, specs,
+                                  {cfg: cache[record.track_id, source, synth_key, cfg] for cfg in cfgs}, eval_cfg))
+            for record, act, specs, cfgs in found]
 
 
 def _lambda_grid(lambdas, dbn_cfg: dbn.DbnConfig) -> list:
@@ -321,16 +319,15 @@ def run_gt_bottleneck(
     jobs: int = 1,
 ) -> RunReport:
     """Decode synthetic GT activations for every annotated track."""
-    scored, _, notes = _score_source(dataset, GT_SOURCE, lambda rec: (dbn_cfg,), eval_cfg, synth_cfg, jobs)
-    rows = [_row(rec, GT_SOURCE, _dbn_label(dbn_cfg), scores[dbn_cfg]) for rec, scores in scored]
+    report = RunReport(experiment="gt-bottleneck")
+    scored = _score_source(report, dataset, GT_SOURCE, lambda rec: (dbn_cfg,), eval_cfg, synth_cfg, jobs)
+    rows = report.rows = [_row(rec, GT_SOURCE, _dbn_label(dbn_cfg), scores[dbn_cfg]) for rec, scores in scored]
     fs = [r.eval.f_measure for r in rows]
-    report = RunReport(experiment="gt-bottleneck", rows=rows)
     report.summary = {"n_tracks": len(rows)}
     if rows:
         report.summary.update(mean_f=float(np.mean(fs)), mean_cmlt=float(np.mean([r.eval.cmlt for r in rows])),
                               mean_amlt=float(np.mean([r.eval.amlt for r in rows])))
     report.summary["n_below_f_0.5"] = int(sum(f < 0.5 for f in fs))
-    _note_skipped(report, GT_SOURCE, (), notes)
     return report
 
 
@@ -363,18 +360,13 @@ def run_bottleneck_table(
         stats = dataset_stats(dataset)
         gt = run_gt_bottleneck(dataset, synth_cfg, dbn_cfg, eval_cfg, jobs)
         report.rows.extend(gt.rows)
-        report.notes.extend(f"{name}: {note}" for note in gt.notes)
         real_peak_f = real_dbn_f = None
         if source != GT_SOURCE:  # the GT column is always computed; nothing "real" to add
-            scored, missing, notes = _score_source(dataset, source, lambda rec: (peak_cfg, dbn_cfg),
-                                                   eval_cfg, synth_cfg, jobs)
-            # the short-track note repeats gt-bottleneck's
-            report.notes.extend(f"{name}: {note}" for note in notes if note not in gt.notes)
+            scored = _score_source(gt, dataset, source, lambda rec: (peak_cfg, dbn_cfg), eval_cfg, synth_cfg, jobs)
             if scored:
                 real_peak_f = float(np.mean([scores[peak_cfg].f_measure for _, scores in scored]))
                 real_dbn_f = float(np.mean([scores[dbn_cfg].f_measure for _, scores in scored]))
-            if missing:
-                report.notes.append(f"{name}: {len(missing)} track(s) missing '{source}'")
+        report.notes.extend(f"{name}: {note}" for note in gt.notes)
         gt_f = gt.summary.get("mean_f")
         gap = None if real_dbn_f is None or gt_f is None else gt_f - real_dbn_f
         table_rows.append((name, stats.summary.get("n_tracks", 0), _fmt3(stats.summary.get("median_ibi_cv")),
@@ -429,9 +421,9 @@ def run_lambda_sweep(
 ) -> RunReport:
     """Per-track lambda sweep over a corpus, plus the best fixed lambda."""
     grid = _lambda_grid(lambdas, dbn_cfg)
-    scored, missing, notes = _score_source(dataset, source, lambda rec: grid, eval_cfg, synth_cfg, jobs)
-    sweeps = [_sweep(grid, scores) for _, scores in scored]
     report = RunReport(experiment="lambda-sweep")
+    scored = _score_source(report, dataset, source, lambda rec: grid, eval_cfg, synth_cfg, jobs)
+    sweeps = [_sweep(grid, scores) for _, scores in scored]
     for (rec, _), (results, best) in zip(scored, sweeps):
         report.rows.append(_row(rec, source, "per-track-optimal-lambda", results[best],
                                 best_lambda=float(lambdas[best])))
@@ -454,7 +446,6 @@ def run_lambda_sweep(
             "frac_preferring_min_lambda": float(np.mean([b == lambdas[0] for b in best_lams])),
         }
         report.tables["per-lambda"] = (("lambda", "mean_f", "mean_cmlt"), per_lambda)
-    _note_skipped(report, source, missing, notes)
     return report
 
 
@@ -478,10 +469,8 @@ def run_threshold_sweep(
     ``peak_cfg`` itself is the default the optimum is compared against.
     """
     grid = [dataclasses.replace(peak_cfg, threshold=thr) for thr in thresholds]
-    scored, missing, notes = _score_source(dataset, source, lambda rec: [*grid, peak_cfg],
-                                           eval_cfg, synth_cfg, jobs)
     report = RunReport(experiment="threshold-sweep")
-    for rec, scores in scored:
+    for rec, scores in _score_source(report, dataset, source, lambda rec: [*grid, peak_cfg], eval_cfg, synth_cfg, jobs):
         results, best = _sweep(grid, scores)
         report.rows.append(_row(rec, source, "per-track-optimal-threshold", results[best],
                                 best_threshold=float(thresholds[best]),
@@ -493,7 +482,6 @@ def run_threshold_sweep(
             "default_threshold": peak_cfg.threshold,
             "default_mean_f": float(np.mean([r.baseline_f for r in report.rows])),
         }
-    _note_skipped(report, source, missing, notes)
     return report
 
 
@@ -515,10 +503,9 @@ def run_peak_vs_dbn(
     synth_cfg: SynthConfig = SynthConfig(),
 ) -> RunReport:
     """Effect of routing activations through the DBN instead of peak picking."""
-    scored, missing, notes = _score_source(dataset, source, lambda rec: (dbn_cfg, peak_cfg),
-                                           eval_cfg, synth_cfg, jobs)
     report = RunReport(experiment="peak-vs-dbn")
-    for rec, scores in scored:
+    for rec, scores in _score_source(report, dataset, source, lambda rec: (dbn_cfg, peak_cfg),
+                                     eval_cfg, synth_cfg, jobs):
         dbn_f, peak_f = scores[dbn_cfg].f_measure, scores[peak_cfg].f_measure
         report.rows.append(_row(rec, source, _dbn_label(dbn_cfg), scores[dbn_cfg],
                                 baseline_f=peak_f, delta_f=dbn_f - peak_f))
@@ -534,7 +521,6 @@ def run_peak_vs_dbn(
             "n_unchanged": int((np.abs(deltas) <= HURT_MARGIN).sum()),
         }
         report.tables["per-axis"] = _axis_delta_table(report.rows)
-    _note_skipped(report, source, missing, notes)
     return report
 
 
@@ -597,8 +583,8 @@ def run_tempo_curve(
                 unheld.setdefault(i, []).append(f"{rec.track_id}: {exc}")
         return list(specs.values())
 
-    scored, missing, notes = _score_source(dataset, source, specs_of, eval_cfg, synth_cfg, jobs)
     report = RunReport(experiment="tempo-curve")
+    scored = _score_source(report, dataset, source, specs_of, eval_cfg, synth_cfg, jobs)
     series = []
     labels = [("unconstrained", "unconstrained")]
     labels += [(label, f"constrained[{label}]") for label, _ in tempo_sources]
@@ -623,7 +609,6 @@ def run_tempo_curve(
             "unconstrained_mean_f": float(np.mean([r.f_measure for r in baseline])),
             "unconstrained_mean_cmlt": float(np.mean([r.cmlt for r in baseline])),
         }
-    _note_skipped(report, source, missing, notes)
     return report
 
 
@@ -653,14 +638,13 @@ def run_systems_table(
     def held_grid(rec):  # the lambda grid held to the GT tempo window
         return _lambda_grid(lambdas, _held_to_gt_tempo(rec, window, dbn_cfg))
 
-    scored, missing, notes = _score_source(dataset, source, lambda rec: [peak_cfg, dbn_cfg, *grid, *held_grid(rec)],
-                                           eval_cfg, synth_cfg, jobs, diagnostics.MIN_TEMPO_BEATS)
-    gt_scored = scored
+    report = RunReport(experiment="systems")
+    scored = gt_scored = _score_source(report, dataset, source, lambda rec: [peak_cfg, dbn_cfg, *grid, *held_grid(rec)],
+                                       eval_cfg, synth_cfg, jobs, diagnostics.MIN_TEMPO_BEATS)
     if source != GT_SOURCE:  # the GT upper bound decodes a second activation per track
         ids = {rec.track_id for rec, _ in scored}
-        gt_scored, _, gt_notes = _score_source(dataset, GT_SOURCE, lambda rec: (dbn_cfg,) if rec.track_id in ids else (),
-                                               eval_cfg, synth_cfg, jobs, diagnostics.MIN_TEMPO_BEATS)
-        notes += [note for note in gt_notes if note not in notes]  # the short-track note is the same
+        gt_scored = _score_source(report, dataset, GT_SOURCE, lambda rec: (dbn_cfg,) if rec.track_id in ids else (),
+                                  eval_cfg, synth_cfg, jobs, diagnostics.MIN_TEMPO_BEATS)
         gt_scored = [(rec, scores) for rec, scores in gt_scored if rec.track_id in ids]
         gt_ids = {rec.track_id for rec, _ in gt_scored}  # less a track whose GT curve cannot be decoded
         scored = [(rec, scores) for rec, scores in scored if rec.track_id in gt_ids]
@@ -673,7 +657,6 @@ def run_systems_table(
         ("gt-tempo+optimal-lambda", [r[i] for r, i in constrained], [i for _, i in constrained]),
         ("gt-activations+dbn", [scores[dbn_cfg] for _, scores in gt_scored], None),
     )
-    report = RunReport(experiment="systems")
     table = []
     for label, results, best in configurations:
         for j, ((rec, _), result) in enumerate(zip(scored, results)):
@@ -682,7 +665,6 @@ def run_systems_table(
         table.append((label, *_mean_cells(results)))
     report.tables["systems"] = (("configuration", "mean_f", "mean_cmlt", "mean_amlt"), table)
     report.summary = {"n_tracks": len(scored)}
-    _note_skipped(report, source, missing, notes)
     return report
 
 
@@ -708,10 +690,10 @@ def run_axis_table(
     the F change from routing through the DBN with the fraction of tracks
     hurt, and the CMLt gain from constraining to the ground-truth tempo.
     """
-    scored, missing, notes = _score_source(dataset, source,
-                                           lambda rec: (peak_cfg, dbn_cfg, _held_to_gt_tempo(rec, window, dbn_cfg)),
-                                           eval_cfg, synth_cfg, jobs, diagnostics.MIN_TEMPO_BEATS)
     report = RunReport(experiment="axis-table")
+    scored = _score_source(report, dataset, source,
+                           lambda rec: (peak_cfg, dbn_cfg, _held_to_gt_tempo(rec, window, dbn_cfg)),
+                           eval_cfg, synth_cfg, jobs, diagnostics.MIN_TEMPO_BEATS)
     tracks = []  # (axes, act at GT, peak F, DBN F change, GT-tempo CMLt gain)
     for rec, scores in scored:
         try:
@@ -745,7 +727,6 @@ def run_axis_table(
             ))
     report.tables["axis-table"] = (header, table)
     report.summary = {"n_tracks": len(tracks)}
-    _note_skipped(report, source, missing, notes)
     return report
 
 
@@ -775,8 +756,7 @@ def run_taxonomy(
     report = RunReport(experiment="taxonomy")
 
     def score(src):
-        scored, missing, notes = _score_source(dataset, src, lambda rec: (spec,), eval_cfg, synth_cfg, jobs)
-        _note_skipped(report, src, missing, notes if src == source else ())
+        scored = _score_source(report, dataset, src, lambda rec: (spec,), eval_cfg, synth_cfg, jobs)
         return {rec.track_id: scores[spec] for rec, scores in scored}
 
     primary_results = score(source)

@@ -8,6 +8,7 @@ at a directory containing the 217 annotation files, either directly or in a
 beats/ subdirectory. Everything else is self-contained and always runs.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -433,3 +434,18 @@ def test_c8_pipeline_smoke_on_bundled_pseudo_corpus(tmp_path):
     assert "mean over 3 track(s)" in proc.stdout
     report_line("C8", True, f"CLI experiment + decode + eval round trip on the 3 bundled "
                             f"pseudo-model tracks matches frozen outputs (max |diff| = {worst:.2e})")
+
+
+def test_pseudo_corpus_generator_reproduces_the_bundled_corpus(tmp_path, monkeypatch):
+    """scripts/generate_pseudo_activations.py, pointed at an empty
+    directory, writes every file of the bundled corpus byte for byte."""
+    spec = importlib.util.spec_from_file_location("generate_pseudo_activations",
+                                                  REPO_ROOT / "scripts" / "generate_pseudo_activations.py")
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    monkeypatch.setattr(generator, "ROOT", tmp_path)
+    generator.main()
+    written, bundled = ({path.relative_to(root).as_posix(): path.read_bytes()
+                         for path in root.rglob("*") if path.is_file()} for root in (tmp_path, PSEUDO_DIR))
+    assert sorted(written) == sorted(bundled)
+    assert written == bundled

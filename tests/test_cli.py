@@ -127,6 +127,16 @@ def test_synth_gt_then_decode_round_trip(tmp_path):
     assert act.fps == 50.0
 
 
+def test_synth_gt_checks_every_track_before_writing_any(tmp_path, capsys):
+    """An empty annotation last in sort order exits 1 naming its track, and
+    no curve is written, not even for the good track before it."""
+    beats_dir, _ = _write_mini_inputs(tmp_path, bpms=(72,))
+    (beats_dir / "zz.beats").write_text("")
+    assert run(["synth-gt", "--beats", str(beats_dir), "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: zz: ")
+    assert not list(tmp_path.glob("out/*.act"))
+
+
 def test_experiment_dataset_stats_prints_median(tmp_path, capsys):
     out = tmp_path / "run"
     assert run([
@@ -888,23 +898,28 @@ def _probe_root(tmp_path, probe):
     return root
 
 
-@pytest.mark.parametrize("jobs,copies", [("1", ()), ("2", ()), ("2", ("pseudo00", "pseudo04", "pseudo05"))],
-                         ids=["1", "2", "2-in-a-batch"])
-def test_cli_process_decoder_error_names_track_and_source(tmp_path, jobs, copies):
+@pytest.mark.parametrize("jobs,copies,experiment", [
+    pytest.param(jobs, copies, experiment, id=name + suffix)
+    for experiment, suffix in ((["peak-vs-dbn", "--source", "pseudo"], ""),
+                               (["taxonomy", "--decoder", "dbn", "--intersect-source", "pseudo"], "-taxonomy-intersect"))
+    for name, (jobs, copies) in {"1": ("1", ()), "2": ("2", ()),
+                                 "2-in-a-batch": ("2", ("pseudo00", "pseudo04", "pseudo05"))}.items()])
+def test_cli_process_decoder_error_names_track_and_source(tmp_path, jobs, copies, experiment):
     """A track whose curve the DBN cannot decode is skipped and named, by
-    track and source, before any decode; the run goes on. With ``copies``
-    the corpus gains good tracks on both sides of the bad one, so that
-    every batch holds several tracks."""
+    track and source, before any decode; the run goes on. Taxonomy lists
+    it when the curve is the intersect source's. With ``copies`` the corpus
+    gains good tracks on both sides of the bad one, so that every batch
+    holds several tracks."""
     root = _probe_root(tmp_path, "fps2")
     for copy, track in zip(copies, ("pseudo02", "pseudo03", "pseudo02")):
         for sub, suffix in (("beats", ".beats"), ("tags", ".tags"), ("activations/pseudo", ".act")):
             shutil.copy(root / sub / f"{track}{suffix}", root / sub / f"{copy}{suffix}")
-    proc = _run_cli_process(["experiment", "peak-vs-dbn", "--dataset", f"p={root}", "--source", "pseudo",
+    proc = _run_cli_process(["experiment", *experiment, "--dataset", f"p={root}",
                              "--jobs", jobs, "-o", str(tmp_path / "out")])
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     note = "pseudo01 (pseudo): fps 2.0 too low for max_bpm 215.0 (beat period 1 < 2 frames); skipped"
-    run_dir = tmp_path / "out" / "peak-vs-dbn"
+    run_dir = tmp_path / "out" / experiment[0]
     assert note in proc.stdout and note in (run_dir / "report.txt").read_text()
     rows = reports.rows_from_csv((run_dir / "rows.csv").read_text())
     assert sorted(row.track_id for row in rows) == sorted(["pseudo02", "pseudo03", *copies])

@@ -833,14 +833,17 @@ def short_annotation_dataset():
 
 @pytest.mark.parametrize("name", EXPERIMENT_CALLS)
 def test_tracks_with_short_annotations_are_skipped_and_listed(name):
+    """The skip note comes first, before the experiment's own notes, and
+    no note is listed twice."""
     report = EXPERIMENT_CALLS[name](short_annotation_dataset(), 1)
     scored = {row.track_id for row in report.rows}
     if name in ("systems", "axis-table", "dataset-stats"):  # these need tempo statistics
         assert scored == {"pseudo03"}
-        assert "2 track(s) with <3 beats skipped: ['pseudo01', 'pseudo02']" in report.notes
+        skipped = "2 track(s) with <3 beats skipped: ['pseudo01', 'pseudo02']"
     else:
         assert "pseudo01" not in scored and {"pseudo02", "pseudo03"} <= scored
-        prefix = "pseudo: " if name == "bottleneck" else ""
-        assert prefix + "1 track(s) with <2 beats skipped: ['pseudo01']" in report.notes
+        skipped = ("pseudo: " if name == "bottleneck" else "") + "1 track(s) with <2 beats skipped: ['pseudo01']"
+    assert report.notes[0] == skipped
+    assert len(set(report.notes)) == len(report.notes)
     if name == "tempo-curve":  # pseudo02 has no GT tempo to hold the decoder to
-        assert "tempo source 'gt-tempo': 1 track(s) without estimate" in report.notes
+        assert "tempo source 'gt-tempo': 1 track(s) without estimate" in report.notes[1:]
