@@ -8,10 +8,13 @@ A command reads only the settings it uses, and manifest.txt records them:
 decode those of its mode, an experiment those of its function's parameters
 (run_experiment). A settings flag, --decoder, --intersect-source,
 --tempo-file or --gt-tempo that it does not read exits 2 before anything is
-written; every experiment takes --jobs and --source. A key=value file given
-with --config (not to diagnose or report) may set any SETTINGS or OTHER_KEYS
-key once; flags win over it, and keys the command does not read are ignored.
-A boolean is 1/true/yes/0/false/no. An unset setting keeps its field's default.
+written, as does a second --dataset to an experiment that reads one (all
+but bottleneck); every experiment takes --jobs and --source. A key=value
+file given with --config (not to diagnose or report) may set any SETTINGS
+or OTHER_KEYS key once; flags win over it, and keys the command does not
+read are ignored. A boolean is 1/true/yes/0/false/no. An unset setting
+keeps its field's default. A dataset root or beats dir with no track, and
+an output path that cannot be written, exit 1.
 """
 
 from __future__ import annotations
@@ -378,11 +381,19 @@ def cmd_synth_gt(args) -> int:
     return 0
 
 
+def _load_dataset(root, layout, where: str, axis_map=None) -> ingest.Dataset:
+    """The dataset under ``root``; one with no track is a data error naming ``where``."""
+    dataset = ingest.load_dataset(root, layout, axis_map)
+    if len(dataset) == 0:
+        raise ToolkitError(f"no tracks found under {where}")
+    return dataset
+
+
 def _datasets_from_args(args) -> list:
     """[(name, Dataset)]: one per --dataset NAME=ROOT, else one from --beats-dir."""
     axis_map = ingest.load_axis_map(args.axis_map) if args.axis_map else None
     if args.dataset:
-        return [(name, ingest.load_dataset(root, ingest.root_layout(root), axis_map))
+        return [(name, _load_dataset(root, ingest.root_layout(root), f"dataset root {root!r}", axis_map))
                 for name, root in _parse_labeled(args.dataset, "--dataset")]
     if not args.beats_dir:
         raise ToolkitError("provide --beats-dir (or --dataset NAME=ROOT)")
@@ -391,10 +402,7 @@ def _datasets_from_args(args) -> list:
         tags_dir=args.tags_dir,
         activation_dirs=dict(_parse_labeled(args.activations, "--activations")),
     )
-    dataset = ingest.load_dataset(Path.cwd(), layout, axis_map)
-    if len(dataset) == 0:
-        raise ToolkitError(f"no tracks found under beats dir {args.beats_dir!r}")
-    return [("dataset", dataset)]
+    return [("dataset", _load_dataset(Path.cwd(), layout, f"beats dir {args.beats_dir!r}", axis_map))]
 
 
 def _tempo_sources(settings) -> list:
@@ -477,6 +485,10 @@ def write_experiment(report: reports.RunReport, datasets, out_dir) -> Path:
 
 
 def cmd_experiment(args) -> int:
+    run = getattr(experiments, EXPERIMENTS[args.name])
+    if len(args.dataset) > 1 and "datasets" not in inspect.signature(run).parameters:
+        print(f"error: {args.name} reads one --dataset, got {len(args.dataset)}", file=sys.stderr)
+        raise SystemExit(2)
     datasets = _datasets_from_args(args)
     report = run_experiment(args, datasets)
     run_dir = write_experiment(report, datasets, args.output)
@@ -491,7 +503,7 @@ def cmd_suite(args) -> int:
     root = Path(args.root)
     layout = ingest.root_layout(root)
     sources = sorted(layout.activation_dirs)
-    dataset = ingest.load_dataset(root, layout)
+    dataset = _load_dataset(root, layout, f"dataset root {args.root!r}")
     datasets = [(root.name, dataset)]
     print(f"{len(dataset)} tracks, activation sources: {sources or 'none'}")
     if dataset.residue_tags:
@@ -538,7 +550,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ToolkitError, ValueError) as exc:
+    except (ToolkitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

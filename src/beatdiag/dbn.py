@@ -444,16 +444,43 @@ def path_to_beats(
     return frames / space.fps
 
 
-def decode_batch(requests) -> list[dict]:
+def decode_batch(requests, jobs: int = 1) -> list[dict]:
     """[{cfg: decode(act, cfg)} for each (act, cfgs) of ``requests``].
 
     Each activation decodes each distinct (``space_key``, transition_lambda)
-    of its configs once, as one copy; the copies of every request share
-    forward passes, as many as GRID_PASS_BYTES requires. Every key is
-    computed first, so a config with no state space raises StateSpaceError
-    before any pass runs.
+    of its configs once, as one copy; the copies of a batch share forward
+    passes, as many as GRID_PASS_BYTES requires. Every key is computed
+    first, so a config with no state space raises StateSpaceError before
+    any pass runs. Two batches or more (``_batches``, at most ``jobs``)
+    decode in a process pool, one process per batch, to the same beats.
     """
     keyed = [(act, {cfg: space_key(cfg, act.fps) for cfg in dict.fromkeys(cfgs)}) for act, cfgs in requests]
+    batches = _batches(keyed, jobs)
+    if len(batches) <= 1:
+        return _decode_keyed(keyed)
+    # imported here: multiprocessing costs every process that never forks a pool
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=len(batches)) as pool:
+        return [beats for batch in pool.map(_decode_keyed, batches, chunksize=1) for beats in batch]
+
+
+def _batches(keyed, jobs: int) -> list[list]:
+    """``jobs`` contiguous runs of the (act, {cfg: key}) requests, near-equal
+    in frames x copies; fewer when a run would be empty, and one when no
+    request has a copy."""
+    weights = [len(act.values) * len({(key, cfg.transition_lambda) for cfg, key in keys.items()})
+               for act, keys in keyed]
+    total, done, runs = sum(weights), 0, {}
+    for request, weight in zip(keyed, weights):
+        run = min(jobs - 1, int((done + weight / 2) * jobs // total)) if total else 0
+        runs.setdefault(run, []).append(request)
+        done += weight
+    return list(runs.values())
+
+
+def _decode_keyed(keyed) -> list[dict]:
+    """``decode_batch`` of (act, {cfg: key}) requests, in this process."""
     spaces, grids = {}, {}  # grids: (id(act), key) -> (act, space, {lambda: [(request, cfg)]})
     for i, (act, keys) in enumerate(keyed):
         for cfg, key in keys.items():

@@ -8,25 +8,23 @@ Every experiment runs the same three steps:
    becomes a DbnConfig's BPM range (``TempoConstraint.hold``) when the spec
    is built. A lambda or threshold sweep is just one spec per grid value.
 2. Decode and score. ``_score_source`` sends each track's DbnConfigs, as
-   one (activation, configs) request, to ``dbn.decode_batch``, the one
-   function a worker runs, whose Viterbi passes hold copies from many
-   tracks and state spaces (a pass is bounded only to bound memory, and a
-   track's lambda grid never spreads over shared passes). ``_batches``
-   cuts the requests into ``jobs`` contiguous batches in track order,
-   near-equal in frames x copies, and ``_map_tracks`` decodes them in a
-   process pool when there are two batches or more. The parent then picks
-   each track's peaks, a threshold grid in one pass, and scores the
-   track's distinct beat sequences together in one metrics pass
-   (``_score_track``). Every source reaches it as a curve from
-   ``_activation_of``, which synthesizes a gt-synth curve once per
-   dataset, track and synth config. DBN decodes are cached per loaded
-   Dataset, by track, source, synth config and DbnConfig, so every stage
-   of a run on one dataset decodes each of them once, under any eval
-   config; a stage whose configs are all cached, or that has none, starts
-   no pool. The parent process owns both caches, and each copy decodes to
-   its own decode's bits in any pass, so results are the same at any
-   ``jobs``. ``_score_source`` also writes the notes on the tracks it
-   skips into the experiment's RunReport, each note once.
+   one (activation, configs) request, to one ``dbn.decode_batch(requests,
+   jobs)`` call. Its Viterbi passes hold copies from many tracks and state
+   spaces (a pass is bounded only to bound memory, and a track's lambda
+   grid never spreads over shared passes), and it decodes ``jobs``
+   contiguous batches, near-equal in frames x copies, in a process pool
+   when there are two or more. The parent then picks each track's peaks,
+   a threshold grid in one pass, and scores the track's distinct beat
+   sequences together in one metrics pass (``_score_track``). Every source
+   reaches it as a curve from ``_activation_of``, which synthesizes a
+   gt-synth curve once per dataset, track and synth config. DBN decodes
+   are cached per loaded Dataset, by track, source, synth config and
+   DbnConfig, so every stage of a run on one dataset decodes each of them
+   once, under any eval config; a stage whose configs are all cached, or
+   that has none, starts no pool. The parent process owns both caches,
+   and each copy decodes to its own decode's bits in any pass, so results
+   are the same at any ``jobs``. ``_score_source`` also writes the notes
+   on the tracks it skips into the experiment's RunReport, each note once.
 3. Fold. The experiment turns the per-track {spec: EvalResult} maps into
    a RunReport of per-track rows plus corpus-level summaries and tables,
    and adds its own notes after the skip notes.
@@ -122,35 +120,6 @@ def _score_track(ref: BeatAnnotation, act: ActivationCurve, specs, decoded: dict
     return {spec: results[beats[spec].tobytes()] for spec in specs}
 
 
-def _map_tracks(fn, items, jobs: int = 1) -> dict:
-    """Apply fn to (id, payload) pairs, in a pool of one process per item
-    (at most ``jobs``) when both are two or more; results keyed by id, in
-    item order."""
-    if min(jobs, len(items)) <= 1:
-        return {tid: fn(payload) for tid, payload in items}
-    # imported here: multiprocessing costs every process that never forks a pool
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        outputs = pool.map(fn, [payload for _, payload in items], chunksize=1)
-        return {tid: out for (tid, _), out in zip(items, outputs)}
-
-
-def _batches(items, jobs: int) -> list:
-    """(track ids, requests) of ``jobs`` contiguous runs of the (track id,
-    (activation, DbnConfigs)) items, near-equal in frames x DBN copies;
-    fewer when a run would be empty."""
-    weights = [len(act.values) * len({(dbn.space_key(cfg, act.fps), cfg.transition_lambda) for cfg in cfgs})
-               for _, (act, cfgs) in items]
-    total, done, runs = sum(weights), 0, {}
-    for (tid, payload), weight in zip(items, weights):
-        run = runs.setdefault(min(jobs - 1, int((done + weight / 2) * jobs // total)), ([], []))
-        run[0].append(tid)
-        run[1].append(payload)
-        done += weight
-    return [(tuple(ids), payloads) for ids, payloads in runs.values()]
-
-
 # Loaded Dataset -> {(track_id, source, synth_cfg or None, DbnConfig): decoded beats}.
 # Peak picks are cheap to repeat, and a threshold sweep's would fill it.
 _DECODES = weakref.WeakKeyDictionary()
@@ -175,21 +144,22 @@ def _score_source(report: RunReport, dataset: Dataset, source: str, specs_of, ev
 
     ``specs_of(record)`` lists the track's specs (PeakConfigs and
     DbnConfigs). Each track's DbnConfigs not yet in the dataset's decode
-    cache go with its curve from ``_activation_of`` to ``dbn.decode_batch``
-    (in a process pool when they fill two batches or more), and their beats
-    join the cache; then ``_score_track`` picks the track's peaks and scores
-    all of its specs here. Returns [(record, {spec: EvalResult})] in track
-    order. The tracks skipped go into ``report.notes``, each note once: the
-    count of tracks without ``source``, those with fewer than ``min_beats``
-    annotated beats left after ``eval_cfg``'s trim, then each whose tempo
-    window (a ``ConstraintError`` from ``specs_of``) holds no BPM range, and
-    each with a DbnConfig that has no state space at the curve's fps
-    (``dbn.space_key``). That last check runs before any decode, so one such
-    track never ends the run.
+    cache go with its curve from ``_activation_of`` into one
+    ``dbn.decode_batch(requests, jobs)`` call, and their beats join the
+    cache under the track ids kept beside the requests; then
+    ``_score_track`` picks the track's peaks and scores all of its specs
+    here. Returns [(record, {spec: EvalResult})] in track order. The tracks
+    skipped go into ``report.notes``, each note once: the count of tracks
+    without ``source``, those with fewer than ``min_beats`` annotated beats
+    left after ``eval_cfg``'s trim, then each whose tempo window (a
+    ``ConstraintError`` from ``specs_of``) holds no BPM range, and each
+    with a DbnConfig that has no state space at the curve's fps
+    (``dbn.space_key``). That last check runs before any decode, so one
+    such track never ends the run.
     """
     cache = _DECODES.setdefault(dataset, {})
     synth_key = synth_cfg if source == GT_SOURCE else None
-    found, requests, missing, short, notes = [], [], [], [], []
+    found, ids, requests, missing, short, notes = [], [], [], [], [], []
     for record in dataset.annotated():
         if len(metrics.trim_beats(record.annotation.beats, eval_cfg.trim_seconds)) < min_beats:
             short.append(record.track_id)
@@ -212,10 +182,10 @@ def _score_source(report: RunReport, dataset: Dataset, source: str, specs_of, ev
         found.append((record, act, specs, cfgs))
         uncached = [cfg for cfg in cfgs if (record.track_id, source, synth_key, cfg) not in cache]
         if uncached:
-            requests.append((record.track_id, (act, uncached)))
-    for ids, batch in _map_tracks(dbn.decode_batch, _batches(requests, jobs), jobs).items():
-        for tid, beats in zip(ids, batch):
-            cache.update({(tid, source, synth_key, cfg): b for cfg, b in beats.items()})
+            ids.append(record.track_id)
+            requests.append((act, uncached))
+    for tid, beats in zip(ids, dbn.decode_batch(requests, jobs)):
+        cache.update({(tid, source, synth_key, cfg): b for cfg, b in beats.items()})
     if short:
         notes.insert(0, f"{len(short)} track(s) with <{min_beats} beats skipped: {short}")
     if missing:
@@ -568,7 +538,7 @@ def run_tempo_curve(
     The unconstrained decode is always included as the baseline series.
     """
     held = {}  # track id -> {series index: spec}; series 0 is unconstrained
-    unheld = {}  # series index -> [why a track's window holds no BPM range]
+    unheld = {}  # (series index, track id) -> why the track's window holds no BPM range
 
     def specs_of(rec):
         specs = held[rec.track_id] = {0: dbn_cfg}
@@ -580,7 +550,7 @@ def run_tempo_curve(
                 elif bpm_by_track.get(rec.track_id) is not None:
                     specs[i] = dbn.TempoConstraint(bpm_by_track[rec.track_id], window).hold(dbn_cfg)
             except ConstraintError as exc:
-                unheld.setdefault(i, []).append(f"{rec.track_id}: {exc}")
+                unheld[i, rec.track_id] = f"{rec.track_id}: {exc}"
         return list(specs.values())
 
     report = RunReport(experiment="tempo-curve")
@@ -597,7 +567,7 @@ def run_tempo_curve(
         skipped = len(scored) - len(results)
         if results:
             series.append((label, len(results), *_mean_cells(results), skipped))
-        reasons = unheld.get(i, [])
+        reasons = [unheld[i, rec.track_id] for rec, _ in scored if (i, rec.track_id) in unheld]
         if skipped > len(reasons):
             report.notes.append(f"tempo source '{label}': {skipped - len(reasons)} track(s) without estimate")
         report.notes.extend(f"tempo source '{label}': {reason}; skipped" for reason in reasons)

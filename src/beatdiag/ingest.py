@@ -474,7 +474,8 @@ def _parse_activation_binary(blob: bytes, path, label: str) -> ActivationCurve:
         raise CorruptActivation(f"{path}: expected {expected} bytes for {count} frames, got {len(blob)}")
     if fps <= 0 or not np.isfinite(fps):
         raise CorruptActivation(f"{path}: bad fps {fps}")
-    values = np.frombuffer(blob, dtype="<f4", offset=20, count=count).astype(float)
+    with np.errstate(invalid="ignore"):  # a signalling NaN; ActivationCurve rejects every NaN
+        values = np.frombuffer(blob, dtype="<f4", offset=20, count=count).astype(float)
     try:
         return ActivationCurve(values=values, fps=fps, source_label=label)
     except CorruptActivation as exc:

@@ -242,6 +242,29 @@ def test_experiment_tempo_curve_cli_with_tempo_file(tmp_path, capsys):
     assert labels == ["unconstrained", "est", "gt-tempo"]
 
 
+def test_tempo_curve_counts_the_reasons_of_scored_tracks_only(tmp_path, capsys):
+    """A track dropped for its frame rate lists no tempo-window reason, and
+    a scored track with no estimate is counted as one."""
+    root = tmp_path / "data"
+    shutil.copytree(PSEUDO_DIR, root)
+    lo = root / "activations" / "lo"
+    lo.mkdir()
+    acts = {tid: ingest.load_activation(PSEUDO_DIR / "activations" / "pseudo" / f"{tid}.act")
+            for tid in ("pseudo01", "pseudo02")}
+    write_activation(ActivationCurve(acts["pseudo01"].values, fps=2.0, source_label="lo"), lo / "pseudo01.act")
+    for tid in ("pseudo02", "pseudo05"):
+        write_activation(acts["pseudo02"], lo / f"{tid}.act")
+    shutil.copy(root / "beats" / "pseudo02.beats", root / "beats" / "pseudo05.beats")
+    tempo = tmp_path / "tempo.csv"
+    tempo.write_text("track_id,bpm,source_label\npseudo01,10,est\npseudo02,70,est\n")
+    assert run(["experiment", "tempo-curve", "--dataset", f"d={root}", "--source", "lo",
+                "--tempo-file", f"est={tempo}", "-o", str(tmp_path / "run")]) == 0
+    notes = (tmp_path / "run" / "tempo-curve" / "report.txt").read_text()
+    assert "pseudo01 (lo): fps 2.0 too low for max_bpm" in notes
+    assert "tempo source 'est': 1 track(s) without estimate" in notes
+    assert "empty BPM range" not in notes
+
+
 @pytest.mark.parametrize("row", ["pseudo01,nan,est", "pseudo01,inf,est", "pseudo01"])
 def test_experiment_tempo_curve_bad_tempo_file_exits_one(tmp_path, capsys, row):
     tempo = tmp_path / "bad.csv"
@@ -347,6 +370,53 @@ def test_experiment_empty_dataset_exits_one(tmp_path, capsys):
         "experiment", "dataset-stats", "--beats-dir", str(empty), "-o", str(tmp_path / "o"),
     ]) == 1
     assert "no tracks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["suite", "{root}"], ["experiment", "dataset-stats", "--dataset", "x={root}"],
+                                  ["experiment", "dataset-stats", "--beats-dir", "{root}"]])
+def test_a_root_with_no_track_exits_one_before_writing(tmp_path, capsys, argv):
+    root = tmp_path / "nowhere"
+    assert run([arg.format(root=root) for arg in argv] + ["-o", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no tracks found under ") and repr(str(root)) in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_second_dataset_exits_two_unless_the_experiment_reads_all(tmp_path, capsys, monkeypatch):
+    def no_load(*args, **kwargs):
+        raise AssertionError("a dataset was loaded")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ingest, "load_dataset", no_load)
+        with pytest.raises(SystemExit) as exc:
+            run(["experiment", "dataset-stats", "--dataset", f"a={PSEUDO_DIR}", "--dataset",
+                 f"b={tmp_path / 'nowhere'}", "-o", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "error: dataset-stats reads one --dataset, got 2\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert run(["experiment", "bottleneck", "--dataset", f"a={PSEUDO_DIR}", "--dataset", f"b={PSEUDO_DIR}",
+                "-o", str(tmp_path / "o")]) == 0
+    table = (tmp_path / "o" / "bottleneck" / "report.txt").read_text()
+    assert "\na " in table and "\nb " in table
+
+
+@pytest.mark.parametrize("command", ["decode", "synth-gt", "eval", "diagnose", "experiment", "suite"])
+def test_an_output_path_that_cannot_be_written_exits_one(tmp_path, capsys, command):
+    file = tmp_path / "file"
+    file.write_text("")
+    missing = tmp_path / "missing" / "dir" / "x.csv"
+    acts, beats = str(PSEUDO_DIR / "activations" / "pseudo"), str(PSEUDO_DIR / "beats")
+    argv, out = {
+        "decode": (["decode", "--peaks", acts], file),
+        "synth-gt": (["synth-gt", "--beats", beats], file),
+        "eval": (["eval", "--est", beats, "--ref", beats], missing),
+        "diagnose": (["diagnose", "--activations", acts, "--beats", beats], missing),
+        "experiment": (["experiment", "dataset-stats", "--dataset", f"p={PSEUDO_DIR}"], file),
+        "suite": (["suite", str(PSEUDO_DIR)], file),
+    }[command]
+    assert run(argv + ["-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
 
 
 # Each flag that only some commands read: the manifest key it sets, and a value.

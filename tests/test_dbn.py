@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import math
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from beatdiag import dbn, ingest, metrics
 from beatdiag.errors import ConstraintError, StateSpaceError
-from beatdiag.experiments import LAMBDA_GRID, SynthConfig, synthesize_gt_activation
+from beatdiag.experiments import LAMBDA_GRID, SLOW_DBN, SynthConfig, synthesize_gt_activation
 from beatdiag.ingest import ActivationCurve
 from conftest import PSEUDO_DIR, make_grid_annotation, make_pulse_activation, record_passes
 from oracles import (corrected_beat_frames_oracle, dense_model, dense_viterbi_score, enumerate_paths_score,
@@ -550,6 +551,62 @@ def test_decode_batch_is_each_request_decoded_alone(monkeypatch):
         assert {cfg: b.tobytes() for cfg, b in beats.items()} == {
             cfg: b.tobytes() for cfg, b in expected.items() if cfg in beats}
     assert dbn.decode_batch([]) == []
+
+
+def test_batches_are_contiguous_and_near_equal_in_frames_times_copies():
+    def request(n_frames, n_lambdas):
+        return curve(np.zeros(n_frames)), [dbn.DbnConfig(transition_lambda=lam) for lam in range(1, n_lambdas + 1)]
+
+    def cut(requests, jobs):  # each batch's request indices; a batch holds the keyed requests themselves
+        keyed = [(act, {cfg: dbn.space_key(cfg, act.fps) for cfg in cfgs}) for act, cfgs in requests]
+        index = {id(request): i for i, request in enumerate(keyed)}
+        return [[index[id(request)] for request in batch] for batch in dbn._batches(keyed, jobs)]
+
+    requests = [request(100, 1) for _ in range(6)]
+    assert cut(requests, 1) == [[0, 1, 2, 3, 4, 5]]
+    assert cut(requests, 2) == [[0, 1, 2], [3, 4, 5]]
+    # five copies weigh as much as five tracks
+    requests = [request(100, 5), *(request(100, 1) for _ in range(5))]
+    assert cut(requests, 2) == [[0], [1, 2, 3, 4, 5]]
+    assert cut(requests[:1], 4) == [[0]]
+    # 40 s lambda grids at K = 75 fill more than a pass each: still --jobs runs
+    grid = [dataclasses.replace(SLOW_DBN, transition_lambda=float(lam)) for lam in LAMBDA_GRID]
+    requests = [(curve(np.zeros(1723), fps=43.07), grid) for _ in range(4)]
+    assert cut(requests, 2) == [[0, 1], [2, 3]]
+    assert cut(requests, 1) == [[0, 1, 2, 3]]
+    # a request with no config weighs nothing, and requests of no weight make one batch
+    assert cut([(curve(np.zeros(100)), []), request(100, 1), request(100, 1)], 2) == [[0, 1], [2]]
+    assert cut([(curve(np.zeros(100)), [])] * 3, 2) == [[0, 1, 2]]
+    assert cut([], 2) == []
+
+
+def test_decode_batch_is_the_same_at_any_jobs(monkeypatch):
+    """Requests that mix frame rates, K values and lambda grids decode to the
+    same beats, with the same key order, in one process or in a pool of one
+    process per batch."""
+    rng = np.random.default_rng(7)
+    acts = [curve(rng.uniform(0, 1, n), fps=fps) for n, fps in ((300, 50.0), (260, 43.07), (200, 100.0), (300, 50.0))]
+    grid = [dbn.DbnConfig(min_bpm=30.0, transition_lambda=float(lam)) for lam in (500, 1, 20)]
+    held = dbn.TempoConstraint(120.0).hold(dbn.DbnConfig(correct_beats=False))
+    requests = [(acts[0], grid), (acts[1], [held, dbn.DbnConfig(), grid[2]]), (acts[2], []),
+                (acts[2], [*grid[:2], held]), (acts[3], [dbn.DbnConfig(max_bpm=180.0), grid[0]]), (acts[0], [held])]
+    started = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    runs = [dbn.decode_batch(requests, jobs) for jobs in (1, 2, 4)]
+    assert started == [2, 4]
+    want = [[(cfg, b.tobytes()) for cfg, b in beats.items()] for beats in runs[0]]
+    assert [list(beats) for beats in runs[0]] == [list(dict.fromkeys(cfgs)) for _, cfgs in requests]
+    for got in runs[1:]:
+        assert [[(cfg, b.tobytes()) for cfg, b in beats.items()] for beats in got] == want
+    assert dbn.decode_batch([], jobs=2) == []
+    assert dbn.decode_batch([(acts[0], [])], jobs=2) == [{}]
+    assert started == [2, 4]
 
 
 # ---------------------------------------------------------------------------

@@ -592,16 +592,16 @@ def count_decodes(monkeypatch) -> Counter:
     """Count DBN decodes, keyed by activation, fps and config, from now on.
 
     Each distinct config of each request of a ``dbn.decode_batch`` call
-    counts once. The worker's batches decode there, and ``dbn.decode`` is a
-    batch of one, so this counts the decodes of all.
+    counts once. The call cuts its own batches at any ``jobs``, and
+    ``dbn.decode`` is a batch of one, so this counts the decodes of all.
     """
     calls = Counter()
     decode_batch = dbn.decode_batch
 
-    def counting_decode_batch(requests):
+    def counting_decode_batch(requests, jobs=1):
         requests = [(act, list(dict.fromkeys(cfgs))) for act, cfgs in requests]
         calls.update((act.values.tobytes(), act.fps, cfg) for act, cfgs in requests for cfg in cfgs)
-        return decode_batch(requests)
+        return decode_batch(requests, jobs)
 
     monkeypatch.setattr(dbn, "decode_batch", counting_decode_batch)
     return calls
@@ -775,29 +775,6 @@ def test_reports_same_at_any_jobs_on_mixed_rates_and_lengths(tmp_path, name):
     rows = reports.rows_from_csv(files[0][f"{name}/rows.csv"].decode())
     assert {row.track_id for row in rows} == {"pseudo01", "pseudo02", "pseudo03"}
     assert files[0] == files[1]
-
-
-def test_batches_are_contiguous_and_near_equal_in_frames_times_copies():
-    def item(i, n_frames, n_lambdas):
-        act = ingest.ActivationCurve(values=np.zeros(n_frames), fps=50.0, source_label="t")
-        return f"t{i}", (act, [dbn.DbnConfig(transition_lambda=lam) for lam in range(1, n_lambdas + 1)])
-
-    items = [item(i, 100, 1) for i in range(6)]
-    ids = [[tid for tid, _ in items[lo:hi]] for lo, hi in ((0, 3), (3, 6))]
-    assert [list(tids) for tids, _ in experiments._batches(items, 1)] == [ids[0] + ids[1]]
-    assert [list(tids) for tids, _ in experiments._batches(items, 2)] == ids
-    assert [payloads for _, payloads in experiments._batches(items, 2)] == [[p for _, p in items[:3]],
-                                                                             [p for _, p in items[3:]]]
-    # five copies weigh as much as five tracks
-    items = [item(0, 100, 5), *(item(i, 100, 1) for i in range(1, 6))]
-    assert [tids for tids, _ in experiments._batches(items, 2)] == [("t0",), ("t1", "t2", "t3", "t4", "t5")]
-    assert [tids for tids, _ in experiments._batches(items[:1], 4)] == [("t0",)]
-    # 40 s lambda grids at K = 75 fill more than a pass each: still --jobs runs
-    grid = experiments._lambda_grid(experiments.LAMBDA_GRID, experiments.SLOW_DBN)
-    items = [(f"t{i}", (ingest.ActivationCurve(values=np.zeros(1723), fps=43.07, source_label="t"), grid))
-             for i in range(4)]
-    assert [tids for tids, _ in experiments._batches(items, 2)] == [("t0", "t1"), ("t2", "t3")]
-    assert [tids for tids, _ in experiments._batches(items, 1)] == [("t0", "t1", "t2", "t3")]
 
 
 def test_gt_curves_are_synthesized_once_per_dataset_track_and_config(monkeypatch):

@@ -2,7 +2,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beatdiag import ingest
@@ -504,6 +504,7 @@ def _load_or_none(load, path):
 
 
 @given(blob=st.one_of(st.binary(max_size=200), act1_blobs, text_activations))
+@example(blob=_act1(50.0, 2, struct.pack("<2I", 0, 0x7FA00000)))  # a signalling NaN
 @settings(max_examples=400)
 def test_load_activation_any_bytes(tmp_path_factory, blob):
     path = tmp_path_factory.getbasetemp() / "any_x.act"
