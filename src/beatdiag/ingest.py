@@ -20,6 +20,7 @@ File conventions
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import logging
 import math
@@ -81,14 +82,12 @@ class BeatAnnotation:
 
 @dataclass(frozen=True)
 class TrackMetadata:
-    """Per-track difficulty descriptors and annotation provenance."""
+    """Per-track difficulty descriptors and the annotator's confidence."""
 
     track_id: str
-    raw_tags: tuple[str, ...] = ()
     canonical_tags: tuple[str, ...] = ()
     axes: frozenset = frozenset()
     annotator_confidence: int | None = None
-    annotator_id: str | None = None
 
 
 @dataclass(frozen=True)
@@ -135,13 +134,13 @@ class TrackRecord:
     """One track's annotation, metadata, and named activation sources."""
 
     track_id: str
-    annotation: BeatAnnotation | None
+    annotation: BeatAnnotation
     metadata: TrackMetadata
     activations: dict = field(default_factory=dict)
 
 
 class Dataset:
-    """Immutable collection of TrackRecords, iterated in track_id order."""
+    """Immutable collection of annotated TrackRecords, in track_id order."""
 
     def __init__(self, records, residue_tags=None):
         self._records = sorted(records, key=lambda r: r.track_id)
@@ -160,10 +159,6 @@ class Dataset:
 
     def __contains__(self, track_id: str) -> bool:
         return track_id in self._by_id
-
-    def annotated(self):
-        """Records that carry a beat annotation."""
-        return [r for r in self._records if r.annotation is not None]
 
 
 @dataclass(frozen=True)
@@ -350,15 +345,14 @@ def parse_bool(text: str) -> bool:
 def load_tags(path, axis_map: AxisMap | None = None):
     """Parse a free-text tag file into (TrackMetadata, residue raw tags).
 
-    Tags are separated by newlines, commas, or semicolons. Lines of the form
-    ``annotator: X`` and ``confidence: N`` carry annotation
-    provenance; either inline keys or a separate metadata file may be used.
+    Tags are separated by newlines, commas, or semicolons. A line
+    ``confidence: N`` sets the annotator confidence; an ``annotator: X``
+    line is provenance that nothing reads, and is not a tag either.
     """
     if axis_map is None:
         axis_map = default_axis_map()
     path = Path(path)
-    raw_tags = []
-    annotator = None
+    descriptors = []
     confidence = None
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.strip()
@@ -367,18 +361,16 @@ def load_tags(path, axis_map: AxisMap | None = None):
         meta = _META_LINE.match(stripped)
         if meta:
             key, value = meta.group(1).lower(), meta.group(2).strip()
-            if key == "annotator":
-                annotator = value
-            elif key == "confidence":
+            if key == "confidence":
                 try:
                     confidence = int(value)
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: confidence {value!r} is not an integer") from None
             continue
-        raw_tags.extend(t.strip() for t in re.split(r"[,;]", stripped) if t.strip())
+        descriptors.extend(t.strip() for t in re.split(r"[,;]", stripped) if t.strip())
     canonical = []
     residue = []
-    for raw in raw_tags:
+    for raw in descriptors:
         tag = normalize_tag(raw, axis_map)
         if tag is None:
             residue.append(raw)
@@ -388,23 +380,16 @@ def load_tags(path, axis_map: AxisMap | None = None):
         log.warning("%s: %d unrecognized tag(s): %s", path.name, len(residue), residue)
     metadata = TrackMetadata(
         track_id=track_id_from_path(path),
-        raw_tags=tuple(raw_tags),
         canonical_tags=tuple(canonical),
         axes=assign_axes(canonical, axis_map),
         annotator_confidence=confidence,
-        annotator_id=annotator,
     )
     return metadata, residue
 
 
-_default_axis_map = None
-
-
+@functools.cache
 def default_axis_map() -> AxisMap:
-    global _default_axis_map
-    if _default_axis_map is None:
-        _default_axis_map = load_axis_map()
-    return _default_axis_map
+    return load_axis_map()
 
 
 # ---------------------------------------------------------------------------
@@ -580,10 +565,11 @@ def load_dataset(root, layout: DatasetLayout | None = None, axis_map: AxisMap | 
     """Assemble a Dataset from a directory tree described by ``layout``.
 
     One TrackRecord per annotation file; tags and activations join on
-    track_id. An activation without an annotation is kept for decode-only
-    use (with a warning); two files for one track in one directory are an
-    error. Iteration order is sorted by track_id regardless of filesystem
-    enumeration order.
+    track_id. Every tag and activation file is parsed, so a malformed one
+    raises naming its path, but one without an annotation is left out with a
+    warning (its unrecognized tags still count in ``residue_tags``). Two
+    files for one track in one directory are an error. Iteration order is
+    sorted by track_id regardless of filesystem enumeration order.
     """
     root = Path(root)
     layout = layout or DatasetLayout()
@@ -599,9 +585,7 @@ def load_dataset(root, layout: DatasetLayout | None = None, axis_map: AxisMap | 
     beats_dir = resolve(layout.beats_dir)
     if beats_dir.is_dir():
         for track_id, ann in load_annotations(beats_dir).items():
-            records[track_id] = TrackRecord(
-                track_id=track_id, annotation=ann, metadata=TrackMetadata(track_id=track_id)
-            )
+            records[track_id] = TrackRecord(track_id, ann, TrackMetadata(track_id))
 
     if layout.tags_dir is not None and resolve(layout.tags_dir).is_dir():
         for track_id, path in files_by_track(glob_sorted(resolve(layout.tags_dir), TAGS_GLOB)).items():
@@ -610,7 +594,7 @@ def load_dataset(root, layout: DatasetLayout | None = None, axis_map: AxisMap | 
                 residue[track_id] = unknown
             if track_id not in records:
                 log.warning("tags for unknown track %s", track_id)
-                records[track_id] = TrackRecord(track_id=track_id, annotation=None, metadata=meta)
+                continue
             records[track_id].metadata = meta
 
     for label, act_dir in sorted(layout.activation_dirs.items()):
@@ -622,9 +606,7 @@ def load_dataset(root, layout: DatasetLayout | None = None, axis_map: AxisMap | 
             curve = load_activation(path, source_label=label)
             if track_id not in records:
                 log.warning("activation without annotation: %s (%s)", track_id, label)
-                records[track_id] = TrackRecord(
-                    track_id=track_id, annotation=None, metadata=TrackMetadata(track_id=track_id)
-                )
+                continue
             records[track_id].activations[label] = curve
 
     return Dataset(records.values(), residue_tags=residue)

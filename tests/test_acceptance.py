@@ -52,8 +52,7 @@ def smc_annotations():
             "holding the 217 SMC annotation files (optionally under beats/)"
         )
     ds = ingest.load_dataset(beats_dir.parent, DatasetLayout(beats_dir=beats_dir.name, tags_dir=None))
-    annotated = ds.annotated()
-    assert len(annotated) == 217, f"expected 217 SMC annotations, found {len(annotated)}"
+    assert len(ds) == 217, f"expected 217 SMC annotations, found {len(ds)}"
     return ds
 
 
@@ -165,7 +164,7 @@ def _widening_effect(records):
 def test_c3_min_bpm_widening_on_smc_slow_tracks():
     ds = smc_annotations()
     slow = [
-        r for r in ds.annotated()
+        r for r in ds
         if len(r.annotation.beats) >= 3 and diagnostics.tempo_stats(r.annotation).gt_bpm < 55.0
     ]
     assert len(slow) == 45
@@ -316,7 +315,7 @@ def test_c6_sweep_dominance_everywhere():
     for name, ds, source in _test_corpora():
         lam_report = experiments.run_lambda_sweep(ds, source)
         fixed_lambda_f = {}
-        for record in ds.annotated():
+        for record in ds:
             act = record.activations[source]
             for lam in experiments.LAMBDA_GRID:
                 cfg = dbn.DbnConfig(min_bpm=30.0, transition_lambda=float(lam))

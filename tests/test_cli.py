@@ -99,6 +99,17 @@ def test_eval_trim_flag(tmp_path, capsys):
     assert "F=1.000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("ref_beats,trim", [([5.0], "0"), ([1.0, 2.0, 3.0], "5")])
+def test_eval_names_the_track_it_cannot_score(tmp_path, capsys, ref_beats, trim):
+    beats_dir, _ = _write_mini_inputs(tmp_path)
+    write_beats(ref_beats, beats_dir / "short.beats")
+    est_dir = tmp_path / "est"
+    shutil.copytree(beats_dir, est_dir)
+    assert run(["eval", "--est", str(est_dir), "--ref", str(beats_dir), "--trim", trim]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {beats_dir}: short: continuity needs >= 2 reference beats, got ")
+
+
 def test_eval_mismatched_ids_exit_one(tmp_path, capsys):
     beats_dir, _ = _write_mini_inputs(tmp_path)
     other = tmp_path / "other"
@@ -372,10 +383,19 @@ def test_experiment_empty_dataset_exits_one(tmp_path, capsys):
     assert "no tracks" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["suite", "{root}"], ["experiment", "dataset-stats", "--dataset", "x={root}"],
-                                  ["experiment", "dataset-stats", "--beats-dir", "{root}"]])
-def test_a_root_with_no_track_exits_one_before_writing(tmp_path, capsys, argv):
+NO_TRACK_ARGVS = (["suite", "{root}"], ["experiment", "dataset-stats", "--dataset", "x={root}"],
+                  ["experiment", "dataset-stats", "--beats-dir", "{root}"])
+
+
+@pytest.mark.parametrize("argv,acts_only", [
+    *(pytest.param(argv, False, id=f"argv{i}") for i, argv in enumerate(NO_TRACK_ARGVS)),
+    *(pytest.param(argv, True, id=f"acts-only-{argv[-2].lstrip('-')}") for argv in NO_TRACK_ARGVS),
+])
+def test_a_root_with_no_track_exits_one_before_writing(tmp_path, capsys, argv, acts_only):
     root = tmp_path / "nowhere"
+    if acts_only:  # activation files, but not one annotation
+        (root / "activations" / "m").mkdir(parents=True)
+        write_activation(ActivationCurve(np.full(100, 0.5), 50.0), root / "activations" / "m" / "a.act")
     assert run([arg.format(root=root) for arg in argv] + ["-o", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: no tracks found under ") and repr(str(root)) in err

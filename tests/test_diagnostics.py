@@ -156,6 +156,22 @@ def test_classify_good():
     assert diagnostics.classify_failure(result(f=0.85)) is FailureCategory.GOOD
 
 
+def test_classify_good_at_exactly_good_f():
+    assert diagnostics.classify_failure(result(f=0.8)) is FailureCategory.GOOD
+
+
+def test_classify_octave_gap_of_exactly_octave_gap_is_other():
+    r = result(f=0.5, cmlc=0.4, cmlt=0.4, amlc=0.5, amlt=0.75)
+    assert r.amlt - r.f_measure == diagnostics.OCTAVE_GAP
+    assert diagnostics.classify_failure(r) is FailureCategory.OTHER
+
+
+def test_classify_continuity_gap_of_exactly_continuity_gap_is_other():
+    assert 0.45 - 0.25 == diagnostics.CONTINUITY_GAP
+    r = result(f=0.5, cmlc=0.25, cmlt=0.45, amlc=0.5, amlt=0.6)
+    assert diagnostics.classify_failure(r) is FailureCategory.OTHER
+
+
 def test_classify_total_failure():
     assert (
         diagnostics.classify_failure(result(f=0.25, amlt=0.25))

@@ -181,7 +181,7 @@ def test_bottleneck_table_annotations_only():
 
 def test_sweep_lambda_dominance_per_track():
     ds = load_pseudo()
-    for record in ds.annotated():
+    for record in ds:
         act = record.activations["pseudo"]
         sweep = experiments.sweep_lambda(act, record.annotation, (1, 5, 100, 500))
         for lam, res in zip(sweep.lambdas, sweep.results):
@@ -303,7 +303,7 @@ def test_tempo_curve_window_covering_range_equals_baseline(monkeypatch):
     ds = load_pseudo()
     cfg = dbn.DbnConfig(min_bpm=30.0, max_bpm=215.0)
     # center and window chosen so every track's effective range is [30, 215]
-    source = ("cover", {r.track_id: 122.5 for r in ds.annotated()})
+    source = ("cover", {r.track_id: 122.5 for r in ds})
     calls = count_decodes(monkeypatch)
     report = experiments.run_tempo_curve(ds, "pseudo", [source], window=0.76, dbn_cfg=cfg)
     header, series = report.tables["tempo-curve"]
@@ -670,7 +670,7 @@ def test_systems_table_decodes_each_state_space_in_one_call(monkeypatch):
     ds = load_pseudo()
     report = experiments.run_systems_table(ds, "pseudo")
     assert report.summary["n_tracks"] == 3
-    for rec in ds.annotated():
+    for rec in ds:
         act = rec.activations["pseudo"]
         held = experiments._held_to_gt_tempo(rec, dbn.TEMPO_WINDOW, experiments.SLOW_DBN)
         passes = [(key, lambdas) for values, key, lambdas in calls if values == act.values.tobytes()]
@@ -775,23 +775,6 @@ def test_reports_same_at_any_jobs_on_mixed_rates_and_lengths(tmp_path, name):
     rows = reports.rows_from_csv(files[0][f"{name}/rows.csv"].decode())
     assert {row.track_id for row in rows} == {"pseudo01", "pseudo02", "pseudo03"}
     assert files[0] == files[1]
-
-
-def test_gt_curves_are_synthesized_once_per_dataset_track_and_config(monkeypatch):
-    calls = Counter()
-    synthesize = experiments.synthesize_gt_activation
-
-    def counting_synthesize(ref, cfg=SynthConfig()):
-        calls[ref.track_id, cfg] += 1
-        return synthesize(ref, cfg)
-
-    monkeypatch.setattr(experiments, "synthesize_gt_activation", counting_synthesize)
-    ds = load_pseudo()
-    experiments.run_gt_bottleneck(ds)
-    experiments.run_taxonomy(ds, experiments.GT_SOURCE, decoder="dbn")  # diagnostics read the curve too
-    experiments.run_axis_table(ds, experiments.GT_SOURCE)
-    assert sum(calls.values()) == 3
-    assert set(calls.values()) == {1}
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,6 @@ def test_load_tags_with_metadata_and_residue(tmp_path):
     assert meta.canonical_tags == ("expressive_timing", "missing_bass")
     assert meta.axes == {"tempo_instability", "weak_beat_cues"}
     assert meta.annotator_confidence == 3
-    assert meta.annotator_id == "a7"
     assert residue == ["odd thing"]
 
 
@@ -375,15 +374,18 @@ def test_load_dataset_join_semantics(tmp_path):
     assert "model" in ds["t1"].activations
 
 
-def test_load_dataset_orphan_activation_kept(tmp_path):
+def test_load_dataset_orphan_activation_skipped(tmp_path, caplog):
     _write_corpus(tmp_path, extra_activation=True)
     layout = ingest.DatasetLayout(beats_dir="beats", tags_dir="tags",
                                   activation_dirs={"model": "acts"})
     ds = ingest.load_dataset(tmp_path, layout)
-    assert "orphan" in ds
-    assert ds["orphan"].annotation is None
-    assert ds["orphan"].activations["model"] is not None
-    assert len(ds.annotated()) == 3
+    assert [r.track_id for r in ds] == ["t0", "t1", "t2"]
+    assert "orphan" not in ds
+    assert "activation without annotation: orphan (model)" in caplog.text
+    # an orphan is still parsed, so a corrupt one still fails the load
+    (tmp_path / "acts" / "orphan.act").write_text("#fps=50\n0.5\n1.5\n")
+    with pytest.raises(CorruptActivation, match="orphan.act"):
+        ingest.load_dataset(tmp_path, layout)
 
 
 def test_load_dataset_empty(tmp_path):

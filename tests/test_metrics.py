@@ -81,6 +81,14 @@ def test_trim_applies_to_both_sides():
     assert metrics.f_measure(est, ref) < 1.0
 
 
+def test_trim_keeps_a_beat_exactly_at_trim_seconds():
+    # mir_eval.beat.trim_beats keeps beats >= the trim time, on both sides
+    ref = np.array([1.0, 2.0, 5.0, 6.0, 7.0])
+    est = np.array([0.5, 5.0, 6.5])
+    result = metrics.evaluate(est, ref, metrics.EvalConfig(trim_seconds=5.0))
+    assert (result.n_ref, result.n_est) == (3, 2)
+
+
 # ---------------------------------------------------------------------------
 # Continuity
 # ---------------------------------------------------------------------------
